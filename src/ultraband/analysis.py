@@ -142,14 +142,16 @@ def band_energy(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
     return float(energy[_band_mask(freqs, lo_hz, hi_hz, nyquist)].sum())
 
 
-def _occupancy(freqs: np.ndarray, energy: np.ndarray, q_lo: float, q_hi: float):
+def _occupancy(freqs: np.ndarray, energy: np.ndarray, *quantiles: float) -> tuple:
+    """Lowest frequency at or below which each quantile of the energy lies;
+    all zeros when there is no energy."""
     total = energy.sum()
     if total <= 0.0:
-        return 0.0, 0.0
+        return (0.0,) * len(quantiles)
     cum = np.cumsum(energy)
-    lo = freqs[min(int(np.searchsorted(cum, q_lo * total)), freqs.size - 1)]
-    hi = freqs[min(int(np.searchsorted(cum, q_hi * total)), freqs.size - 1)]
-    return float(lo), float(hi)
+    return tuple(
+        float(freqs[min(int(np.searchsorted(cum, q * total)), freqs.size - 1)]) for q in quantiles
+    )
 
 
 def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
 from .kernels import apply_filter, design_lowpass, peak_normalize
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
@@ -55,31 +56,40 @@ def demodulate(
 ) -> SampleBuffer:
     """Recover baseband audio from a high-band signal.
 
-    With ``phase_search`` the detector tries 16 evenly spaced carrier
+    With ``phase_search`` the detector scores 16 evenly spaced carrier
     phases and keeps the one with the most output energy; useful when the
     input is a recording whose first sample does not line up with the
-    transmitter's carrier. Output is peak normalized unless the recovered
-    level is negligible next to the input (then the residue is returned
-    as-is, so silence stays silent and out-of-band input stays tiny).
+    transmitter's carrier. The search costs two filter passes (in-phase and
+    quadrature) whatever the candidate count. Opposite phases tie in energy;
+    the one in [0, pi) is returned, so the output polarity is deterministic.
+    Output is peak normalized unless the recovered level is negligible
+    next to the input (then the residue is returned as-is, so silence stays
+    silent and out-of-band input stays tiny).
     """
     if len(signal) == 0:
         raise EmptySignal("cannot demodulate an empty signal")
     config.validate(signal.sample_rate_hz)
 
     lpf = design_lowpass(config.recovery_cutoff_hz, signal.sample_rate_hz, config.filter_taps)
-    n = np.arange(len(signal))
-    base_phase = 2.0 * np.pi * config.carrier_hz * n / signal.sample_rate_hz
+    rate = signal.sample_rate_hz
+    theta = 2.0 * np.pi * config.carrier_hz * np.arange(len(signal)) / rate
 
-    def run(offset: float) -> SampleBuffer:
-        product = 2.0 * signal.samples * np.cos(base_phase + offset)
-        return apply_filter(lpf, SampleBuffer(product, signal.sample_rate_hz))
+    def mix_down(carrier: np.ndarray) -> SampleBuffer:
+        return apply_filter(lpf, SampleBuffer(2.0 * signal.samples * carrier, rate))
 
+    recovered = mix_down(np.cos(theta))
     if phase_search:
-        candidates = [run(2.0 * np.pi * k / PHASE_CANDIDATES) for k in range(PHASE_CANDIDATES)]
-        energies = [float(np.dot(c.samples, c.samples)) for c in candidates]
-        recovered = candidates[int(np.argmax(energies))]
-    else:
-        recovered = run(0.0)
+        # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by
+        # linearity, so the candidate energies follow from II, QQ and IQ.
+        # Candidates k and k + 8 are negations with equal energy: score
+        # k < 8 only and let argmax keep the lowest index on ties.
+        i_arm = recovered.samples
+        q_arm = mix_down(np.sin(theta)).samples
+        phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
+        c, s = np.cos(phis), np.sin(phis)
+        ii, qq, iq = np.dot(i_arm, i_arm), np.dot(q_arm, q_arm), np.dot(i_arm, q_arm)
+        k = int(np.argmax(c * c * ii + s * s * qq - 2.0 * s * c * iq))
+        recovered = SampleBuffer(c[k] * i_arm - s[k] * q_arm, rate)
 
     in_peak = float(np.max(np.abs(signal.samples)))
     # Judge the recovered level away from the filter's zero-padding
@@ -102,20 +112,9 @@ def recovered_bandwidth(signal: SampleBuffer) -> float:
     """
     if len(signal) == 0:
         raise EmptySignal("no bandwidth for an empty signal")
-    spectrum = np.fft.rfft(signal.samples)
-    power = np.abs(spectrum) ** 2
-    weights = np.full(power.size, 2.0)
-    weights[0] = 1.0
-    if len(signal) % 2 == 0:
-        weights[-1] = 1.0
-    energy = weights * power
-    total = energy.sum()
-    if total == 0.0:
-        return 0.0
     freqs = np.fft.rfftfreq(len(signal), d=1.0 / signal.sample_rate_hz)
-    cum = np.cumsum(energy)
-    idx = int(np.searchsorted(cum, 0.95 * total))
-    return float(freqs[min(idx, freqs.size - 1)])
+    (bandwidth,) = _occupancy(freqs, _weighted_power(signal.samples), 0.95)
+    return bandwidth
 
 
 def demodulate_file(
@@ -128,6 +127,7 @@ def demodulate_file(
     the recovered bandwidth in Hz (measured on the samples written)."""
     clip = read_wav(in_path)
     recovered = demodulate(to_float(clip, channel=0), config, phase_search=phase_search)
-    write_wav(out_path, to_pcm(recovered))
-    verify = to_float(read_wav(out_path), channel=0)
-    return recovered_bandwidth(verify)
+    pcm = to_pcm(recovered)
+    write_wav(out_path, pcm)
+    # write/read is byte-exact, so the in-memory clip is what the file holds
+    return recovered_bandwidth(to_float(pcm, channel=0))

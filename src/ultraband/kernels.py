@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve, resample_poly
+from scipy.signal import oaconvolve, resample_poly
 
 from .errors import BadAlpha, BadCutoff, BadRate, BadTaps, EmptySignal, RateMismatch
 from .wavio import SampleBuffer
@@ -23,6 +23,10 @@ log = logging.getLogger(__name__)
 
 # Below this the Hamming-windowed sinc cannot reach useful stopband rejection.
 _LOW_QUALITY_TAPS = 31
+
+#: Largest up or down factor ``resample`` accepts. The polyphase filter has
+#: about 20 taps per unit of the larger factor, so this caps it near 10 MB.
+MAX_RESAMPLE_FACTOR = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = 255) -> FirFi
 def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     """Filter a signal, compensating group delay so output aligns with input.
 
+    Convolution is overlap-add (blocked FFTs sized to the filter), which
+    costs O(n log taps) rather than one transform of the whole signal.
     Edges are computed against implicit zero padding; output length equals
     input length. Raises RateMismatch if the signal's rate is not the rate
     the filter was designed for.
@@ -109,7 +115,7 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    full = fftconvolve(signal.samples, filt.taps, mode="full")
+    full = oaconvolve(signal.samples, filt.taps, mode="full")
     d = filt.group_delay
     return SampleBuffer(full[d : d + len(signal)], signal.sample_rate_hz)
 
@@ -182,7 +188,10 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     """Band-limited rational resampling (polyphase windowed-sinc).
 
     Content below 0.45 * min(old, new) rate survives within 0.5 dB. A
-    same-rate request returns the samples untouched.
+    same-rate request returns the samples untouched. The up/down factors are
+    the exact ratio of the two rates in lowest terms, so the output really is
+    at ``new_rate_hz``; BadRate is raised when either factor exceeds
+    ``MAX_RESAMPLE_FACTOR``.
     """
     if not new_rate_hz > 0:
         raise BadRate(f"target rate {new_rate_hz} Hz must be positive")
@@ -190,6 +199,12 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
         return SampleBuffer(signal.samples, new_rate_hz)
     if len(signal) == 0:
         return SampleBuffer(signal.samples, new_rate_hz)
-    ratio = Fraction(new_rate_hz / signal.sample_rate_hz).limit_denominator(1000)
+    ratio = Fraction(new_rate_hz) / Fraction(signal.sample_rate_hz)
+    if max(ratio.numerator, ratio.denominator) > MAX_RESAMPLE_FACTOR:
+        raise BadRate(
+            f"{signal.sample_rate_hz} -> {new_rate_hz} Hz reduces to "
+            f"{ratio.numerator}/{ratio.denominator}; factors above "
+            f"{MAX_RESAMPLE_FACTOR} are not supported"
+        )
     out = resample_poly(signal.samples, ratio.numerator, ratio.denominator)
     return SampleBuffer(out, new_rate_hz)

@@ -134,11 +134,12 @@ def modulate_file(
 ) -> "analysis.BandMetrics":
     """Modulate channel 0 of a WAV file and write the high-band result.
 
-    The written file is read back and measured, so the returned metrics
-    describe the actual 16-bit samples on disk, not the float intermediate.
+    The returned metrics describe the 16-bit samples written to disk, not
+    the float intermediate; write/read is byte-exact, so they are measured
+    on the quantized clip in memory.
     """
     clip = read_wav(in_path)
     shifted = modulate(to_float(clip, channel=0), config)
-    write_wav(out_path, to_pcm(shifted))
-    verify = to_float(read_wav(out_path), channel=0)
-    return analysis.measure(verify, config)
+    pcm = to_pcm(shifted)
+    write_wav(out_path, pcm)
+    return analysis.measure(to_float(pcm, channel=0), config)

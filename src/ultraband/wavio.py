@@ -122,8 +122,9 @@ def read_wav(path) -> PcmClip:
 
     Unknown chunks (LIST, fact, ...) are skipped. Raises NotWav for
     non-RIFF input, UnsupportedFormat for recognizable-but-unusable audio
-    such as MP3 or float WAV, TruncatedFile when the container promises
-    more bytes than exist, and IoFailure when the OS read fails.
+    such as MP3, float WAV or a 0 Hz sample rate, TruncatedFile when the
+    container promises more bytes than exist, and IoFailure when the OS
+    read fails.
     """
     try:
         with open(path, "rb") as fh:
@@ -166,6 +167,8 @@ def read_wav(path) -> PcmClip:
                 raise UnsupportedFormat(f"{path}: {bits}-bit samples, only 16-bit is supported")
             if channels < 1 or block_align != channels * 2:
                 raise UnsupportedFormat(f"{path}: inconsistent channel layout")
+            if rate == 0:
+                raise UnsupportedFormat(f"{path}: sample rate of 0 Hz")
             if size % block_align:
                 raise TruncatedFile(f"{path}: data chunk is not a whole number of frames")
             samples = np.frombuffer(blob, dtype="<i2", count=size // 2, offset=body_start)

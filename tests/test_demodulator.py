@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import FULLBAND_NAME, RATE, dft_magnitude, ncc, tone
+from conftest import FULLBAND_NAME, RATE, dft_magnitude, ncc, speech_like, tone
+from ultraband import demodulator
 from ultraband import (
     ConfigInvalid,
     DemodulationConfig,
@@ -107,6 +108,69 @@ def test_phase_search_restores_misaligned_dc_heavy_signal(default_config):
     # sign may flip: the energy criterion cannot tell a phase from its opposite
     assert abs(ncc(blind.samples, reference)) <= 0.7
     assert abs(ncc(searched.samples, reference)) >= 0.95
+
+
+def _misaligned_dc_heavy(config):
+    t = np.arange(96000) / RATE
+    baseband = SampleBuffer(0.8 + 0.15 * np.sin(2.0 * np.pi * 300.0 * t), RATE)
+    return SampleBuffer(modulate(baseband, config).samples[1:], RATE)
+
+
+def _cropped_covert(config):
+    y = modulate(speech_like(seed=8), config)
+    return SampleBuffer(y.samples[7:-500], RATE)
+
+
+def _brute_force_candidates(signal, config=DemodulationConfig()):
+    # the 16-pass search written out: one direct-form filter per phase
+    lpf = design_lowpass(config.recovery_cutoff_hz, RATE, config.filter_taps)
+    d = lpf.group_delay
+    base = 2.0 * np.pi * config.carrier_hz * np.arange(len(signal)) / RATE
+    return [
+        np.convolve(2.0 * signal.samples * np.cos(base + 2.0 * np.pi * k / 16), lpf.taps)[
+            d : d + len(signal)
+        ]
+        for k in range(16)
+    ]
+
+
+@pytest.mark.parametrize("make", [_misaligned_dc_heavy, _cropped_covert])
+def test_phase_search_matches_brute_force_pick(make, default_config):
+    signal = make(default_config)
+    candidates = _brute_force_candidates(signal)
+    energies = np.array([np.dot(c, c) for c in candidates])
+    ties = np.flatnonzero(energies >= (1.0 - 1e-6) * energies.max())
+    got = demodulate(signal, phase_search=True).samples
+    diffs = {
+        int(k): np.max(np.abs(got - candidates[k] / np.max(np.abs(candidates[k])))) for k in ties
+    }
+    best = min(diffs, key=diffs.get)
+    assert diffs[best] <= 1e-9
+    # of a tied pair k, k + 8 the lower index is returned
+    assert best < 8
+
+
+def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
+    calls = []
+
+    def counting(filt, signal):
+        calls.append(len(signal))
+        return apply_filter(filt, signal)
+
+    monkeypatch.setattr(demodulator, "apply_filter", counting)
+    signal = _cropped_covert(default_config)
+    demodulate(signal, phase_search=True)
+    assert calls == [len(signal)] * 2
+    calls.clear()
+    demodulate(signal)
+    assert calls == [len(signal)]
+
+
+def test_phase_search_polarity_is_repeatable(default_config):
+    signal = _misaligned_dc_heavy(default_config)
+    first = demodulate(signal, phase_search=True)
+    for _ in range(3):
+        assert np.array_equal(demodulate(signal, phase_search=True).samples, first.samples)
 
 
 # --- recovered_bandwidth ---

@@ -24,6 +24,7 @@ from ultraband import (
     resample,
     tukey_window,
 )
+from ultraband.kernels import MAX_RESAMPLE_FACTOR
 
 
 def _freq_response(filt: FirFilter, freq_hz: float) -> float:
@@ -106,6 +107,16 @@ def test_filter_preserves_length_and_alignment():
     out = apply_filter(filt, SampleBuffer(x, RATE))
     assert len(out) == 4096
     assert int(np.argmax(np.abs(out.samples))) == 2000
+
+
+@pytest.mark.parametrize("n", [1, 254, 4097, 48000])
+def test_filter_matches_direct_convolution(n):
+    # overlap-add vs the direct-form sum; inputs span the demodulator's 2x range
+    filt = design_lowpass(6000.0, RATE, 255)
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    direct = np.convolve(x, filt.taps)[filt.group_delay : filt.group_delay + n]
+    out = apply_filter(filt, SampleBuffer(x, RATE))
+    assert np.max(np.abs(out.samples - direct)) <= 1e-13
 
 
 def test_filter_passes_low_tone_rejects_high_tone():
@@ -291,3 +302,17 @@ def test_resample_silence_upsample():
 def test_resample_bad_rate():
     with pytest.raises(BadRate):
         resample(SampleBuffer(np.zeros(10), RATE), 0.0)
+
+
+def test_resample_uses_exact_ratio():
+    # 44056 -> 48000 reduces to 6000/5507; a ratio rounded to a denominator
+    # of at most 1000 (1071/983) comes out one sample short over 60 s
+    out = resample(SampleBuffer(np.zeros(44056 * 60), 44056.0), 48000.0)
+    assert len(out) == 48000 * 60
+
+
+def test_resample_rejects_factor_over_bound():
+    # 48000 -> 96001 reduces to 96001/48000, above MAX_RESAMPLE_FACTOR
+    assert 96001 > MAX_RESAMPLE_FACTOR
+    with pytest.raises(BadRate):
+        resample(SampleBuffer(np.zeros(10), 48000.0), 96001.0)

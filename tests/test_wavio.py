@@ -173,10 +173,10 @@ def test_data_before_fmt(tmp_path):
         read_wav(path)
 
 
-def _patched_fmt(audio_format=1, channels=1, bits=16, block_align=None) -> bytes:
+def _patched_fmt(audio_format=1, channels=1, bits=16, block_align=None, rate=RATE) -> bytes:
     if block_align is None:
         block_align = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", audio_format, channels, RATE, RATE * block_align, block_align, bits)
+    fmt = struct.pack("<HHIIHH", audio_format, channels, rate, rate * block_align, block_align, bits)
     data = b"\x00" * 8
     body = (
         struct.pack("<4sI", b"fmt ", 16)
@@ -197,6 +197,13 @@ def test_float_format_rejected(tmp_path):
 def test_24bit_rejected(tmp_path):
     path = tmp_path / "deep.wav"
     path.write_bytes(_patched_fmt(bits=24, block_align=3))
+    with pytest.raises(UnsupportedFormat):
+        read_wav(path)
+
+
+def test_zero_sample_rate_rejected(tmp_path):
+    path = tmp_path / "still.wav"
+    path.write_bytes(_patched_fmt(rate=0))
     with pytest.raises(UnsupportedFormat):
         read_wav(path)
 
