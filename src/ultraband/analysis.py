@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadBand, EmptySignal, IoFailure, SignalTooShort
-from .kernels import WindowSpec, tukey_window
+from .errors import BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort
+from .kernels import WindowSpec, check_band, tukey_window
 from .wavio import SampleBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,10 +66,6 @@ class DetectionVerdict:
     frame_flags: np.ndarray
 
 
-def _frame_starts(n: int, frame_len: int, hop: int) -> int:
-    return (n - frame_len) // hop + 1
-
-
 def _weighted_power(samples: np.ndarray) -> np.ndarray:
     """Per-bin energies of an rfft such that their sum equals sum(x**2)."""
     spectrum = np.fft.rfft(samples)
@@ -101,23 +97,22 @@ def stft(
     about 0 dB in its bin; silence sits exactly on the -120 dB floor.
     """
     if frame_len < 16:
-        raise ValueError(f"frame_len {frame_len} must be >= 16")
+        raise BadArgument(f"frame_len {frame_len} must be >= 16")
     if not 0 < hop <= frame_len:
-        raise ValueError(f"hop {hop} must be in (0, frame_len]")
+        raise BadArgument(f"hop {hop} must be in (0, frame_len]")
     if len(signal) < frame_len:
         raise SignalTooShort(f"{len(signal)} samples, need at least {frame_len}")
     if window.length not in (0, frame_len):
-        raise ValueError("window length does not match frame_len")
+        raise BadArgument("window length does not match frame_len")
     w = tukey_window(WindowSpec(kind=window.kind, alpha=window.alpha, length=frame_len))
 
-    n_frames = _frame_starts(len(signal), frame_len, hop)
-    frames = sliding_window_view(signal.samples, frame_len)[:: hop][:n_frames]
+    frames = sliding_window_view(signal.samples, frame_len)[::hop]
     spectra = np.abs(np.fft.rfft(frames * w, axis=1))
     full_scale = w.sum() / 2.0
     floor_mag = full_scale * 10.0 ** (DB_FLOOR / 20.0)
     mags_db = 20.0 * np.log10(np.maximum(spectra, floor_mag) / full_scale)
 
-    starts = np.arange(n_frames) * hop
+    starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(
         frame_times=(starts + frame_len / 2.0) / signal.sample_rate_hz,
         bin_freqs=np.fft.rfftfreq(frame_len, d=1.0 / signal.sample_rate_hz),
@@ -254,27 +249,20 @@ def detect(
     fraction) is monotone in the embedded signal's gain.
     """
     if ratio_threshold <= 0:
-        raise ValueError(f"ratio_threshold {ratio_threshold} must be positive")
+        raise BadArgument(f"ratio_threshold {ratio_threshold} must be positive")
     if sustain_ms <= 0:
-        raise ValueError(f"sustain_ms {sustain_ms} must be positive")
+        raise BadArgument(f"sustain_ms {sustain_ms} must be positive")
     if frame_ms <= 0:
-        raise ValueError(f"frame_ms {frame_ms} must be positive")
-    nyquist = signal.sample_rate_hz / 2.0
-    if carrier_hz <= 0 or band_hz <= 0 or carrier_hz + band_hz > nyquist * (1.0 + 1e-12):
-        raise BadBand(
-            f"attack band [{carrier_hz}, {carrier_hz + band_hz}] Hz invalid "
-            f"for rate {signal.sample_rate_hz} Hz"
-        )
-
+        raise BadArgument(f"frame_ms {frame_ms} must be positive")
     rate = signal.sample_rate_hz
+    check_band(carrier_hz, band_hz, rate, BadBand, "band_hz")
+    nyquist = rate / 2.0
     frame_len = max(2, int(round(frame_ms * rate / 1000.0)))
     hop = max(1, frame_len // 2)
-    n = len(signal)
-    if n < frame_len:
+    if len(signal) < frame_len:
         return DetectionVerdict(False, 0.0, 0.0, np.zeros(0, dtype=bool))
 
-    n_frames = _frame_starts(n, frame_len, hop)
-    frames = sliding_window_view(signal.samples, frame_len)[::hop][:n_frames]
+    frames = sliding_window_view(signal.samples, frame_len)[::hop]
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
     energy = _weighted_power(frames)
 
@@ -293,14 +281,17 @@ def detect(
     )
 
 
+def true_runs(flags: np.ndarray) -> tuple:
+    """Start and end indices (end exclusive) of each run of True in ``flags``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flags.astype(np.int8), [0]))))
+    return edges[::2], edges[1::2]
+
+
 def _longest_run_ms(flags: np.ndarray, frame_len: int, hop: int, rate: float) -> float:
-    best = 0
-    current = 0
-    for f in flags:
-        current = current + 1 if f else 0
-        best = max(best, current)
-    if best == 0:
+    starts, ends = true_runs(flags)
+    if starts.size == 0:
         return 0.0
+    best = int(np.max(ends - starts))
     return ((best - 1) * hop + frame_len) / rate * 1000.0
 
 

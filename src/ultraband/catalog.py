@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
@@ -27,18 +27,6 @@ ATTACK_ID_PATTERN = re.compile(r"^T\d{4}$")
 DEFEND_ID_PATTERN = re.compile(r"^D3-T\d{4}$")
 
 OUTCOMES = ("fail", "trigger", "success")
-
-_CATALOG_FIELDS = [
-    "attack_tactic",
-    "attack_technique_id",
-    "attack_technique_name",
-    "defend_tactic",
-    "defend_technique_id",
-    "defend_technique_name",
-    "ultrasonic_applicable",
-]
-
-_SURVEY_FIELDS = ["id", "command", "original_outcome", "nuit_outcome", "wrong_command"]
 
 _TRUE_WORDS = {"yes", "true", "1"}
 _FALSE_WORDS = {"no", "false", "0"}
@@ -70,6 +58,11 @@ class CommandRecord:
     original_outcome: str
     nuit_outcome: str
     wrong_command: bool
+
+
+#: CSV columns, in file order: the fields of the record each row holds.
+_CATALOG_FIELDS = [f.name for f in fields(CatalogEntry)]
+_SURVEY_FIELDS = [f.name for f in fields(CommandRecord)]
 
 
 @dataclass(frozen=True)
@@ -158,60 +151,46 @@ def load_catalog(path=None) -> List[CatalogEntry]:
     entries: List[CatalogEntry] = []
     seen = set()
     for row_no, row in enumerate(_open_rows(path, _CATALOG_FIELDS, "attack_catalog.csv"), start=2):
-        for field in _CATALOG_FIELDS:
-            value = row.get(field)
-            if value is None or not value.strip():
-                raise ParseError(f"row {row_no}, column '{field}': empty value")
-        attack_id = row["attack_technique_id"].strip()
-        defend_id = row["defend_technique_id"].strip()
-        if not ATTACK_ID_PATTERN.match(attack_id):
-            raise ParseError(
-                f"row {row_no}, column 'attack_technique_id': {attack_id!r} is not T####"
-            )
-        if not DEFEND_ID_PATTERN.match(defend_id):
-            raise ParseError(
-                f"row {row_no}, column 'defend_technique_id': {defend_id!r} is not D3-T####"
-            )
-        pair = (attack_id, defend_id)
+        values = {name: (row.get(name) or "").strip() for name in _CATALOG_FIELDS}
+        for name, value in values.items():
+            if not value:
+                raise ParseError(f"row {row_no}, column '{name}': empty value")
+        for name, pattern, shape in (
+            ("attack_technique_id", ATTACK_ID_PATTERN, "T####"),
+            ("defend_technique_id", DEFEND_ID_PATTERN, "D3-T####"),
+        ):
+            if not pattern.match(values[name]):
+                raise ParseError(f"row {row_no}, column '{name}': {values[name]!r} is not {shape}")
+        pair = (values["attack_technique_id"], values["defend_technique_id"])
         if pair in seen:
             raise ParseError(f"row {row_no}: duplicate pairing {pair}")
         seen.add(pair)
-        entries.append(
-            CatalogEntry(
-                attack_tactic=row["attack_tactic"].strip(),
-                attack_technique_id=attack_id,
-                attack_technique_name=row["attack_technique_name"].strip(),
-                defend_tactic=row["defend_tactic"].strip(),
-                defend_technique_id=defend_id,
-                defend_technique_name=row["defend_technique_name"].strip(),
-                ultrasonic_applicable=_parse_bool(
-                    row["ultrasonic_applicable"], f"row {row_no}, column 'ultrasonic_applicable'"
-                ),
-            )
+        values["ultrasonic_applicable"] = _parse_bool(
+            row["ultrasonic_applicable"], f"row {row_no}, column 'ultrasonic_applicable'"
         )
+        entries.append(CatalogEntry(**values))
     return entries
+
+
+def _save_rows(records: Iterable, path, fieldnames: Sequence[str], yes_no: tuple) -> None:
+    """Write dataclass records as CSV, one column per field, with booleans
+    spelled as the file's own ``(true word, false word)``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fieldnames)
+            for record in records:
+                writer.writerow(
+                    [(yes_no[0] if v else yes_no[1]) if isinstance(v, bool) else v
+                     for v in astuple(record)]
+                )
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
     """Write entries as CSV; load_catalog(save_catalog(e)) round-trips."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CATALOG_FIELDS)
-            for e in entries:
-                writer.writerow(
-                    [
-                        e.attack_tactic,
-                        e.attack_technique_id,
-                        e.attack_technique_name,
-                        e.defend_tactic,
-                        e.defend_technique_id,
-                        e.defend_technique_name,
-                        "yes" if e.ultrasonic_applicable else "no",
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _save_rows(entries, path, _CATALOG_FIELDS, ("yes", "no"))
 
 
 def pair_defense(
@@ -233,61 +212,37 @@ def load_survey(path=None) -> List[CommandRecord]:
     records: List[CommandRecord] = []
     seen_ids = set()
     for row_no, row in enumerate(_open_rows(path, _SURVEY_FIELDS, "command_survey.csv"), start=2):
-        raw_id = (row.get("id") or "").strip()
+        values = {name: (row.get(name) or "").strip() for name in _SURVEY_FIELDS}
         try:
-            cmd_id = int(raw_id)
+            cmd_id = int(values["id"])
         except ValueError:
-            raise ParseError(f"row {row_no}, column 'id': {raw_id!r} is not an integer") from None
+            raise ParseError(
+                f"row {row_no}, column 'id': {values['id']!r} is not an integer"
+            ) from None
         if cmd_id < 0:
             raise ParseError(f"row {row_no}, column 'id': {cmd_id} is negative")
         if cmd_id in seen_ids:
             raise ParseError(f"row {row_no}, column 'id': duplicate id {cmd_id}")
         seen_ids.add(cmd_id)
-        command = (row.get("command") or "").strip()
-        if not command:
+        if not values["command"]:
             raise ParseError(f"row {row_no}, column 'command': empty value")
-        outcomes = {}
         for field in ("original_outcome", "nuit_outcome"):
-            value = (row.get(field) or "").strip()
-            if value not in OUTCOMES:
+            if values[field] not in OUTCOMES:
                 raise ParseError(
-                    f"row {row_no}, column '{field}': {value!r} not one of {OUTCOMES}"
+                    f"row {row_no}, column '{field}': {values[field]!r} not one of {OUTCOMES}"
                 )
-            outcomes[field] = value
         wrong = _parse_bool(row.get("wrong_command") or "", f"row {row_no}, column 'wrong_command'")
-        if wrong and outcomes["nuit_outcome"] != "trigger":
+        if wrong and values["nuit_outcome"] != "trigger":
             raise ParseError(
                 f"row {row_no}, column 'wrong_command': set on a non-trigger outcome"
             )
-        records.append(
-            CommandRecord(
-                id=cmd_id,
-                command=command,
-                original_outcome=outcomes["original_outcome"],
-                nuit_outcome=outcomes["nuit_outcome"],
-                wrong_command=wrong,
-            )
-        )
+        records.append(CommandRecord(**{**values, "id": cmd_id, "wrong_command": wrong}))
     return records
 
 
 def save_survey(records: Iterable[CommandRecord], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_SURVEY_FIELDS)
-            for r in records:
-                writer.writerow(
-                    [
-                        r.id,
-                        r.command,
-                        r.original_outcome,
-                        r.nuit_outcome,
-                        "true" if r.wrong_command else "false",
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    """Write records as CSV; load_survey(save_survey(r)) round-trips."""
+    _save_rows(records, path, _SURVEY_FIELDS, ("true", "false"))
 
 
 def _tally(outcomes: Iterable[str]) -> ArmTotals:

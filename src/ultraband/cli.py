@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from . import analysis, catalog, demodulator, modulator, stego
 from .errors import IoFailure, UltrabandError
@@ -48,33 +48,33 @@ def _say(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _mod_config(args) -> modulator.ModulationConfig:
-    cfg = modulator.load_config(args.config) if getattr(args, "config", None) else modulator.ModulationConfig()
-    overrides = {
-        name: getattr(args, flag)
-        for name, flag in [
-            ("carrier_hz", "carrier"),
-            ("cutoff_hz", "cutoff"),
-            ("tukey_alpha", "alpha"),
-            ("filter_taps", "taps"),
-            ("normalize_target", "target"),
-            ("working_rate_hz", "rate"),
-        ]
-        if getattr(args, flag, None) is not None
+def _add_field_flags(p: argparse.ArgumentParser, config_cls) -> None:
+    """One flag per field of ``config_cls``, named and described by its metadata."""
+    for f in fields(config_cls):
+        meta = f.metadata
+        p.add_argument(f"--{meta['flag']}", type=type(f.default),
+                       help=f"{meta['help']} ({f.default:g} [{meta['provenance']} default])")
+
+
+def _flag_values(args, config_cls) -> dict:
+    """Field values given on the command line, keyed by field name."""
+    return {
+        f.name: getattr(args, f.metadata["flag"])
+        for f in fields(config_cls)
+        if getattr(args, f.metadata["flag"]) is not None
     }
-    cfg = replace(cfg, **overrides)
+
+
+def _mod_config(args) -> modulator.ModulationConfig:
+    cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
+    cfg = replace(cfg, **_flag_values(args, modulator.ModulationConfig))
     cfg.validate()
     return cfg
 
 
 def _add_mod_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key = value config file read before flags")
-    p.add_argument("--carrier", type=float, help="carrier frequency, Hz (16000 [method default])")
-    p.add_argument("--cutoff", type=float, help="baseband low-pass cutoff, Hz (6000 [method default])")
-    p.add_argument("--alpha", type=float, help="Tukey taper fraction (0.05 [tool default])")
-    p.add_argument("--taps", type=int, help="low-pass FIR length, odd (255 [tool default])")
-    p.add_argument("--target", type=float, help="output peak level (1.0 [tool default])")
-    p.add_argument("--rate", type=float, help="working sample rate, Hz (48000 [tool default])")
+    _add_field_flags(p, modulator.ModulationConfig)
 
 
 def build_parser() -> _Parser:
@@ -93,11 +93,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demodulate", help="recover baseband audio from a high-band WAV")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--carrier", type=float, default=16000.0,
-                   help="carrier frequency, Hz (16000 [method default])")
-    p.add_argument("--cutoff", type=float, default=6000.0,
-                   help="recovery low-pass cutoff, Hz (6000 [method default])")
-    p.add_argument("--taps", type=int, default=255, help="FIR length, odd (255 [tool default])")
+    _add_field_flags(p, demodulator.DemodulationConfig)
     p.add_argument("--phase-search", action="store_true",
                    help="try 16 carrier phases, keep the strongest (for recordings)")
 
@@ -166,9 +162,7 @@ def _cmd_modulate(args) -> int:
 
 
 def _cmd_demodulate(args) -> int:
-    cfg = demodulator.DemodulationConfig(
-        carrier_hz=args.carrier, recovery_cutoff_hz=args.cutoff, filter_taps=args.taps
-    )
+    cfg = demodulator.DemodulationConfig(**_flag_values(args, demodulator.DemodulationConfig))
     bandwidth = demodulator.demodulate_file(
         args.input, args.output, cfg, phase_search=args.phase_search
     )
@@ -252,27 +246,12 @@ def _cmd_survey(args) -> int:
     payload = {}
     for arm_name in ("original", "nuit"):
         arm = getattr(totals, arm_name)
-        payload[arm_name] = {
-            "fail_n": arm.fail_n,
-            "trigger_n": arm.trigger_n,
-            "success_n": arm.success_n,
-            "fail_pct": arm.fail_pct,
-            "trigger_pct": arm.trigger_pct,
-            "success_pct": arm.success_pct,
-        }
+        pcts = {f"{o}_pct": getattr(arm, f"{o}_pct") for o in catalog.OUTCOMES}
+        payload[arm_name] = {**asdict(arm), **pcts}
     payload["records"] = len(records)
     _emit(payload)
     return EXIT_OK
 
-
-_MANIFEST_OVERRIDES = [
-    "carrier_hz",
-    "cutoff_hz",
-    "tukey_alpha",
-    "filter_taps",
-    "normalize_target",
-    "working_rate_hz",
-]
 
 _REPORT_FIELDS = [
     "input",
@@ -291,7 +270,8 @@ def _read_manifest(path) -> list:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"input", "output"} <= set(reader.fieldnames):
                 raise UltrabandError(f"{path}: manifest needs 'input' and 'output' columns")
-            unknown = set(reader.fieldnames) - {"input", "output", *_MANIFEST_OVERRIDES}
+            columns = {"input", "output", *(f.name for f in fields(modulator.ModulationConfig))}
+            unknown = set(reader.fieldnames) - columns
             if unknown:
                 raise UltrabandError(f"{path}: unknown manifest columns {sorted(unknown)}")
             return list(reader)
@@ -302,25 +282,22 @@ def _read_manifest(path) -> list:
 def _cmd_batch(args) -> int:
     base = _mod_config(args)
     rows = _read_manifest(args.manifest)
-    inputs = [r["input"] for r in rows]
-    outputs = [r["output"] for r in rows]
-    if len(set(inputs)) != len(inputs):
-        raise UltrabandError(f"{args.manifest}: duplicate input paths")
-    if len(set(outputs)) != len(outputs):
-        raise UltrabandError(f"{args.manifest}: duplicate output paths")
+    for column in ("input", "output"):
+        paths = [r[column] for r in rows]
+        if len(set(paths)) != len(paths):
+            raise UltrabandError(f"{args.manifest}: duplicate {column} paths")
 
     report_rows = []
     failures = 0
     for row in rows:
-        record = {name: "" for name in _REPORT_FIELDS}
-        record["input"] = row["input"]
-        record["output"] = row["output"]
+        record = dict.fromkeys(_REPORT_FIELDS, "")
+        record.update(input=row["input"], output=row["output"])
         try:
-            overrides = {}
-            for key in _MANIFEST_OVERRIDES:
-                raw = (row.get(key) or "").strip()
-                if raw:
-                    overrides[key] = int(raw) if key == "filter_taps" else float(raw)
+            overrides = {
+                f.name: modulator.parse_field(f.name, row[f.name])
+                for f in fields(modulator.ModulationConfig)
+                if (row.get(f.name) or "").strip()
+            }
             cfg = replace(base, **overrides)
             metrics = modulator.modulate_file(row["input"], row["output"], cfg)
         except (UltrabandError, OSError, ValueError) as exc:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
-from .kernels import apply_filter, design_lowpass, peak_normalize
+from .kernels import apply_filter, check_band, check_taps, design_lowpass, peak_normalize
+from .modulator import param
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -30,23 +31,15 @@ _RECOVERY_FLOOR = 0.01
 class DemodulationConfig:
     """Carrier and recovery filter settings; defaults mirror the modulator."""
 
-    carrier_hz: float = 16000.0
-    recovery_cutoff_hz: float = 6000.0
-    filter_taps: int = 255
+    carrier_hz: float = param(16000.0, "carrier", "carrier frequency, Hz", "method")
+    recovery_cutoff_hz: float = param(6000.0, "cutoff", "recovery low-pass cutoff, Hz", "method")
+    filter_taps: int = param(255, "taps", "FIR length, odd", "tool")
 
     def validate(self, rate_hz: float) -> None:
-        if not self.carrier_hz > 0:
-            raise ConfigInvalid(f"carrier_hz {self.carrier_hz} must be positive")
-        if not self.recovery_cutoff_hz > 0:
-            raise ConfigInvalid(f"recovery_cutoff_hz {self.recovery_cutoff_hz} must be positive")
-        taps = self.filter_taps
-        if int(taps) != taps or taps < 3 or int(taps) % 2 == 0:
-            raise ConfigInvalid(f"filter_taps {taps} must be an odd integer >= 3")
-        if self.carrier_hz + self.recovery_cutoff_hz > rate_hz / 2:
-            raise ConfigInvalid(
-                f"carrier {self.carrier_hz} Hz + cutoff {self.recovery_cutoff_hz} Hz "
-                f"does not fit under Nyquist ({rate_hz / 2} Hz)"
-            )
+        check_band(
+            self.carrier_hz, self.recovery_cutoff_hz, rate_hz, ConfigInvalid, "recovery_cutoff_hz"
+        )
+        check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
 
 
 def demodulate(

@@ -10,6 +10,10 @@ class UltrabandError(Exception):
     """Base class for all errors this package raises deliberately."""
 
 
+class BadArgument(UltrabandError, ValueError):
+    """A function argument is out of its documented range; also a ValueError."""
+
+
 # --- WAV container ---
 
 class NotWav(UltrabandError):

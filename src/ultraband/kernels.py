@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import oaconvolve, resample_poly
 
-from .errors import BadAlpha, BadCutoff, BadRate, BadTaps, EmptySignal, RateMismatch
+from .errors import BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal, RateMismatch
 from .wavio import SampleBuffer
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,26 @@ _LOW_QUALITY_TAPS = 31
 #: Largest up or down factor ``resample`` accepts. The polyphase filter has
 #: about 20 taps per unit of the larger factor, so this caps it near 10 MB.
 MAX_RESAMPLE_FACTOR = 1 << 16
+
+
+def check_taps(n_taps, error: type, name: str) -> int:
+    """Return ``n_taps`` as an int; raise ``error`` unless it is an odd integer >= 3."""
+    if int(n_taps) != n_taps or n_taps < 3 or int(n_taps) % 2 == 0:
+        raise error(f"{name} {n_taps} must be an odd integer >= 3")
+    return int(n_taps)
+
+
+def check_band(carrier_hz: float, width_hz: float, rate_hz: float, error: type, width_name: str):
+    """Raise ``error`` unless both edges are positive and the band
+    [carrier, carrier + width] fits under Nyquist (up to rounding)."""
+    for name, value in (("carrier_hz", carrier_hz), (width_name, width_hz)):
+        if not value > 0:
+            raise error(f"{name} {value} must be positive")
+    if carrier_hz + width_hz > rate_hz / 2 * (1.0 + 1e-12):
+        raise error(
+            f"band [{carrier_hz}, {carrier_hz + width_hz}] Hz does not fit "
+            f"under Nyquist ({rate_hz / 2} Hz)"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,9 +101,7 @@ def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = 255) -> FirFi
         raise BadRate(f"rate {rate_hz} Hz must be positive")
     if not 0 < cutoff_hz < rate_hz / 2:
         raise BadCutoff(f"cutoff {cutoff_hz} Hz must lie inside (0, {rate_hz / 2})")
-    if int(n_taps) != n_taps or n_taps < 3 or n_taps % 2 == 0:
-        raise BadTaps(f"n_taps {n_taps} must be an odd integer >= 3")
-    n_taps = int(n_taps)
+    n_taps = check_taps(n_taps, BadTaps, "n_taps")
     if n_taps < _LOW_QUALITY_TAPS:
         log.warning(
             "design_lowpass: %d taps gives poor stopband attenuation; consider >= %d",
@@ -150,12 +168,12 @@ def tukey_window(spec: WindowSpec) -> np.ndarray:
     For alpha > 0 the endpoints are exactly zero.
     """
     if spec.kind != "tukey":
-        raise ValueError(f"unknown window kind {spec.kind!r}")
+        raise BadArgument(f"unknown window kind {spec.kind!r}")
     if not 0.0 <= spec.alpha <= 1.0:
         raise BadAlpha(f"alpha {spec.alpha} outside [0, 1]")
     n = spec.length
     if n < 2:
-        raise ValueError("window length must be >= 2")
+        raise BadArgument("window length must be >= 2")
     if spec.alpha == 0.0:
         return np.ones(n)
 
@@ -175,13 +193,16 @@ def peak_normalize(signal: SampleBuffer, target: float = 1.0) -> SampleBuffer:
     All-zero (or empty) input is returned unchanged; there is no peak to move.
     """
     if not 0.0 < target <= 1.0:
-        raise ValueError(f"target {target} outside (0, 1]")
+        raise BadArgument(f"target {target} outside (0, 1]")
     if len(signal) == 0:
         return signal
     peak = float(np.max(np.abs(signal.samples)))
     if peak == 0.0:
         return signal
-    return SampleBuffer(signal.samples * (target / peak), signal.sample_rate_hz)
+    scale = target / peak
+    if math.isinf(scale):  # subnormal peak: 1 / peak overflows, so divide first
+        return SampleBuffer(signal.samples / peak * target, signal.sample_rate_hz)
+    return SampleBuffer(signal.samples * scale, signal.sample_rate_hz)
 
 
 def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:

@@ -14,7 +14,7 @@ microphones still capture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import ConfigInvalid, EmptySignal, IoFailure
 from .kernels import (
     WindowSpec,
     apply_filter,
+    check_band,
+    check_taps,
     design_lowpass,
     hilbert,
     peak_normalize,
@@ -32,40 +34,58 @@ from .kernels import (
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 
+def param(default, flag: str, help_text: str, provenance: str):
+    """A config field carrying its command-line flag name, help text and the
+    provenance of its default: ``"method"`` for the published operating point
+    of the modulation scheme, ``"tool"`` for a choice of this implementation."""
+    return field(
+        default=default, metadata={"flag": flag, "help": help_text, "provenance": provenance}
+    )
+
+
 @dataclass(frozen=True)
 class ModulationConfig:
     """Knobs for the up-conversion pipeline.
 
     carrier_hz and cutoff_hz define the output band [carrier, carrier+cutoff];
-    the pair must fit under the working Nyquist frequency.
+    the pair must fit under the working Nyquist frequency. These fields are
+    the one list of modulation parameters: the CLI flags, the config-file
+    keys and the batch manifest columns are all derived from them.
     """
 
-    carrier_hz: float = 16000.0
-    cutoff_hz: float = 6000.0
-    tukey_alpha: float = 0.05
-    filter_taps: int = 255
-    normalize_target: float = 1.0
-    working_rate_hz: float = 48000.0
+    carrier_hz: float = param(16000.0, "carrier", "carrier frequency, Hz", "method")
+    cutoff_hz: float = param(6000.0, "cutoff", "baseband low-pass cutoff, Hz", "method")
+    tukey_alpha: float = param(0.05, "alpha", "Tukey taper fraction", "tool")
+    filter_taps: int = param(255, "taps", "low-pass FIR length, odd", "tool")
+    normalize_target: float = param(1.0, "target", "output peak level", "tool")
+    working_rate_hz: float = param(48000.0, "rate", "working sample rate, Hz", "tool")
 
     def validate(self) -> None:
         if not self.working_rate_hz > 0:
             raise ConfigInvalid(f"working_rate_hz {self.working_rate_hz} must be positive")
-        if not self.carrier_hz > 0:
-            raise ConfigInvalid(f"carrier_hz {self.carrier_hz} must be positive")
-        if not self.cutoff_hz > 0:
-            raise ConfigInvalid(f"cutoff_hz {self.cutoff_hz} must be positive")
-        if self.carrier_hz + self.cutoff_hz > self.working_rate_hz / 2:
-            raise ConfigInvalid(
-                f"band [{self.carrier_hz}, {self.carrier_hz + self.cutoff_hz}] Hz does not fit "
-                f"under Nyquist ({self.working_rate_hz / 2} Hz)"
-            )
+        check_band(
+            self.carrier_hz, self.cutoff_hz, self.working_rate_hz, ConfigInvalid, "cutoff_hz"
+        )
         if not 0.0 <= self.tukey_alpha <= 1.0:
             raise ConfigInvalid(f"tukey_alpha {self.tukey_alpha} outside [0, 1]")
-        taps = self.filter_taps
-        if int(taps) != taps or taps < 3 or int(taps) % 2 == 0:
-            raise ConfigInvalid(f"filter_taps {taps} must be an odd integer >= 3")
+        check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
         if not 0.0 < self.normalize_target <= 1.0:
             raise ConfigInvalid(f"normalize_target {self.normalize_target} outside (0, 1]")
+
+
+def parse_field(key: str, text: str):
+    """Convert ``text`` to the type of the ModulationConfig field ``key``.
+
+    Shared by config files and batch manifests; raises ConfigInvalid for an
+    unknown key or a value that does not parse.
+    """
+    types = {f.name: type(f.default) for f in fields(ModulationConfig)}
+    if key not in types:
+        raise ConfigInvalid(f"unknown key {key!r}")
+    try:
+        return types[key](text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{key}: bad number {text.strip()!r}") from exc
 
 
 def load_config(path) -> ModulationConfig:
@@ -74,7 +94,6 @@ def load_config(path) -> ModulationConfig:
     Blank lines and ``#`` comments are ignored. Keys must match config field
     names; values are numeric.
     """
-    known = {f.name: f.type for f in fields(ModulationConfig)}
     overrides: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -89,12 +108,10 @@ def load_config(path) -> ModulationConfig:
             raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in known:
-            raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            overrides[key] = int(value) if key == "filter_taps" else float(value)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
+            overrides[key] = parse_field(key, value)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{path}:{lineno}: {exc}") from exc
     cfg = ModulationConfig(**overrides)
     cfg.validate()
     return cfg

@@ -9,12 +9,13 @@ the audible band of the host barely moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .analysis import true_runs
 from .demodulator import recovered_bandwidth
-from .errors import EmptySignal, NoRoom, RateTooLow
+from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow
 from .kernels import resample
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
@@ -50,30 +51,57 @@ def find_silence(
     if len(host) == 0:
         raise EmptySignal("cannot scan an empty host")
     if rms_threshold <= 0:
-        raise ValueError(f"rms_threshold {rms_threshold} must be positive")
+        raise BadArgument(f"rms_threshold {rms_threshold} must be positive")
     if frame_ms <= 0 or min_region_ms <= 0:
-        raise ValueError("frame_ms and min_region_ms must be positive")
+        raise BadArgument("frame_ms and min_region_ms must be positive")
 
     rate = host.sample_rate_hz
     frame_len = max(1, int(round(frame_ms * rate / 1000.0)))
     n = len(host)
 
-    regions: List[Tuple[int, int]] = []
-    run_start = None
-    for start in range(0, n, frame_len):
-        block = host.samples[start : start + frame_len]
-        quiet = float(np.sqrt(np.mean(block**2))) < rms_threshold
-        if quiet and run_start is None:
-            run_start = start
-        elif not quiet and run_start is not None:
-            regions.append((run_start, start))
-            run_start = None
-    if run_start is not None:
-        regions.append((run_start, n))
+    # Per-block mean square; the full blocks as rows so each row sums the
+    # way np.mean sums a lone block, then the trailing partial block.
+    power = host.samples**2
+    full = n // frame_len
+    mean_sq = np.mean(power[: full * frame_len].reshape(full, frame_len), axis=1)
+    if n % frame_len:
+        mean_sq = np.append(mean_sq, np.mean(power[full * frame_len :]))
+    starts, ends = true_runs(np.sqrt(mean_sq) < rms_threshold)
+    regions = zip((starts * frame_len).tolist(), np.minimum(ends * frame_len, n).tolist())
 
     min_samples = min_region_ms * rate / 1000.0
     kept = tuple(r for r in regions if r[1] - r[0] >= min_samples)
     return SilenceMap(regions=kept, rms_threshold=rms_threshold, min_region_ms=min_region_ms)
+
+
+def _mix(
+    host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap, gain: float
+) -> Tuple[SampleBuffer, int, int]:
+    """``embed``, also returning the [start, end) span the payload went into."""
+    if len(host) == 0 or len(payload) == 0:
+        raise EmptySignal("host and payload must be nonempty")
+    if not 0.0 < gain <= 1.0:
+        raise BadArgument(f"gain {gain} outside (0, 1]")
+
+    payload_top = recovered_bandwidth(payload)
+    if host.sample_rate_hz < 2.0 * payload_top:
+        raise RateTooLow(
+            f"host rate {host.sample_rate_hz} Hz cannot carry content up to "
+            f"{payload_top:.0f} Hz"
+        )
+    fitted = resample(payload, host.sample_rate_hz)
+
+    start, region_end = silence.longest()
+    if region_end - start < len(fitted):
+        raise NoRoom(
+            f"longest silent region holds {region_end - start} samples, "
+            f"payload needs {len(fitted)}"
+        )
+
+    end = start + len(fitted)
+    out = host.samples.copy()
+    out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
+    return SampleBuffer(out, host.sample_rate_hz), start, end
 
 
 def embed(
@@ -89,29 +117,7 @@ def embed(
     [-1, 1]. Raises RateTooLow when the host rate cannot represent the
     payload's band and NoRoom when no region is long enough.
     """
-    if len(host) == 0 or len(payload) == 0:
-        raise EmptySignal("host and payload must be nonempty")
-    if not 0.0 < gain <= 1.0:
-        raise ValueError(f"gain {gain} outside (0, 1]")
-
-    payload_top = recovered_bandwidth(payload)
-    if host.sample_rate_hz < 2.0 * payload_top:
-        raise RateTooLow(
-            f"host rate {host.sample_rate_hz} Hz cannot carry content up to "
-            f"{payload_top:.0f} Hz"
-        )
-    fitted = resample(payload, host.sample_rate_hz)
-
-    start, end = silence.longest()
-    if end - start < len(fitted):
-        raise NoRoom(
-            f"longest silent region holds {end - start} samples, payload needs {len(fitted)}"
-        )
-
-    out = host.samples.copy()
-    span = slice(start, start + len(fitted))
-    out[span] = np.clip(out[span] + gain * fitted.samples, -1.0, 1.0)
-    return SampleBuffer(out, host.sample_rate_hz)
+    return _mix(host, payload, silence, gain)[0]
 
 
 def embed_file(
@@ -127,30 +133,20 @@ def embed_file(
     host = to_float(read_wav(host_path), channel=0)
     payload = to_float(read_wav(payload_path), channel=0)
     silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
-    mixed = embed(host, payload, silence, gain)
+    mixed, start, end = _mix(host, payload, silence, gain)
     write_wav(out_path, to_pcm(mixed))
 
-    start, _ = silence.longest()
-    payload_len = len(resample(payload, host.sample_rate_hz))
     rate = host.sample_rate_hz
+
+    def span(s: int, e: int) -> dict:
+        return {"start_sample": int(s), "end_sample": int(e),
+                "start_s": s / rate, "duration_s": (e - s) / rate}
+
     return {
         "host_rate_hz": rate,
         "gain": gain,
         "rms_threshold": rms_threshold,
         "min_region_ms": min_region_ms,
-        "silent_regions": [
-            {
-                "start_sample": int(s),
-                "end_sample": int(e),
-                "start_s": s / rate,
-                "duration_s": (e - s) / rate,
-            }
-            for s, e in silence.regions
-        ],
-        "insertion": {
-            "start_sample": int(start),
-            "end_sample": int(start + payload_len),
-            "start_s": start / rate,
-            "duration_s": payload_len / rate,
-        },
+        "silent_regions": [span(s, e) for s, e in silence.regions],
+        "insertion": span(start, end),
     }

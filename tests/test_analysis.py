@@ -19,6 +19,7 @@ from ultraband import (
     render_spectrogram,
     stft,
 )
+from ultraband.analysis import _longest_run_ms
 
 # --- stft ---
 
@@ -232,6 +233,29 @@ def test_detect_validation():
         detect(sig, carrier_hz=20000.0, band_hz=6000.0)
     with pytest.raises(BadBand):
         detect(SampleBuffer(np.zeros(1000), 16000.0))  # band above Nyquist
+
+
+def _longest_run_loop(flags):
+    """Reference: the per-frame loop _longest_run_ms replaced, as a frame count."""
+    best = current = 0
+    for f in flags:
+        current = current + 1 if f else 0
+        best = max(best, current)
+    return best
+
+
+def test_longest_run_matches_frame_loop(corpus, modulated_corpus):
+    rng = np.random.default_rng(404)
+    flag_sets = [detect(sig).frame_flags for sig in [*corpus.values(), *modulated_corpus.values()]]
+    flag_sets += [np.zeros(0, dtype=bool), np.ones(1, dtype=bool), np.ones(7, dtype=bool)]
+    for _ in range(250):
+        n = int(rng.integers(0, 400))
+        flag_sets.append(rng.random(n) < rng.uniform(0.0, 1.0))
+    for flags in flag_sets:
+        frame_len, hop, rate = 2400, 1200, 48000.0
+        best = _longest_run_loop(flags)
+        expected = 0.0 if best == 0 else ((best - 1) * hop + frame_len) / rate * 1000.0
+        assert _longest_run_ms(flags, frame_len, hop, rate) == expected
 
 
 # --- render_spectrogram ---

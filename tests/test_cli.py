@@ -2,12 +2,24 @@
 
 import csv
 import json
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import RATE, speech_like, tone
-from ultraband import modulate, read_wav, to_pcm, write_wav
+from ultraband import (
+    BandMetrics,
+    DemodulationConfig,
+    ModulationConfig,
+    demodulator,
+    modulate,
+    modulator,
+    read_wav,
+    to_pcm,
+    write_wav,
+)
 from ultraband.cli import EXIT_DATA, EXIT_DETECTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 
 
@@ -94,6 +106,113 @@ def test_demodulate_subcommand(tmp_path, modulated_wav, capsys):
 def test_demodulate_phase_search_flag(tmp_path, modulated_wav, capsys):
     out = tmp_path / "recovered.wav"
     assert run(["demodulate", str(modulated_wav), str(out), "--phase-search"]) == EXIT_OK
+
+
+# --- flags, config keys and manifest columns follow the config fields ---
+
+#: A valid non-default value for every config field.
+_MOD_VALUES = {
+    "carrier_hz": 15000.0,
+    "cutoff_hz": 5000.0,
+    "tukey_alpha": 0.2,
+    "filter_taps": 101,
+    "normalize_target": 0.5,
+    "working_rate_hz": 96000.0,
+}
+_DEMOD_VALUES = {"carrier_hz": 15000.0, "recovery_cutoff_hz": 5000.0, "filter_taps": 101}
+
+
+def test_value_tables_cover_every_field():
+    assert set(_MOD_VALUES) == {f.name for f in fields(ModulationConfig)}
+    assert set(_DEMOD_VALUES) == {f.name for f in fields(DemodulationConfig)}
+
+
+@pytest.mark.parametrize(
+    "command,config_cls,extras",
+    [
+        ("modulate", ModulationConfig, {"--config"}),
+        ("analyze", ModulationConfig, {"--config"}),
+        ("batch", ModulationConfig, {"--config", "--report"}),
+        ("demodulate", DemodulationConfig, {"--phase-search"}),
+    ],
+)
+def test_help_lists_one_flag_per_field(command, config_cls, extras, capsys):
+    assert run([command, "--help"]) == EXIT_OK
+    text = capsys.readouterr().out
+    options = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE)
+    flags = ["--" + f.metadata["flag"] for f in fields(config_cls)]
+    assert sorted(options) == sorted(["--help", *extras, *flags])
+    flat = " ".join(text.split())
+    for f in fields(config_cls):
+        label = f"{f.metadata['help']} ({f.default:g} [{f.metadata['provenance']} default])"
+        assert label in flat
+
+
+@pytest.fixture()
+def captured_configs(monkeypatch):
+    seen = []
+
+    def fake_modulate_file(in_path, out_path, config):
+        seen.append(config)
+        return BandMetrics(0.0, 0.0, None, 0.0, 0.0)
+
+    def fake_demodulate_file(in_path, out_path, config, phase_search=False):
+        seen.append(config)
+        return 0.0
+
+    monkeypatch.setattr(modulator, "modulate_file", fake_modulate_file)
+    monkeypatch.setattr(demodulator, "demodulate_file", fake_demodulate_file)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_MOD_VALUES))
+def test_flag_config_key_and_manifest_cell_set_the_same_field(
+    name, tmp_path, captured_configs, capsys
+):
+    value = _MOD_VALUES[name]
+    flag = next(f.metadata["flag"] for f in fields(ModulationConfig) if f.name == name)
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{name} = {value}\n")
+    manifest = tmp_path / "manifest.csv"
+    _write_manifest(
+        manifest, [{"input": "a.wav", "output": "b.wav", name: str(value)}],
+        fieldnames=("input", "output", name),
+    )
+    assert run(["modulate", "a.wav", "b.wav", f"--{flag}", str(value)]) == EXIT_OK
+    assert run(["modulate", "a.wav", "b.wav", "--config", str(conf)]) == EXIT_OK
+    assert run(["batch", str(manifest), "--report", str(tmp_path / "r.csv")]) == EXIT_OK
+    expected = replace(ModulationConfig(), **{name: value})
+    assert captured_configs == [expected] * 3
+
+
+@pytest.mark.parametrize("name", sorted(_DEMOD_VALUES))
+def test_demodulate_flag_sets_its_field(name, captured_configs, capsys):
+    value = _DEMOD_VALUES[name]
+    flag = next(f.metadata["flag"] for f in fields(DemodulationConfig) if f.name == name)
+    assert run(["demodulate", "a.wav", "b.wav", f"--{flag}", str(value)]) == EXIT_OK
+    assert captured_configs == [replace(DemodulationConfig(), **{name: value})]
+
+
+def test_non_numeric_config_value_names_the_key(tmp_path, speech_wav, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("carrier_hz = 16000\nfilter_taps = many\n")
+    code = run(["modulate", str(speech_wav), str(tmp_path / "x.wav"), "--config", str(conf)])
+    assert code == EXIT_DATA
+    assert f"{conf}:2: filter_taps: bad number 'many'" in capsys.readouterr().err
+
+
+def test_non_numeric_manifest_cell_names_the_column(tmp_path, speech_wav, capsys):
+    manifest = tmp_path / "manifest.csv"
+    report = tmp_path / "r.csv"
+    _write_manifest(
+        manifest,
+        [{"input": str(speech_wav), "output": str(tmp_path / "o.wav"), "tukey_alpha": "wide"}],
+        fieldnames=("input", "output", "tukey_alpha"),
+    )
+    assert run(["batch", str(manifest), "--report", str(report)]) == EXIT_OK
+    with open(report, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "tukey_alpha: bad number 'wide'"
 
 
 # --- spectrogram ---

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import RATE, dft_magnitude, tone
 from ultraband import (
     BadAlpha,
+    BadArgument,
     BadCutoff,
     BadRate,
     BadTaps,
@@ -16,12 +17,17 @@ from ultraband import (
     FirFilter,
     RateMismatch,
     SampleBuffer,
+    UltrabandError,
     WindowSpec,
     apply_filter,
     design_lowpass,
+    detect,
+    embed,
+    find_silence,
     hilbert,
     peak_normalize,
     resample,
+    stft,
     tukey_window,
 )
 from ultraband.kernels import MAX_RESAMPLE_FACTOR
@@ -261,6 +267,12 @@ def test_normalize_bad_target(target):
         peak_normalize(SampleBuffer(np.ones(4), RATE), target)
 
 
+@pytest.mark.parametrize("peak", [2.22507386e-311, 5e-324, 1e-308])
+def test_normalize_subnormal_peak(peak):
+    out = peak_normalize(SampleBuffer(np.array([peak, -peak / 2.0, 0.0]), RATE), 0.5)
+    assert np.max(np.abs(out.samples)) == pytest.approx(0.5, rel=1e-9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     arrays(np.float64, st.integers(1, 200), elements=st.floats(-100.0, 100.0, allow_nan=False)),
@@ -316,3 +328,39 @@ def test_resample_rejects_factor_over_bound():
     assert 96001 > MAX_RESAMPLE_FACTOR
     with pytest.raises(BadRate):
         resample(SampleBuffer(np.zeros(10), 48000.0), 96001.0)
+
+
+# --- argument errors ---
+
+
+_SIG = SampleBuffer(np.zeros(4800), RATE)
+_HOST = SampleBuffer(np.zeros(48000), RATE)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tukey_window(WindowSpec("tukey", 0.5, 1)),
+        lambda: tukey_window(WindowSpec("kaiser", 0.5, 64)),
+        lambda: peak_normalize(_SIG, 2.0),
+        lambda: detect(_SIG, ratio_threshold=0.0),
+        lambda: detect(_SIG, sustain_ms=0.0),
+        lambda: detect(_SIG, frame_ms=0.0),
+        lambda: stft(_SIG, frame_len=8, hop=4),
+        lambda: stft(_SIG, frame_len=64, hop=0),
+        lambda: stft(_SIG, 64, 32, WindowSpec("tukey", 1.0, 32)),
+        lambda: find_silence(_HOST, rms_threshold=0.0),
+        lambda: find_silence(_HOST, frame_ms=0.0),
+        lambda: embed(_HOST, tone(18000.0, 0.1), find_silence(_HOST), gain=2.0),
+    ],
+    ids=[
+        "tukey_length_1", "tukey_kind", "normalize_target", "detect_ratio", "detect_sustain",
+        "detect_frame", "stft_frame_len", "stft_hop", "stft_window_length",
+        "silence_threshold", "silence_frame", "embed_gain",
+    ],
+)
+def test_bad_argument_is_ultraband_error(call):
+    with pytest.raises(BadArgument) as err:
+        call()
+    assert isinstance(err.value, UltrabandError)
+    assert isinstance(err.value, ValueError)

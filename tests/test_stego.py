@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import RATE, ncc, speech_like
+from conftest import RATE, build_corpus, ncc, speech_like
+from ultraband import stego
 from ultraband import (
     EmptySignal,
     NoRoom,
@@ -78,6 +79,57 @@ def test_find_silence_validation():
         find_silence(host, rms_threshold=0.0)
     with pytest.raises(ValueError):
         find_silence(host, frame_ms=-1.0)
+
+
+def _find_silence_loop(host, rms_threshold=0.01, frame_ms=20.0, min_region_ms=500.0):
+    """Reference: the per-block loop find_silence replaced, kept to pin its regions."""
+    rate = host.sample_rate_hz
+    frame_len = max(1, int(round(frame_ms * rate / 1000.0)))
+    n = len(host)
+    regions = []
+    run_start = None
+    for start in range(0, n, frame_len):
+        block = host.samples[start : start + frame_len]
+        quiet = float(np.sqrt(np.mean(block**2))) < rms_threshold
+        if quiet and run_start is None:
+            run_start = start
+        elif not quiet and run_start is not None:
+            regions.append((run_start, start))
+            run_start = None
+    if run_start is not None:
+        regions.append((run_start, n))
+    min_samples = min_region_ms * rate / 1000.0
+    return tuple(r for r in regions if r[1] - r[0] >= min_samples)
+
+
+def _random_host(rng):
+    """Segments of noise or constant level around the 0.01 threshold, so
+    blocks land on both sides of it and runs start and end mid-signal."""
+    rate = float(rng.choice([8000.0, 16000.0, 22050.0, 44100.0, 48000.0]))
+    parts = []
+    for _ in range(int(rng.integers(1, 12))):
+        length = int(rng.integers(1, 4000))
+        level = float(rng.choice([0.0, 0.005, 0.0099, 0.01, 0.0101, 0.02, 0.5]))
+        if rng.random() < 0.5:
+            parts.append(level * rng.standard_normal(length))
+        else:
+            parts.append(np.full(length, level) * rng.choice([-1.0, 1.0], length))
+    return SampleBuffer(np.clip(np.concatenate(parts), -1.0, 1.0), rate)
+
+
+def test_find_silence_matches_block_loop():
+    rng = np.random.default_rng(2024)
+    cases = [(sig, 20.0, 500.0) for sig in build_corpus().values()]
+    cases.append((speech_like(duration_s=3.0, seed=26, pauses=[(0.5, 1.7), (2.0, 2.9)]), 20.0, 500.0))
+    for _ in range(250):
+        cases.append(
+            (_random_host(rng), float(rng.uniform(0.05, 30.0)), float(rng.uniform(0.01, 100.0)))
+        )
+    for host, frame_ms, min_region_ms in cases:
+        expected = _find_silence_loop(host, 0.01, frame_ms, min_region_ms)
+        got = find_silence(host, 0.01, frame_ms, min_region_ms).regions
+        assert got == expected
+        assert all(type(v) is int for span in got for v in span)
 
 
 def test_longest_prefers_earliest_on_tie():
@@ -195,3 +247,21 @@ def test_embed_file_report(tmp_path, payload):
 
     mixed = to_float(read_wav(out_path))
     assert detect(mixed).flagged
+
+
+def test_embed_file_resamples_payload_once(tmp_path, payload, monkeypatch):
+    host = speech_like(duration_s=4.0, seed=27, pauses=[(0.5, 3.5)], rate=44100.0)
+    write_wav(tmp_path / "host.wav", to_pcm(host))
+    write_wav(tmp_path / "payload.wav", to_pcm(payload))
+    calls = []
+
+    def counting_resample(signal, new_rate_hz):
+        calls.append(new_rate_hz)
+        return resample(signal, new_rate_hz)
+
+    resample = stego.resample
+    monkeypatch.setattr(stego, "resample", counting_resample)
+    report = embed_file(tmp_path / "host.wav", tmp_path / "payload.wav", tmp_path / "out.wav")
+    assert calls == [44100.0]
+    ins = report["insertion"]
+    assert ins["end_sample"] - ins["start_sample"] == len(resample(payload, 44100.0))
