@@ -66,15 +66,20 @@ class DetectionVerdict:
     frame_flags: np.ndarray
 
 
-def _weighted_power(samples: np.ndarray) -> np.ndarray:
-    """Per-bin energies of an rfft such that their sum equals sum(x**2)."""
-    spectrum = np.fft.rfft(samples)
+def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndarray:
+    """Per-bin energies of an rfft such that their sum equals sum(x**2).
+
+    ``n_fft`` (default: the signal length) zero-pads the transform; the
+    bins are then ``rfftfreq(n_fft)`` and the sum still equals sum(x**2).
+    """
+    n_fft = samples.shape[-1] if n_fft is None else n_fft
+    spectrum = np.fft.rfft(samples, n=n_fft)
     power = np.abs(spectrum) ** 2
     weights = np.full(power.shape[-1], 2.0)
     weights[0] = 1.0
-    if samples.shape[-1] % 2 == 0:
+    if n_fft % 2 == 0:
         weights[-1] = 1.0
-    return weights * power / samples.shape[-1]
+    return weights * power / n_fft
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:

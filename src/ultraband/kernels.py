@@ -141,23 +141,25 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
 def hilbert(signal: SampleBuffer) -> SampleBuffer:
     """Return the Hilbert transform (imaginary part of the analytic signal).
 
-    Computed in the frequency domain: negative-frequency bins are zeroed,
-    positive bins doubled, DC and Nyquist left at unit weight. A pure cosine
-    maps to the same-frequency sine; DC maps to zero.
+    Computed with a real FFT at the input's own length (Marple, IEEE Trans.
+    SP 47(9), 1999): positive-frequency bins are multiplied by -j, DC and
+    the Nyquist bin are zeroed. A pure cosine maps to the same-frequency
+    sine; DC maps to zero. The transform is circular, so it is exact for a
+    periodic input and x -> -x when applied twice to a zero-mean input of
+    odd length. Its cost follows the factorisation of the length: a length
+    with a large prime factor can take 10-20x longer than the next 5-smooth
+    one (``scipy.fft.next_fast_len``). Padding is left to the caller, since
+    it changes the result near the ends.
     """
     n = len(signal)
     if n == 0:
         raise EmptySignal("hilbert of an empty signal")
-    spectrum = np.fft.fft(signal.samples)
-    weights = np.zeros(n)
-    weights[0] = 1.0
+    spectrum = np.fft.rfft(signal.samples)
+    spectrum *= -1j
+    spectrum[0] = 0.0
     if n % 2 == 0:
-        weights[n // 2] = 1.0
-        weights[1 : n // 2] = 2.0
-    else:
-        weights[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spectrum * weights)
-    return SampleBuffer(analytic.imag, signal.sample_rate_hz)
+        spectrum[-1] = 0.0
+    return SampleBuffer(np.fft.irfft(spectrum, n), signal.sample_rate_hz)
 
 
 def tukey_window(spec: WindowSpec) -> np.ndarray:
@@ -212,10 +214,11 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     same-rate request returns the samples untouched. The up/down factors are
     the exact ratio of the two rates in lowest terms, so the output really is
     at ``new_rate_hz``; BadRate is raised when either factor exceeds
-    ``MAX_RESAMPLE_FACTOR``.
+    ``MAX_RESAMPLE_FACTOR`` or either rate is not positive and finite.
     """
-    if not new_rate_hz > 0:
-        raise BadRate(f"target rate {new_rate_hz} Hz must be positive")
+    for rate in (signal.sample_rate_hz, new_rate_hz):
+        if not 0 < rate < math.inf:
+            raise BadRate(f"rate {rate} Hz must be positive and finite")
     if math.isclose(signal.sample_rate_hz, new_rate_hz, rel_tol=1e-9):
         return SampleBuffer(signal.samples, new_rate_hz)
     if len(signal) == 0:
@@ -223,9 +226,8 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     ratio = Fraction(new_rate_hz) / Fraction(signal.sample_rate_hz)
     if max(ratio.numerator, ratio.denominator) > MAX_RESAMPLE_FACTOR:
         raise BadRate(
-            f"{signal.sample_rate_hz} -> {new_rate_hz} Hz reduces to "
-            f"{ratio.numerator}/{ratio.denominator}; factors above "
-            f"{MAX_RESAMPLE_FACTOR} are not supported"
+            f"{signal.sample_rate_hz} -> {new_rate_hz} Hz needs an up or down "
+            f"factor above MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}"
         )
     out = resample_poly(signal.samples, ratio.numerator, ratio.denominator)
     return SampleBuffer(out, new_rate_hz)

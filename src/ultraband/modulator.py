@@ -14,9 +14,11 @@ microphones still capture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure
@@ -61,8 +63,10 @@ class ModulationConfig:
     working_rate_hz: float = param(48000.0, "rate", "working sample rate, Hz", "tool")
 
     def validate(self) -> None:
-        if not self.working_rate_hz > 0:
-            raise ConfigInvalid(f"working_rate_hz {self.working_rate_hz} must be positive")
+        if not 0 < self.working_rate_hz < math.inf:
+            raise ConfigInvalid(
+                f"working_rate_hz {self.working_rate_hz} must be positive and finite"
+            )
         check_band(
             self.carrier_hz, self.cutoff_hz, self.working_rate_hz, ConfigInvalid, "cutoff_hz"
         )
@@ -125,6 +129,17 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     the lower sideband, apply the Tukey taper, then normalize to the target.
     Output is at ``config.working_rate_hz``. Deterministic: equal input and
     config give bit-identical output.
+
+    The Hilbert transform runs on the band-limited signal zero-padded to
+    ``scipy.fft.next_fast_len(n, real=True)``, at most a few percent longer,
+    and its first ``n`` samples are kept. At a length that is already fast
+    this is the circular transform of the signal itself. Elsewhere the
+    output differs from the circular one near the two ends, mostly inside
+    the default taper. Before PCM, it differs by at most 2e-3 for speech of
+    1 s or more and by at most 2e-2 for a tone of 75 cycles or more; on
+    such clips, measured leakage and suppression move by at most 0.1 dB
+    (tests/test_modulator.py). With ``tukey_alpha = 0``, an abruptly cut
+    tone's edge samples can move by up to ~0.4.
     """
     config.validate()
     if len(signal) == 0:
@@ -133,14 +148,15 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     work = resample(signal, config.working_rate_hz)
     lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
     base = peak_normalize(apply_filter(lpf, work), 1.0)
-    quad = hilbert(base)
+    n = len(base)
+    padded = np.pad(base.samples, (0, next_fast_len(n, real=True) - n))
+    quad = hilbert(SampleBuffer(padded, config.working_rate_hz)).samples[:n]
 
-    n = np.arange(len(base))
-    phase = 2.0 * np.pi * config.carrier_hz * n / config.working_rate_hz
-    mixed = base.samples * np.cos(phase) - quad.samples * np.sin(phase)
+    phase = 2.0 * np.pi * config.carrier_hz * np.arange(n) / config.working_rate_hz
+    mixed = base.samples * np.cos(phase) - quad * np.sin(phase)
 
-    if len(base) >= 2:
-        taper = tukey_window(WindowSpec(kind="tukey", alpha=config.tukey_alpha, length=len(base)))
+    if n >= 2:
+        taper = tukey_window(WindowSpec(kind="tukey", alpha=config.tukey_alpha, length=n))
         mixed = mixed * taper
     shifted = SampleBuffer(mixed, config.working_rate_hz)
     return peak_normalize(shifted, config.normalize_target)

@@ -83,6 +83,31 @@ def test_c3_reversibility(corpus, modulated_corpus, default_config):
     assert 5000.0 <= bandwidth <= 6500.0, bandwidth
 
 
+def test_c1_c3_at_prime_length(default_config):
+    # Every corpus clip above has a fast FFT length (96000), so modulate's
+    # padded Hilbert path is a no-op there; 96001 is prime.
+    n = 96001
+    seconds = n / RATE
+    signal = speech_like(f0=130.0, seed=3, noise_level=2.5, duration_s=seconds)
+    out = modulate(signal, default_config)
+    metrics = measure(out, default_config)
+    assert 15800.0 <= metrics.occupancy_lo_hz, metrics
+    assert metrics.occupancy_hi_hz <= 22200.0, metrics
+    assert metrics.leakage_below_carrier_db <= -40.0, metrics
+
+    for f0 in (500.0, 1000.0, 2000.0, 4000.0, 5500.0):
+        shifted = modulate(tone(f0, duration_s=seconds), default_config)
+        half = int(0.45 * RATE)
+        core = shifted.samples[n // 2 - half : n // 2 + half]
+        upper = dft_magnitude(core, default_config.carrier_hz + f0, RATE)
+        lower = dft_magnitude(core, default_config.carrier_hz - f0, RATE)
+        assert 20.0 * np.log10(lower / upper) <= -40.0, f0
+
+    lpf = design_lowpass(default_config.cutoff_hz, RATE, default_config.filter_taps)
+    score = ncc(demodulate(out).samples, apply_filter(lpf, signal).samples)
+    assert score >= 0.95, score
+
+
 def test_c4_survey_arithmetic():
     totals = aggregate_survey(load_survey())
     nuit = totals.nuit

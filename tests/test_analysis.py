@@ -19,7 +19,7 @@ from ultraband import (
     render_spectrogram,
     stft,
 )
-from ultraband.analysis import _longest_run_ms
+from ultraband.analysis import _longest_run_ms, _weighted_power
 
 # --- stft ---
 
@@ -116,6 +116,14 @@ def test_partition_property(cut_points, seed):
     total = band_energy(sig, 0.0, RATE / 2.0)
     parts = sum(band_energy(sig, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     assert parts == pytest.approx(total, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, n_fft", [(4801, 4801), (4801, 4860), (4801, 4861), (70766, 72000)])
+def test_weighted_power_padded_keeps_parseval(n, n_fft):
+    x = np.random.default_rng(n_fft).standard_normal(n)
+    energy = _weighted_power(x, n_fft)
+    assert energy.size == n_fft // 2 + 1
+    assert energy.sum() == pytest.approx(float(np.dot(x, x)), rel=1e-9)
 
 
 def test_band_energy_validation():

@@ -87,6 +87,16 @@ def test_invalid_config_value_is_data_error(tmp_path, speech_wav, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("rate", ["inf", "nan", "1e300"])
+def test_unusable_working_rate_is_short_data_error(tmp_path, speech_wav, capsys, rate):
+    # inf used to escape run() as an OverflowError; 1e300 printed a 300-digit fraction
+    code = run(["modulate", str(speech_wav), str(tmp_path / "x.wav"), "--rate", rate])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err) < 200
+
+
 def test_analyze_subcommand(modulated_wav, capsys):
     code = run(["analyze", str(modulated_wav)])
     assert code == EXIT_OK

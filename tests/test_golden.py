@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import speech_like, tone
+from conftest import RATE, speech_like, tone
 from ultraband import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 from ultraband.catalog import load_catalog, load_survey, save_catalog, save_survey
 from ultraband.cli import run
@@ -64,6 +64,8 @@ _CALLS = [
     ["demodulate", "high.wav", "x.wav", "--carrier", "20000"],
     ["analyze", "ghost.wav"],
     ["detect", "speech.wav", "--threshold", "high"],
+    ["modulate", "odd.wav", "high_odd.wav"],
+    ["demodulate", "high_odd.wav", "low_odd.wav"],
 ]
 
 
@@ -82,6 +84,8 @@ def _write_corpus(root: Path) -> None:
     write_wav(root / "speech22.wav", to_pcm(speech_like(duration_s=1.0, seed=12, rate=22050.0)))
     write_wav(root / "tone.wav", to_pcm(tone(700.0, duration_s=1.0)))
     write_wav(root / "tone2.wav", to_pcm(tone(1100.0, duration_s=0.5)))
+    # 48017 samples is prime: modulate and demodulate pad their transforms
+    write_wav(root / "odd.wav", to_pcm(speech_like(duration_s=48017 / RATE, seed=14)))
     write_wav(root / "host.wav", to_pcm(speech_like(duration_s=3.0, seed=13, pauses=[(0.6, 2.7)])))
     (root / "mod.conf").write_text("# lower band\ncarrier_hz = 15000\ncutoff_hz = 5000\n")
     (root / "bad.conf").write_text("carrier_hz = 30000\n")
@@ -135,7 +139,7 @@ def observe(root: Path) -> dict:
     }
 
 
-GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65, 74, 64],
+GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65, 74, 64, 0, 0],
           'json_lines': [{'input': 'speech.wav',
                           'output': 'high.wav',
                           'inband_energy_db': 35.4096483,
@@ -172,7 +176,7 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                          {'input': 'high.wav', 'output': 'low.wav', 'recovered_bandwidth_hz': 3000.0},
                          {'input': 'cropped.wav',
                           'output': 'low_ps.wav',
-                          'recovered_bandwidth_hz': 3000.08479},
+                          'recovered_bandwidth_hz': 3000.0},
                          {'input': 'high_cfg.wav',
                           'output': 'low_cfg.wav',
                           'recovered_bandwidth_hz': 2524.0},
@@ -231,15 +235,27 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                                    'fail_pct': 16,
                                    'trigger_pct': 26,
                                    'success_pct': 58},
-                          'records': 50}],
+                          'records': 50},
+                         {'input': 'odd.wav',
+                          'output': 'high_odd.wav',
+                          'inband_energy_db': 33.3997109,
+                          'leakage_below_carrier_db': -53.9289247,
+                          'sideband_suppression_db': None,
+                          'occupancy_lo_hz': 16120.306,
+                          'occupancy_hi_hz': 19349.6284},
+                         {'input': 'high_odd.wav',
+                          'output': 'low_odd.wav',
+                          'recovered_bandwidth_hz': 3325.4321}],
           'files': {'b_speech.wav': 'cd3a6703fd9ecbadc43097b648116cd9753e27c3163033416d215de3681e57cf',
                     'b_speech22.wav': '7af1e63025af68d177e521836efee678eaabbf3cfe82c63ff2e69d7597575409',
                     'b_tone.wav': '6053e765a355d426fe682b61abd86e674a45846576221c6910c5ac1915f8b60f',
                     'high.wav': '6f3738919aa63b9cb856ff8ec6cb1ca497aae92067edac208e4c9cbc494a4fc3',
                     'high22.wav': 'f58a25b480dc4f2031373bd3d32fd0203215763d99db48196221a7fdb6e94c32',
                     'high_cfg.wav': 'a0be55ade7ce1a11a47ee5be206568965a57e6e126e2688b0293ba9deb50b6bf',
+                    'high_odd.wav': 'a3826a5b80dff4efc84b9a346f26e8272e74d2f5a9faf075b840438d260f4580',
                     'low.wav': 'c8340f817212a1dbaaba70b5c3ac2da9797c402881100a91503506bd9b09549d',
                     'low_cfg.wav': 'f53ae3a603fbe51d8c84998d273181ebc0b725673df85ff2a8112e4a131cdb57',
+                    'low_odd.wav': '0f19eeed111f2a516c3b609b6125eb4ab5889ca2bfae75bc8494af8d9bae6815',
                     'low_ps.wav': '864f786643e62b00fa315690ced03c1248f67d1ca02d1596c87a7e4caf5afe13',
                     'mixed.wav': 'b07fa248dfeab5b52c8a6739b58fa3ef8d02ab49dd7b51feda853d738976ddfc',
                     'spec.pgm': 'd24b15e9f6bcadb375a2a78137edcf7253c20629fc41b66c44a474ef9d41a0ae'},

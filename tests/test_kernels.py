@@ -1,5 +1,7 @@
 """DSP primitive tests with independent frequency-domain oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,28 @@ def test_hilbert_empty():
         hilbert(SampleBuffer(np.zeros(0), RATE))
 
 
+def _hilbert_complex_fft(x: np.ndarray) -> np.ndarray:
+    """The earlier complex-FFT analytic signal: negative bins zeroed,
+    positive bins doubled, DC and Nyquist at unit weight."""
+    n = x.size
+    weights = np.zeros(n)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[n // 2] = 1.0
+        weights[1 : n // 2] = 2.0
+    else:
+        weights[1 : (n + 1) // 2] = 2.0
+    return np.fft.ifft(np.fft.fft(x) * weights).imag
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 4096, 4097, 4801, 48017, 72022])
+def test_hilbert_matches_complex_fft_form(n):
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    out = hilbert(SampleBuffer(x, RATE))
+    assert len(out) == n
+    assert np.max(np.abs(out.samples - _hilbert_complex_fft(x))) < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     arrays(
@@ -328,6 +352,25 @@ def test_resample_rejects_factor_over_bound():
     assert 96001 > MAX_RESAMPLE_FACTOR
     with pytest.raises(BadRate):
         resample(SampleBuffer(np.zeros(10), 48000.0), 96001.0)
+
+
+@pytest.mark.parametrize(
+    "old, new", [(RATE, math.inf), (RATE, math.nan), (RATE, -math.inf), (math.inf, RATE)]
+)
+def test_resample_rejects_non_finite_rate(old, new):
+    # an infinite rate used to escape as OverflowError from the exact ratio
+    with pytest.raises(BadRate):
+        resample(SampleBuffer(np.zeros(10), old), new)
+
+
+def test_resample_factor_message_names_rates_and_bound():
+    # 1e300 / 48000 reduces to a 300-digit fraction, which the message used to print
+    with pytest.raises(BadRate) as info:
+        resample(SampleBuffer(np.zeros(10), 48000.0), 1e300)
+    message = str(info.value)
+    assert "48000.0" in message and "1e+300" in message
+    assert f"MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}" in message
+    assert len(message) < 200
 
 
 # --- argument errors ---

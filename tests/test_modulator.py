@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import RATE, dft_magnitude, tone
+from conftest import RATE, dft_magnitude, speech_like, tone
 from ultraband import (
     ConfigInvalid,
     EmptySignal,
@@ -11,12 +11,20 @@ from ultraband import (
     ModulationConfig,
     PcmClip,
     SampleBuffer,
+    WindowSpec,
+    apply_filter,
     band_energy,
+    design_lowpass,
+    hilbert,
     load_config,
+    measure,
     modulate,
     modulate_file,
+    peak_normalize,
     read_wav,
+    resample,
     to_pcm,
+    tukey_window,
     write_wav,
 )
 
@@ -42,6 +50,7 @@ def _central(buf: SampleBuffer, frac: float = 0.05) -> SampleBuffer:
         {"normalize_target": 0.0},
         {"normalize_target": 1.5},
         {"working_rate_hz": -48000.0},
+        {"working_rate_hz": float("inf")},
     ],
 )
 def test_config_rejects(kwargs):
@@ -214,3 +223,71 @@ def test_modulate_file_stereo_uses_channel_zero(tmp_path, default_config):
     metrics = modulate_file(src, dst, default_config)
     assert metrics.inband_energy_db > -40.0  # left channel content survived
     assert read_wav(dst).channels == 1
+
+
+# --- Hilbert transform at a fast length ---
+
+
+def _modulate_circular(signal: SampleBuffer, config: ModulationConfig) -> SampleBuffer:
+    """``modulate`` before the fast-length padding: the Hilbert transform ran
+    circularly at the clip's own length."""
+    work = resample(signal, config.working_rate_hz)
+    lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
+    base = peak_normalize(apply_filter(lpf, work), 1.0)
+    quad = hilbert(base)
+
+    n = np.arange(len(base))
+    phase = 2.0 * np.pi * config.carrier_hz * n / config.working_rate_hz
+    mixed = base.samples * np.cos(phase) - quad.samples * np.sin(phase)
+
+    if len(base) >= 2:
+        taper = tukey_window(WindowSpec(kind="tukey", alpha=config.tukey_alpha, length=len(base)))
+        mixed = mixed * taper
+    shifted = SampleBuffer(mixed, config.working_rate_hz)
+    return peak_normalize(shifted, config.normalize_target)
+
+
+#: Lengths whose FFT is slow: three primes, then 2*36011, 3*48017 and
+#: 2**3*7*4481 (a 5.2 s clip).
+AWKWARD_LENGTHS = (4801, 48017, 480019, 72022, 144051, 250936)
+
+
+@pytest.mark.parametrize("n", AWKWARD_LENGTHS)
+def test_fast_length_hilbert_stays_near_circular(n, default_config):
+    # The two differ near the ends, where the circular transform wraps one
+    # end onto the other and the padded one sees a zero gap. A 0.1 s clip
+    # has 120-sample taper ramps, and measure's leakage there is set by the
+    # truncation of its core, so its bounds are wider.
+    seconds = n / RATE
+    long_clip = seconds >= 1.0
+    db_bound, hz_bound = (0.1, 1.0) if long_clip else (1.5, 11.0)
+    cases = [
+        (speech_like(duration_s=seconds, seed=7), 2e-3 if long_clip else 2e-2),
+        (tone(700.0, duration_s=seconds), 2e-2),
+    ]
+    for signal, sample_bound in cases:
+        assert len(signal) == n
+        ref = _modulate_circular(signal, default_config)
+        out = modulate(signal, default_config)
+        assert np.max(np.abs(out.samples - ref.samples)) <= sample_bound
+
+        m_ref, m_out = measure(ref, default_config), measure(out, default_config)
+        assert abs(m_out.leakage_below_carrier_db - m_ref.leakage_below_carrier_db) <= db_bound
+        if m_ref.sideband_suppression_db is None:
+            assert m_out.sideband_suppression_db is None
+        else:
+            assert abs(m_out.sideband_suppression_db - m_ref.sideband_suppression_db) <= db_bound
+        assert abs(m_out.occupancy_lo_hz - m_ref.occupancy_lo_hz) <= hz_bound
+        assert abs(m_out.occupancy_hi_hz - m_ref.occupancy_hi_hz) <= hz_bound
+
+
+@pytest.mark.parametrize("freq_hz", [50.0, 100.0, 300.0, 3000.0])
+def test_fast_length_hilbert_edge_effect_falls_with_cycles(freq_hz, default_config):
+    # An abruptly cut low tone moves most: by up to 1.5 / (cycles in the
+    # clip), and by at most 2e-2 from 75 cycles on.
+    for n in (4801, 48017):
+        signal = tone(freq_hz, duration_s=n / RATE)
+        ref = _modulate_circular(signal, default_config)
+        out = modulate(signal, default_config)
+        cycles = freq_hz * n / RATE
+        assert np.max(np.abs(out.samples - ref.samples)) <= max(2e-2, 1.5 / cycles)
