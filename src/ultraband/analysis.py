@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort
-from .kernels import WindowSpec, check_band, tukey_window
+from .kernels import BAND_HZ, CARRIER_HZ, check_band, tukey_window
 from .wavio import SampleBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,6 +26,9 @@ DB_FLOOR = -120.0
 
 #: Reference band used by the detector: where ordinary speech content lives.
 SPEECH_BAND = (300.0, 8000.0)
+
+#: Detector frame length; frames overlap by half.
+FRAME_MS = 50.0
 
 _EPS = 1e-30
 
@@ -90,12 +93,10 @@ def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.nd
 
 
 def stft(
-    signal: SampleBuffer,
-    frame_len: int,
-    hop: int,
-    window: WindowSpec = WindowSpec(kind="tukey", alpha=1.0, length=0),
+    signal: SampleBuffer, frame_len: int = 2048, hop: int = 1024, alpha: float = 1.0
 ) -> Spectrogram:
-    """Short-time spectrum in dB full scale.
+    """Short-time spectrum in dB full scale, each frame under a Tukey window
+    of taper fraction ``alpha`` (1 is a Hann window).
 
     Frame count is ``floor((len - frame_len) / hop) + 1``; a trailing
     remainder shorter than one frame is dropped. A full-scale sine lands at
@@ -107,9 +108,7 @@ def stft(
         raise BadArgument(f"hop {hop} must be in (0, frame_len]")
     if len(signal) < frame_len:
         raise SignalTooShort(f"{len(signal)} samples, need at least {frame_len}")
-    if window.length not in (0, frame_len):
-        raise BadArgument("window length does not match frame_len")
-    w = tukey_window(WindowSpec(kind=window.kind, alpha=window.alpha, length=frame_len))
+    w = tukey_window(frame_len, alpha)
 
     frames = sliding_window_view(signal.samples, frame_len)[::hop]
     spectra = np.abs(np.fft.rfft(frames * w, axis=1))
@@ -239,11 +238,10 @@ def _tone_pair_suppression(
 
 def detect(
     signal: SampleBuffer,
-    carrier_hz: float = 16000.0,
-    band_hz: float = 6000.0,
+    carrier_hz: float = CARRIER_HZ,
+    band_hz: float = BAND_HZ,
     ratio_threshold: float = 4.0,
     sustain_ms: float = 200.0,
-    frame_ms: float = 50.0,
 ) -> DetectionVerdict:
     """Flag sustained energy concentrated in [carrier, carrier + band].
 
@@ -257,12 +255,10 @@ def detect(
         raise BadArgument(f"ratio_threshold {ratio_threshold} must be positive")
     if sustain_ms <= 0:
         raise BadArgument(f"sustain_ms {sustain_ms} must be positive")
-    if frame_ms <= 0:
-        raise BadArgument(f"frame_ms {frame_ms} must be positive")
     rate = signal.sample_rate_hz
     check_band(carrier_hz, band_hz, rate, BadBand, "band_hz")
     nyquist = rate / 2.0
-    frame_len = max(2, int(round(frame_ms * rate / 1000.0)))
+    frame_len = max(2, int(round(FRAME_MS * rate / 1000.0)))
     hop = max(1, frame_len // 2)
     if len(signal) < frame_len:
         return DetectionVerdict(False, 0.0, 0.0, np.zeros(0, dtype=bool))

@@ -16,13 +16,13 @@ import argparse
 import csv
 import ctypes
 import functools
+import inspect
 import json
 import sys
 from dataclasses import asdict, fields, replace
 
 from . import analysis, catalog, demodulator, modulator, stego
 from .errors import IoFailure, UltrabandError
-from .kernels import WindowSpec
 from .wavio import read_wav, to_float
 
 EXIT_OK = 0
@@ -56,36 +56,68 @@ def _say(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _add_field_flags(p: argparse.ArgumentParser, config_cls) -> None:
-    """One flag per field of ``config_cls``, named and described by its metadata."""
-    for f in fields(config_cls):
-        meta = f.metadata
-        p.add_argument(f"--{meta['flag']}", type=type(f.default),
-                       help=f"{meta['help']} ({f.default:g} [{meta['provenance']} default])")
+def _field_params(config_cls) -> list:
+    """(name, default, flag, help, provenance) of each field of ``config_cls``."""
+    keys = ("flag", "help", "provenance")
+    return [(f.name, f.default, *map(f.metadata.get, keys)) for f in fields(config_cls)]
 
 
-def _flag_values(args, config_cls) -> dict:
-    """Field values given on the command line, keyed by field name."""
-    return {
-        f.name: getattr(args, f.metadata["flag"])
-        for f in fields(config_cls)
-        if getattr(args, f.metadata["flag"]) is not None
-    }
+def _signature_params(fn, table: dict) -> list:
+    """The same for each parameter of ``fn`` that ``table`` maps to (flag,
+    help, provenance); the default is read from the signature of ``fn``."""
+    signature = inspect.signature(fn).parameters
+    return [(name, signature[name].default, *spec) for name, spec in table.items()]
+
+
+_MOD_PARAMS = _field_params(modulator.ModulationConfig)
+_DEMOD_PARAMS = _field_params(demodulator.DemodulationConfig)
+_STFT_PARAMS = _signature_params(analysis.stft, {
+    "frame_len": ("frame", "frame length, samples", "tool"),
+    "hop": ("hop", "hop, samples", "tool"),
+    "alpha": ("window-alpha", "Tukey alpha for the analysis window; 1.0 = Hann", "tool"),
+})
+_DETECT_PARAMS = _signature_params(analysis.detect, {
+    "carrier_hz": ("carrier", "attack band start, Hz", "method"),
+    "band_hz": ("band", "attack band width, Hz", "method"),
+    "ratio_threshold": ("threshold", "attack/speech energy ratio to flag a frame", "tool"),
+    "sustain_ms": ("sustain-ms", "minimum flagged run length, ms", "tool"),
+})
+_EMBED_PARAMS = _signature_params(stego.embed_file, {
+    "gain": ("gain", "payload mix gain", "tool"),
+    "rms_threshold": ("rms-threshold", "silence RMS threshold", "tool"),
+    "frame_ms": ("frame-ms", "silence scan frame, ms", "tool"),
+    "min_region_ms": ("min-region-ms", "shortest usable silent region, ms", "tool"),
+})
+
+
+def _add_flags(p: argparse.ArgumentParser, params: list) -> None:
+    """One flag per parameter; unset flags parse as None."""
+    for _name, default, flag, help_text, provenance in params:
+        p.add_argument(f"--{flag}", type=type(default),
+                       help=f"{help_text} ({default:g} [{provenance} default])")
+
+
+def _flag_values(args, params: list) -> dict:
+    """Values given on the command line, keyed by parameter name."""
+    given = {name: getattr(args, flag.replace("-", "_")) for name, _d, flag, *_ in params}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _mod_config(args) -> modulator.ModulationConfig:
     cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
-    cfg = replace(cfg, **_flag_values(args, modulator.ModulationConfig))
+    cfg = replace(cfg, **_flag_values(args, _MOD_PARAMS))
     cfg.validate()
     return cfg
 
 
 def _add_mod_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key = value config file read before flags")
-    _add_field_flags(p, modulator.ModulationConfig)
+    _add_flags(p, _MOD_PARAMS)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(
         prog="ultraband",
         description="Move speech into the 16-22 kHz near-ultrasound band and back; "
@@ -101,7 +133,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demodulate", help="recover baseband audio from a high-band WAV")
     p.add_argument("input")
     p.add_argument("output")
-    _add_field_flags(p, demodulator.DemodulationConfig)
+    _add_flags(p, _DEMOD_PARAMS)
     p.add_argument("--phase-search", action="store_true",
                    help="try 16 carrier phases, keep the strongest (for recordings)")
 
@@ -112,33 +144,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrogram", help="render a WAV to a grayscale PGM image")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--frame", type=int, default=2048, help="frame length, samples (2048 [tool default])")
-    p.add_argument("--hop", type=int, default=1024, help="hop, samples (1024 [tool default])")
-    p.add_argument("--window-alpha", type=float, default=1.0,
-                   help="Tukey alpha for the analysis window; 1.0 = Hann (1.0 [tool default])")
+    _add_flags(p, _STFT_PARAMS)
 
     p = sub.add_parser("detect", help="flag sustained 16-22 kHz content (exit 2 when flagged)")
     p.add_argument("input")
-    p.add_argument("--carrier", type=float, default=16000.0,
-                   help="attack band start, Hz (16000 [method default])")
-    p.add_argument("--band", type=float, default=6000.0,
-                   help="attack band width, Hz (6000 [method default])")
-    p.add_argument("--threshold", type=float, default=4.0,
-                   help="attack/speech energy ratio to flag a frame (4.0 [tool default])")
-    p.add_argument("--sustain-ms", type=float, default=200.0,
-                   help="minimum flagged run length, ms (200 [tool default])")
+    _add_flags(p, _DETECT_PARAMS)
 
     p = sub.add_parser("embed", help="hide a payload WAV in the silence of a host WAV")
     p.add_argument("host")
     p.add_argument("payload")
     p.add_argument("output")
-    p.add_argument("--gain", type=float, default=0.5, help="payload mix gain (0.5 [tool default])")
-    p.add_argument("--rms-threshold", type=float, default=0.01,
-                   help="silence RMS threshold (0.01 [tool default])")
-    p.add_argument("--frame-ms", type=float, default=20.0,
-                   help="silence scan frame, ms (20 [tool default])")
-    p.add_argument("--min-region-ms", type=float, default=500.0,
-                   help="shortest usable silent region, ms (500 [tool default])")
+    _add_flags(p, _EMBED_PARAMS)
 
     p = sub.add_parser("catalog", help="query the attack/defense technique catalog")
     cat_sub = p.add_subparsers(dest="catalog_command", required=True)
@@ -170,7 +186,7 @@ def _cmd_modulate(args) -> int:
 
 
 def _cmd_demodulate(args) -> int:
-    cfg = demodulator.DemodulationConfig(**_flag_values(args, demodulator.DemodulationConfig))
+    cfg = demodulator.DemodulationConfig(**_flag_values(args, _DEMOD_PARAMS))
     bandwidth = demodulator.demodulate_file(
         args.input, args.output, cfg, phase_search=args.phase_search
     )
@@ -187,9 +203,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     signal = to_float(read_wav(args.input), channel=0)
-    spec = analysis.stft(
-        signal, args.frame, args.hop, WindowSpec(kind="tukey", alpha=args.window_alpha, length=0)
-    )
+    spec = analysis.stft(signal, **_flag_values(args, _STFT_PARAMS))
     analysis.render_spectrogram(spec, args.output)
     _emit(
         {
@@ -204,13 +218,7 @@ def _cmd_spectrogram(args) -> int:
 
 def _cmd_detect(args) -> int:
     signal = to_float(read_wav(args.input), channel=0)
-    verdict = analysis.detect(
-        signal,
-        carrier_hz=args.carrier,
-        band_hz=args.band,
-        ratio_threshold=args.threshold,
-        sustain_ms=args.sustain_ms,
-    )
+    verdict = analysis.detect(signal, **_flag_values(args, _DETECT_PARAMS))
     _emit(
         {
             "input": args.input,
@@ -225,13 +233,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_embed(args) -> int:
     report = stego.embed_file(
-        args.host,
-        args.payload,
-        args.output,
-        gain=args.gain,
-        rms_threshold=args.rms_threshold,
-        frame_ms=args.frame_ms,
-        min_region_ms=args.min_region_ms,
+        args.host, args.payload, args.output, **_flag_values(args, _EMBED_PARAMS)
     )
     _emit({"host": args.host, "payload": args.payload, "output": args.output, **report})
     return EXIT_OK

@@ -15,7 +15,8 @@ from scipy.fft import next_fast_len
 
 from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
-from .kernels import apply_filter, check_band, check_taps, design_lowpass, peak_normalize
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
+                      design_lowpass, peak_normalize)
 from .modulator import param
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
@@ -32,9 +33,9 @@ _RECOVERY_FLOOR = 0.01
 class DemodulationConfig:
     """Carrier and recovery filter settings; defaults mirror the modulator."""
 
-    carrier_hz: float = param(16000.0, "carrier", "carrier frequency, Hz", "method")
-    recovery_cutoff_hz: float = param(6000.0, "cutoff", "recovery low-pass cutoff, Hz", "method")
-    filter_taps: int = param(255, "taps", "FIR length, odd", "tool")
+    carrier_hz: float = param(CARRIER_HZ, "carrier", "carrier frequency, Hz", "method")
+    recovery_cutoff_hz: float = param(BAND_HZ, "cutoff", "recovery low-pass cutoff, Hz", "method")
+    filter_taps: int = param(FIR_TAPS, "taps", "FIR length, odd", "tool")
 
     def validate(self, rate_hz: float) -> None:
         check_band(

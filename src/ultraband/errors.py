@@ -58,8 +58,8 @@ class BadAlpha(UltrabandError):
     """Window taper fraction outside [0, 1]."""
 
 
-class BadRate(UltrabandError):
-    """Sample rate must be positive."""
+class BadRate(BadArgument):
+    """Sample rate must be positive and finite; also a ValueError."""
 
 
 # --- Modulation pipeline ---

@@ -21,6 +21,14 @@ from .wavio import SampleBuffer
 
 log = logging.getLogger(__name__)
 
+#: The published operating point: a 16 kHz carrier and a 6 kHz band put the
+#: shifted speech in 16-22 kHz, the band the modulator fills and the
+#: detector watches.
+CARRIER_HZ = 16000.0
+BAND_HZ = 6000.0
+#: FIR length of the band-limiting and recovery low-pass filters.
+FIR_TAPS = 255
+
 # Below this the Hamming-windowed sinc cannot reach useful stopband rejection.
 _LOW_QUALITY_TAPS = 31
 
@@ -63,7 +71,7 @@ class FirFilter:
         object.__setattr__(self, "taps", arr)
         if arr.size % 2 == 0:
             raise BadTaps("FIR length must be odd for integer group delay")
-        if abs(arr.sum() - 1.0) > 1e-6:
+        if not abs(arr.sum() - 1.0) <= 1e-6:  # NaN taps fail too
             raise BadTaps("FIR coefficients must sum to 1 (unit DC gain)")
 
     @property
@@ -71,16 +79,7 @@ class FirFilter:
         return (self.taps.size - 1) // 2
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Window request: family name, taper fraction, length in samples."""
-
-    kind: str = "tukey"
-    alpha: float = 0.05
-    length: int = 0
-
-
-def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = 255) -> FirFilter:
+def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = FIR_TAPS) -> FirFilter:
     """Design a linear-phase low-pass FIR (windowed sinc, Hamming window).
 
     The -6 dB point lands on ``cutoff_hz``. Coefficients are normalized to
@@ -97,8 +96,8 @@ def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = 255) -> FirFi
         Odd number of coefficients, >= 3. Short filters are legal but give
         weak stopband rejection; 255 taps reaches better than -40 dB.
     """
-    if not rate_hz > 0:
-        raise BadRate(f"rate {rate_hz} Hz must be positive")
+    if not 0 < rate_hz < math.inf:
+        raise BadRate(f"rate {rate_hz} Hz must be positive and finite")
     if not 0 < cutoff_hz < rate_hz / 2:
         raise BadCutoff(f"cutoff {cutoff_hz} Hz must lie inside (0, {rate_hz / 2})")
     n_taps = check_taps(n_taps, BadTaps, "n_taps")
@@ -162,26 +161,22 @@ def hilbert(signal: SampleBuffer) -> SampleBuffer:
     return SampleBuffer(np.fft.irfft(spectrum, n), signal.sample_rate_hz)
 
 
-def tukey_window(spec: WindowSpec) -> np.ndarray:
-    """Evaluate a Tukey (tapered cosine) window.
+def tukey_window(length: int, alpha: float) -> np.ndarray:
+    """Evaluate a Tukey (tapered cosine) window of ``length`` samples.
 
     ``alpha`` is the total fraction of the window spent in the two cosine
     ramps: alpha=0 degenerates to rectangular, alpha=1 to a Hann window.
     For alpha > 0 the endpoints are exactly zero.
     """
-    if spec.kind != "tukey":
-        raise BadArgument(f"unknown window kind {spec.kind!r}")
-    if not 0.0 <= spec.alpha <= 1.0:
-        raise BadAlpha(f"alpha {spec.alpha} outside [0, 1]")
-    n = spec.length
-    if n < 2:
+    if not 0.0 <= alpha <= 1.0:
+        raise BadAlpha(f"alpha {alpha} outside [0, 1]")
+    if length < 2:
         raise BadArgument("window length must be >= 2")
-    if spec.alpha == 0.0:
-        return np.ones(n)
+    if alpha == 0.0:
+        return np.ones(length)
 
-    alpha = spec.alpha
-    x = np.linspace(0.0, 1.0, n)
-    w = np.ones(n)
+    x = np.linspace(0.0, 1.0, length)
+    w = np.ones(length)
     rising = x < alpha / 2
     falling = x > 1.0 - alpha / 2
     w[rising] = 0.5 * (1.0 + np.cos(np.pi * (2.0 * x[rising] / alpha - 1.0)))
@@ -214,11 +209,10 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     same-rate request returns the samples untouched. The up/down factors are
     the exact ratio of the two rates in lowest terms, so the output really is
     at ``new_rate_hz``; BadRate is raised when either factor exceeds
-    ``MAX_RESAMPLE_FACTOR`` or either rate is not positive and finite.
+    ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not positive and finite.
     """
-    for rate in (signal.sample_rate_hz, new_rate_hz):
-        if not 0 < rate < math.inf:
-            raise BadRate(f"rate {rate} Hz must be positive and finite")
+    if not 0 < new_rate_hz < math.inf:
+        raise BadRate(f"rate {new_rate_hz} Hz must be positive and finite")
     if math.isclose(signal.sample_rate_hz, new_rate_hz, rel_tol=1e-9):
         return SampleBuffer(signal.samples, new_rate_hz)
     if len(signal) == 0:

@@ -23,7 +23,9 @@ from scipy.fft import next_fast_len
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure
 from .kernels import (
-    WindowSpec,
+    BAND_HZ,
+    CARRIER_HZ,
+    FIR_TAPS,
     apply_filter,
     check_band,
     check_taps,
@@ -55,10 +57,10 @@ class ModulationConfig:
     keys and the batch manifest columns are all derived from them.
     """
 
-    carrier_hz: float = param(16000.0, "carrier", "carrier frequency, Hz", "method")
-    cutoff_hz: float = param(6000.0, "cutoff", "baseband low-pass cutoff, Hz", "method")
+    carrier_hz: float = param(CARRIER_HZ, "carrier", "carrier frequency, Hz", "method")
+    cutoff_hz: float = param(BAND_HZ, "cutoff", "baseband low-pass cutoff, Hz", "method")
     tukey_alpha: float = param(0.05, "alpha", "Tukey taper fraction", "tool")
-    filter_taps: int = param(255, "taps", "low-pass FIR length, odd", "tool")
+    filter_taps: int = param(FIR_TAPS, "taps", "low-pass FIR length, odd", "tool")
     normalize_target: float = param(1.0, "target", "output peak level", "tool")
     working_rate_hz: float = param(48000.0, "rate", "working sample rate, Hz", "tool")
 
@@ -156,7 +158,7 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     mixed = base.samples * np.cos(phase) - quad * np.sin(phase)
 
     if n >= 2:
-        taper = tukey_window(WindowSpec(kind="tukey", alpha=config.tukey_alpha, length=n))
+        taper = tukey_window(n, config.tukey_alpha)
         mixed = mixed * taper
     shifted = SampleBuffer(mixed, config.working_rate_hz)
     return peak_normalize(shifted, config.normalize_target)

@@ -25,8 +25,6 @@ class SilenceMap:
     """Silent regions of a host signal as [start, end) sample spans."""
 
     regions: Tuple[Tuple[int, int], ...]
-    rms_threshold: float
-    min_region_ms: float
 
     def longest(self) -> Tuple[int, int]:
         """Longest region; earliest wins a tie. Raises NoRoom when empty."""
@@ -71,7 +69,7 @@ def find_silence(
 
     min_samples = min_region_ms * rate / 1000.0
     kept = tuple(r for r in regions if r[1] - r[0] >= min_samples)
-    return SilenceMap(regions=kept, rms_threshold=rms_threshold, min_region_ms=min_region_ms)
+    return SilenceMap(regions=kept)
 
 
 def _mix(

@@ -13,12 +13,13 @@ Two value types travel through the rest of the package:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadChannel, IoFailure, NotWav, TruncatedFile, UnsupportedFormat
+from .errors import BadChannel, BadRate, IoFailure, NotWav, TruncatedFile, UnsupportedFormat
 
 _HEADER = struct.Struct("<4sI4s")
 _FMT_BODY = struct.Struct("<HHIIHH")
@@ -97,8 +98,8 @@ class SampleBuffer:
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be positive and finite")
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
     def __len__(self) -> int:

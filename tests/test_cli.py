@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON output, exit codes."""
 
 import csv
+import inspect
 import json
 import platform
 import re
@@ -15,10 +16,13 @@ from ultraband import (
     BandMetrics,
     DemodulationConfig,
     ModulationConfig,
+    analysis,
+    cli,
     demodulator,
     modulate,
     modulator,
     read_wav,
+    stego,
     to_pcm,
     write_wav,
 )
@@ -28,6 +32,7 @@ from ultraband.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     keep_freed_memory,
     run,
 )
@@ -147,24 +152,50 @@ def test_value_tables_cover_every_field():
     assert set(_DEMOD_VALUES) == {f.name for f in fields(DemodulationConfig)}
 
 
+#: The CLI's flag table of each library function that a subcommand calls.
+_FUNCTION_FLAGS = {
+    analysis.stft: cli._STFT_PARAMS,
+    analysis.detect: cli._DETECT_PARAMS,
+    stego.embed_file: cli._EMBED_PARAMS,
+}
+
+
+def _flag_labels(source) -> list:
+    """(flag, help label) of each flag set from ``source``, a config class or
+    a function; the default in the label is read from ``source`` itself."""
+    if isinstance(source, type):
+        return [
+            ("--" + f.metadata["flag"],
+             f"{f.metadata['help']} ({f.default:g} [{f.metadata['provenance']} default])")
+            for f in fields(source)
+        ]
+    signature = inspect.signature(source).parameters
+    return [
+        ("--" + flag, f"{help_text} ({signature[name].default:g} [{provenance} default])")
+        for name, _default, flag, help_text, provenance in _FUNCTION_FLAGS[source]
+    ]
+
+
 @pytest.mark.parametrize(
-    "command,config_cls,extras",
+    "command,source,extras",
     [
         ("modulate", ModulationConfig, {"--config"}),
         ("analyze", ModulationConfig, {"--config"}),
         ("batch", ModulationConfig, {"--config", "--report"}),
         ("demodulate", DemodulationConfig, {"--phase-search"}),
+        ("spectrogram", analysis.stft, set()),
+        ("detect", analysis.detect, set()),
+        ("embed", stego.embed_file, set()),
     ],
 )
-def test_help_lists_one_flag_per_field(command, config_cls, extras, capsys):
+def test_help_lists_one_flag_per_field(command, source, extras, capsys):
     assert run([command, "--help"]) == EXIT_OK
     text = capsys.readouterr().out
     options = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE)
-    flags = ["--" + f.metadata["flag"] for f in fields(config_cls)]
-    assert sorted(options) == sorted(["--help", *extras, *flags])
+    labels = _flag_labels(source)
+    assert sorted(options) == sorted(["--help", *extras, *(flag for flag, _ in labels)])
     flat = " ".join(text.split())
-    for f in fields(config_cls):
-        label = f"{f.metadata['help']} ({f.default:g} [{f.metadata['provenance']} default])"
+    for _flag, label in labels:
         assert label in flat
 
 
@@ -270,6 +301,14 @@ def test_detect_threshold_flag(modulated_wav, capsys):
     # an absurdly high ratio threshold silences the detector
     code = run(["detect", str(modulated_wav), "--threshold", "1e12"])
     assert code == EXIT_OK
+
+
+def test_shared_parser_keeps_no_flag_value(modulated_wav, capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not reach the next
+    assert build_parser() is build_parser()
+    assert run(["detect", str(modulated_wav), "--threshold", "1e9"]) == EXIT_OK
+    assert run(["detect", str(modulated_wav)]) == EXIT_DETECTED
 
 
 # --- embed ---

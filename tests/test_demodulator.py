@@ -11,7 +11,6 @@ from ultraband import (
     DemodulationConfig,
     EmptySignal,
     SampleBuffer,
-    WindowSpec,
     apply_filter,
     demodulate,
     demodulate_file,
@@ -91,7 +90,7 @@ def test_nothing_to_recover_stays_quiet():
 def test_envelope_recovery_matches_taper(default_config):
     constant = SampleBuffer(np.full(96000, 0.5), RATE)
     recovered = demodulate(modulate(constant, default_config))
-    taper = tukey_window(WindowSpec("tukey", default_config.tukey_alpha, 96000))
+    taper = tukey_window(96000, default_config.tukey_alpha)
     core = slice(4800, -4800)
     assert np.max(np.abs(recovered.samples[core] - taper[core])) <= 0.02
 

@@ -20,7 +20,6 @@ from ultraband import (
     RateMismatch,
     SampleBuffer,
     UltrabandError,
-    WindowSpec,
     apply_filter,
     design_lowpass,
     detect,
@@ -92,6 +91,13 @@ def test_lowpass_bad_rate():
         design_lowpass(6000.0, 0.0, 255)
 
 
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+def test_lowpass_rejects_non_finite_rate(rate):
+    # an infinite rate gave NaN taps, which passed the unit-sum check
+    with pytest.raises(BadRate):
+        design_lowpass(6000.0, rate, 255)
+
+
 def test_lowpass_short_filter_warns(caplog):
     with caplog.at_level("WARNING", logger="ultraband.kernels"):
         design_lowpass(6000.0, RATE, 5)
@@ -103,6 +109,8 @@ def test_firfilter_validates_construction():
         FirFilter(np.ones(4) / 4.0, 1000.0, RATE)  # even length
     with pytest.raises(BadTaps):
         FirFilter(np.ones(5), 1000.0, RATE)  # sum is 5, not 1
+    with pytest.raises(BadTaps):
+        FirFilter(np.full(5, np.nan), 1000.0, RATE)  # NaN sum is not 1 either
 
 
 # --- apply_filter ---
@@ -230,16 +238,16 @@ def test_hilbert_involution_property(x):
 
 
 def test_tukey_alpha_zero_is_rectangular():
-    assert tukey_window(WindowSpec("tukey", 0.0, 8)).tolist() == [1.0] * 8
+    assert tukey_window(8, 0.0).tolist() == [1.0] * 8
 
 
 def test_tukey_alpha_one_is_hann():
-    w = tukey_window(WindowSpec("tukey", 1.0, 512))
+    w = tukey_window(512, 1.0)
     assert np.max(np.abs(w - np.hanning(512))) < 1e-12
 
 
 def test_tukey_long_window_shape():
-    w = tukey_window(WindowSpec("tukey", 0.05, 48000))
+    w = tukey_window(48000, 0.05)
     assert w[0] == 0.0
     assert w[-1] == 0.0
     assert w[24000] == 1.0
@@ -247,23 +255,21 @@ def test_tukey_long_window_shape():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.05, 0.3, 0.9, 1.0])
 def test_tukey_values_bounded(alpha):
-    w = tukey_window(WindowSpec("tukey", alpha, 1001))
+    w = tukey_window(1001, alpha)
     assert w.min() >= 0.0
     assert w.max() <= 1.0
 
 
 def test_tukey_bad_alpha():
     with pytest.raises(BadAlpha):
-        tukey_window(WindowSpec("tukey", 1.5, 64))
+        tukey_window(64, 1.5)
     with pytest.raises(BadAlpha):
-        tukey_window(WindowSpec("tukey", -0.1, 64))
+        tukey_window(64, -0.1)
 
 
 def test_tukey_bad_length_and_kind():
     with pytest.raises(ValueError):
-        tukey_window(WindowSpec("tukey", 0.5, 1))
-    with pytest.raises(ValueError):
-        tukey_window(WindowSpec("kaiser", 0.5, 64))
+        tukey_window(1, 0.5)
 
 
 # --- peak_normalize ---
@@ -383,23 +389,19 @@ _HOST = SampleBuffer(np.zeros(48000), RATE)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: tukey_window(WindowSpec("tukey", 0.5, 1)),
-        lambda: tukey_window(WindowSpec("kaiser", 0.5, 64)),
+        lambda: tukey_window(1, 0.5),
         lambda: peak_normalize(_SIG, 2.0),
         lambda: detect(_SIG, ratio_threshold=0.0),
         lambda: detect(_SIG, sustain_ms=0.0),
-        lambda: detect(_SIG, frame_ms=0.0),
         lambda: stft(_SIG, frame_len=8, hop=4),
         lambda: stft(_SIG, frame_len=64, hop=0),
-        lambda: stft(_SIG, 64, 32, WindowSpec("tukey", 1.0, 32)),
         lambda: find_silence(_HOST, rms_threshold=0.0),
         lambda: find_silence(_HOST, frame_ms=0.0),
         lambda: embed(_HOST, tone(18000.0, 0.1), find_silence(_HOST), gain=2.0),
     ],
     ids=[
-        "tukey_length_1", "tukey_kind", "normalize_target", "detect_ratio", "detect_sustain",
-        "detect_frame", "stft_frame_len", "stft_hop", "stft_window_length",
-        "silence_threshold", "silence_frame", "embed_gain",
+        "tukey_length_1", "normalize_target", "detect_ratio", "detect_sustain",
+        "stft_frame_len", "stft_hop", "silence_threshold", "silence_frame", "embed_gain",
     ],
 )
 def test_bad_argument_is_ultraband_error(call):

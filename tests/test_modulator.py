@@ -11,7 +11,6 @@ from ultraband import (
     ModulationConfig,
     PcmClip,
     SampleBuffer,
-    WindowSpec,
     apply_filter,
     band_energy,
     design_lowpass,
@@ -241,7 +240,7 @@ def _modulate_circular(signal: SampleBuffer, config: ModulationConfig) -> Sample
     mixed = base.samples * np.cos(phase) - quad.samples * np.sin(phase)
 
     if len(base) >= 2:
-        taper = tukey_window(WindowSpec(kind="tukey", alpha=config.tukey_alpha, length=len(base)))
+        taper = tukey_window(len(base), config.tukey_alpha)
         mixed = mixed * taper
     shifted = SampleBuffer(mixed, config.working_rate_hz)
     return peak_normalize(shifted, config.normalize_target)

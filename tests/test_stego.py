@@ -133,12 +133,12 @@ def test_find_silence_matches_block_loop():
 
 
 def test_longest_prefers_earliest_on_tie():
-    silence = SilenceMap(regions=((100, 200), (300, 400)), rms_threshold=0.01, min_region_ms=1.0)
+    silence = SilenceMap(regions=((100, 200), (300, 400)))
     assert silence.longest() == (100, 200)
 
 
 def test_longest_empty_raises():
-    silence = SilenceMap(regions=(), rms_threshold=0.01, min_region_ms=500.0)
+    silence = SilenceMap(regions=())
     with pytest.raises(NoRoom):
         silence.longest()
 

@@ -1,5 +1,6 @@
 """Container round trips, error taxonomy, and the int16/float conversions."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraband import (
+    BadArgument,
     BadChannel,
     IoFailure,
     NotWav,
     PcmClip,
     SampleBuffer,
     TruncatedFile,
+    UltrabandError,
     UnsupportedFormat,
     read_wav,
     to_float,
@@ -277,6 +280,14 @@ def test_buffer_rejects_nan():
         SampleBuffer(np.array([0.0, np.nan]), RATE)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_buffer_rejects_rate_that_is_not_positive_and_finite(rate):
+    # an infinite rate used to pass; demodulate, detect and to_pcm then
+    # failed on it with a bare ValueError or an OverflowError
+    with pytest.raises(BadArgument):
+        SampleBuffer(np.zeros(4), rate)
+
+
 def test_buffer_rejects_2d():
     with pytest.raises(ValueError):
         SampleBuffer(np.zeros((2, 2)), RATE)
@@ -354,3 +365,56 @@ def test_float_round_trip_within_one_count_everywhere():
 def test_float_round_trip_property(samples):
     clip = PcmClip(np.array(samples, dtype=np.int16), RATE)
     assert to_pcm(to_float(clip)) == clip
+
+
+# --- fuzzing: any input gives a clip or an UltrabandError ---
+
+
+def _valid_wav() -> bytes:
+    data = struct.pack("<8h", 0, 1, -1, 32767, -32768, 100, -100, 7)
+    return _golden_header(len(data), RATE, 2) + data
+
+
+#: Offsets and widths of the numeric header fields of ``_valid_wav``.
+_HEADER_FIELDS = [(4, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34, 2), (40, 4)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "clip.wav"
+
+
+def _read_or_reject(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        clip = read_wav(path)
+    except UltrabandError:
+        return
+    assert isinstance(clip, PcmClip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.binary(max_size=128) | st.binary(max_size=128).map(lambda b: b"RIFF" + b))
+def test_read_wav_any_bytes(fuzz_path, blob):
+    _read_or_reject(fuzz_path, blob)
+
+
+_FIELD_VALUE = st.sampled_from([0, 1, 2, 3, 0xFFFF, 0xFFFFFFFF]) | st.integers(0, 0xFFFFFFFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.tuples(st.sampled_from(_HEADER_FIELDS), _FIELD_VALUE), max_size=3),
+    edits=st.lists(st.tuples(st.integers(0, len(_valid_wav()) - 1), st.integers(0, 255)),
+                   max_size=3),
+    length=st.none() | st.integers(0, len(_valid_wav()) + 8),
+)
+def test_read_wav_mutated_header(fuzz_path, fields, edits, length):
+    blob = bytearray(_valid_wav())
+    for (offset, width), value in fields:
+        blob[offset : offset + width] = (value % (1 << (8 * width))).to_bytes(width, "little")
+    for offset, value in edits:
+        blob[offset] = value
+    if length is not None:
+        blob = blob[:length] + bytes(max(0, length - len(blob)))
+    _read_or_reject(fuzz_path, bytes(blob))
