@@ -165,8 +165,7 @@ def build_parser() -> _Parser:
     c.add_argument("--file", help="alternate catalog CSV (bundled data when omitted)")
 
     p = sub.add_parser("survey", help="aggregate a command survey CSV")
-    p.add_argument("file", nargs="?", default=None,
-                   help="survey CSV (bundled 50-command data when omitted)")
+    p.add_argument("file", nargs="?", help="survey CSV (bundled 50-command data when omitted)")
 
     p = sub.add_parser("batch", help="modulate every file named in a manifest CSV")
     p.add_argument("manifest", help="CSV with input,output and optional per-row config columns")
