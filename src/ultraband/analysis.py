@@ -5,6 +5,12 @@ query sum to the time-domain energy, and any disjoint partition of
 [0, Nyquist] sums to the same total. Bands are half-open [lo, hi) except
 that a band reaching Nyquist also claims the Nyquist bin, which is what
 makes partitions exact.
+
+``measure`` is Welch's averaged modified periodogram (P. D. Welch, IEEE Trans.
+Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50% overlap,
+summed and scaled so the bins add up to the measured samples' energy; a
+shorter signal is one Hann frame of its own length. ``measure``, ``detect``
+and ``stft`` frame through one helper, one block of frames at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ SPEECH_BAND = (300.0, 8000.0)
 
 #: Detector frame length; frames overlap by half.
 FRAME_MS = 50.0
+
+#: Welch segment of ``measure``; segments overlap by half.
+WELCH_SEGMENT = 8192
+
+#: Samples framed per block: bounds the (frames x bins) arrays held at once.
+_BLOCK_SAMPLES = 1 << 20
 
 _EPS = 1e-30
 
@@ -85,6 +97,18 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndar
     return weights * power / n_fft
 
 
+def _frame_blocks(samples: np.ndarray, frame_len: int, hop: int, window=None):
+    """Yield the frames of ``samples`` (``frame_len`` long, ``hop`` apart, a
+    trailing remainder shorter than a frame dropped), times ``window`` when
+    given, as consecutive (frames x frame_len) blocks of at most
+    ``_BLOCK_SAMPLES`` samples (at least one frame)."""
+    frames = sliding_window_view(samples, frame_len)[::hop]
+    step = max(1, _BLOCK_SAMPLES // frame_len)
+    for start in range(0, frames.shape[0], step):
+        block = frames[start : start + step]
+        yield block if window is None else block * window
+
+
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
     mask = (freqs >= lo) & (freqs < hi)
     if hi >= nyquist * (1.0 - 1e-12):
@@ -110,13 +134,14 @@ def stft(
         raise SignalTooShort(f"{len(signal)} samples, need at least {frame_len}")
     w = tukey_window(frame_len, alpha)
 
-    frames = sliding_window_view(signal.samples, frame_len)[::hop]
-    spectra = np.abs(np.fft.rfft(frames * w, axis=1))
+    spectra = np.concatenate(
+        [np.abs(np.fft.rfft(b, axis=1)) for b in _frame_blocks(signal.samples, frame_len, hop, w)]
+    )
     full_scale = w.sum() / 2.0
     floor_mag = full_scale * 10.0 ** (DB_FLOOR / 20.0)
     mags_db = 20.0 * np.log10(np.maximum(spectra, floor_mag) / full_scale)
 
-    starts = np.arange(frames.shape[0]) * hop
+    starts = np.arange(spectra.shape[0]) * hop
     return Spectrogram(
         frame_times=(starts + frame_len / 2.0) / signal.sample_rate_hz,
         bin_freqs=np.fft.rfftfreq(frame_len, d=1.0 / signal.sample_rate_hz),
@@ -157,7 +182,12 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     """Summarize how well a signal stays inside its intended high band.
 
     Metrics are computed over the central taper-free region (the Tukey
-    ramps are excluded) so they describe steady-state behavior:
+    ramps are excluded) so they describe steady-state behavior. Its spectrum
+    is a Welch estimate: ``WELCH_SEGMENT``-point Hann segments with 50%
+    overlap (a trailing remainder shorter than one hop is dropped), their
+    per-bin energies summed and scaled so the bins add up to the region's
+    energy. A region shorter than one segment is one Hann frame of its own
+    length.
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -174,9 +204,13 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     rate = signal.sample_rate_hz
     nyquist = rate / 2.0
 
-    freqs = np.fft.rfftfreq(core.size, d=1.0 / rate)
-    energy = _weighted_power(core)
+    seg = min(WELCH_SEGMENT, core.size)
+    blocks = _frame_blocks(core, seg, max(1, seg // 2), np.hanning(seg))
+    energy = sum(_weighted_power(block).sum(axis=0) for block in blocks)
+    framed = energy.sum()
+    energy *= float(np.dot(core, core)) / framed if framed > 0.0 else 0.0
     total = float(energy.sum())
+    freqs = np.fft.rfftfreq(seg, d=1.0 / rate)
 
     carrier = config.carrier_hz
     band_top = min(carrier + config.cutoff_hz, nyquist)
@@ -263,14 +297,14 @@ def detect(
     if len(signal) < frame_len:
         return DetectionVerdict(False, 0.0, 0.0, np.zeros(0, dtype=bool))
 
-    frames = sliding_window_view(signal.samples, frame_len)[::hop]
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
-    energy = _weighted_power(frames)
-
     attack = _band_mask(freqs, carrier_hz, min(carrier_hz + band_hz, nyquist), nyquist)
     speech = _band_mask(freqs, SPEECH_BAND[0], min(SPEECH_BAND[1], nyquist), nyquist)
-    e_attack = energy[:, attack].sum(axis=1)
-    e_speech = energy[:, speech].sum(axis=1)
+    sums = [
+        (power[:, attack].sum(axis=1), power[:, speech].sum(axis=1))
+        for power in map(_weighted_power, _frame_blocks(signal.samples, frame_len, hop))
+    ]
+    e_attack, e_speech = (np.concatenate(parts) for parts in zip(*sums))
     flags = e_attack > ratio_threshold * e_speech
 
     sustained = _longest_run_ms(flags, frame_len, hop, rate)

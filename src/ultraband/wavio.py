@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadChannel, BadRate, IoFailure, NotWav, TruncatedFile, UnsupportedFormat
+from .errors import (
+    BadArgument,
+    BadChannel,
+    BadRate,
+    IoFailure,
+    NotWav,
+    TruncatedFile,
+    UnsupportedFormat,
+)
 
 _HEADER = struct.Struct("<4sI4s")
 _FMT_BODY = struct.Struct("<HHIIHH")
@@ -48,18 +56,18 @@ class PcmClip:
         if raw.dtype != np.int16:
             wide = np.asarray(raw, dtype=np.int64)
             if wide.size and (wide.max() > 32767 or wide.min() < -32768):
-                raise ValueError("samples outside the signed 16-bit range")
+                raise BadArgument("samples outside the signed 16-bit range")
             raw = wide.astype(np.int16)
         arr = np.array(raw, dtype=np.int16)  # own a private copy
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         if int(self.sample_rate_hz) != self.sample_rate_hz or self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be a positive integer")
+            raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be a positive integer")
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
         if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+            raise BadArgument("channels must be >= 1")
         if arr.size % self.channels:
-            raise ValueError("sample count is not a whole number of frames")
+            raise BadArgument("sample count is not a whole number of frames")
 
     def __eq__(self, other):
         if not isinstance(other, PcmClip):
@@ -101,6 +109,15 @@ class SampleBuffer:
         if not 0 < self.sample_rate_hz < math.inf:
             raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be positive and finite")
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate_hz: float) -> "SampleBuffer":
+        """Take ownership of a fresh finite 1-D float64 array: no copy, no scan."""
+        samples.flags.writeable = False
+        buf = object.__new__(cls)
+        object.__setattr__(buf, "samples", samples)
+        object.__setattr__(buf, "sample_rate_hz", float(sample_rate_hz))
+        return buf
 
     def __len__(self) -> int:
         return self.samples.size
@@ -211,7 +228,7 @@ def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:
     if not 0 <= channel < clip.channels:
         raise BadChannel(f"channel {channel} of a {clip.channels}-channel clip")
     lane = clip.samples.reshape(-1, clip.channels)[:, channel]
-    return SampleBuffer(lane / READ_SCALE, float(clip.sample_rate_hz))
+    return SampleBuffer._adopt(lane / READ_SCALE, clip.sample_rate_hz)
 
 
 def to_pcm(buf: SampleBuffer) -> PcmClip:
@@ -220,12 +237,15 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     The read scale (1/32768) and write scale (32767) are deliberately
     asymmetric so that -1.0 maps to -32767 rather than -32768; the price is
     that a float round trip is only sample-exact for magnitudes <= 16384.
+    A WAV stores an integer rate, so any other rate raises BadRate.
     """
+    if buf.sample_rate_hz != int(buf.sample_rate_hz):
+        raise BadRate(f"sample_rate_hz {buf.sample_rate_hz} is not a whole number of Hz")
     scaled = buf.samples * WRITE_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     clamped = np.clip(rounded, -32768, 32767)
     return PcmClip(
         samples=clamped.astype(np.int16),
-        sample_rate_hz=int(round(buf.sample_rate_hz)),
+        sample_rate_hz=int(buf.sample_rate_hz),
         channels=1,
     )

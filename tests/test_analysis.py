@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FULLBAND_NAME, RATE, speech_like, tone
 from ultraband import (
     BadBand,
+    ModulationConfig,
     EmptySignal,
     IoFailure,
     SampleBuffer,
@@ -15,10 +17,12 @@ from ultraband import (
     band_energy,
     detect,
     measure,
+    modulate,
     render_spectrogram,
     stft,
 )
-from ultraband.analysis import _longest_run_ms, _weighted_power
+from ultraband import analysis
+from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _weighted_power
 
 # --- stft ---
 
@@ -162,6 +166,33 @@ def test_measure_modulated_speech(modulated_corpus, default_config):
     assert metrics.sideband_suppression_db is None  # no dominant line in speech
 
 
+@pytest.mark.parametrize("n", [4000, 8192, 96001])
+def test_measure_inband_energy_is_the_signal_energy(n):
+    # Welch segments are rescaled so the bins add up to the measured
+    # samples' energy, also for a clip shorter than one segment.
+    config = ModulationConfig(tukey_alpha=0.0)
+    x = tone(17000.0, duration_s=n / RATE)
+    metrics = measure(x, config)
+    assert metrics.inband_energy_db == pytest.approx(
+        10.0 * np.log10(np.dot(x.samples, x.samples)), abs=0.01
+    )
+    assert metrics.leakage_below_carrier_db <= -60.0
+
+
+def test_measure_leakage_does_not_depend_on_clip_length(default_config):
+    # A whole-core periodogram read -52 to -78 dB across these lengths: its
+    # rectangular truncation, not the signal. Welch segments read the signal.
+    source = speech_like(duration_s=480017 / RATE, seed=21)
+    readings = [
+        measure(
+            modulate(SampleBuffer(source.samples[:n], RATE), default_config), default_config
+        ).leakage_below_carrier_db
+        for n in (96000, 96001, 480000, 480017)
+    ]
+    assert max(readings) <= -40.0
+    assert max(readings) - min(readings) <= 1.0, readings
+
+
 def test_measure_empty(default_config):
     with pytest.raises(EmptySignal):
         measure(SampleBuffer(np.zeros(0), RATE), default_config)
@@ -238,6 +269,54 @@ def test_detect_validation():
         detect(sig, carrier_hz=20000.0, band_hz=6000.0)
     with pytest.raises(BadBand):
         detect(SampleBuffer(np.zeros(1000), 16000.0))  # band above Nyquist
+
+
+def _detect_whole_batch(signal: SampleBuffer, ratio_threshold: float = 4.0):
+    """Reference: detect's flags, score and sustained_ms from the rfft of all
+    frames at once."""
+    rate = signal.sample_rate_hz
+    frame_len = int(round(FRAME_MS * rate / 1000.0))
+    hop = frame_len // 2
+    frames = sliding_window_view(signal.samples, frame_len)[::hop]
+    power = _weighted_power(frames)
+    freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
+    attack = _band_mask(freqs, 16000.0, 22000.0, rate / 2.0)
+    speech = _band_mask(freqs, 300.0, 8000.0, rate / 2.0)
+    flags = power[:, attack].sum(axis=1) > ratio_threshold * power[:, speech].sum(axis=1)
+    return flags, float(flags.mean()), _longest_run_ms(flags, frame_len, hop, rate)
+
+
+def _straddling_bursts(rate: float, frames_per_block: int) -> SampleBuffer:
+    """A noisy 440 Hz tone over two and a half blocks of detect's frames,
+    with a 17 kHz burst across each of the first block edges."""
+    frame_len = int(round(FRAME_MS * rate / 1000.0))
+    hop = frame_len // 2
+    n_frames = max(40, 2 * frames_per_block + frames_per_block // 2)
+    t = np.arange((n_frames + 1) * hop) / rate
+    x = 0.1 * np.sin(2.0 * np.pi * 440.0 * t) + 0.02 * np.random.default_rng(9).standard_normal(t.size)
+    burst = 0.5 * np.sin(2.0 * np.pi * 17000.0 * t)
+    for k, edge in enumerate(range(frames_per_block, n_frames, frames_per_block)[:3]):
+        start = max(0, (edge - 1 - k) * hop)  # 1-3 frames before the edge
+        stop = (edge + 9 + 3 * k) * hop  # 9-15 frames after it
+        x[start:stop] += burst[start:stop]
+    return SampleBuffer(x / np.max(np.abs(x)), rate)
+
+
+@pytest.mark.parametrize("block_frames", [1, 7, 256, None])
+def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames):
+    for rate in (48000.0, 44100.0):
+        frame_len = int(round(FRAME_MS * rate / 1000.0))
+        if block_frames is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
+        per_block = max(1, analysis._BLOCK_SAMPLES // frame_len)
+        short = speech_like(duration_s=0.4, seed=4, rate=rate)
+        for clip in (_straddling_bursts(rate, per_block), short):
+            flags, score, sustained = _detect_whole_batch(clip)
+            verdict = detect(clip)
+            assert np.array_equal(verdict.frame_flags, flags)
+            assert verdict.score == score
+            assert verdict.sustained_ms == sustained
+            assert clip is short or verdict.flagged
 
 
 def _longest_run_loop(flags):

@@ -142,37 +142,37 @@ def observe(root: Path) -> dict:
 GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65, 74, 64, 0, 0],
           'json_lines': [{'input': 'speech.wav',
                           'output': 'high.wav',
-                          'inband_energy_db': 35.4096483,
-                          'leakage_below_carrier_db': -57.5971177,
+                          'inband_energy_db': 35.4096755,
+                          'leakage_below_carrier_db': -88.4243435,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16120.0,
-                          'occupancy_hi_hz': 19003.5088},
+                          'occupancy_lo_hz': 16119.1406,
+                          'occupancy_hi_hz': 19054.6875},
                          {'input': 'speech22.wav',
                           'output': 'high22.wav',
-                          'inband_energy_db': 32.9122337,
-                          'leakage_below_carrier_db': -59.3992375,
+                          'inband_energy_db': 32.9121618,
+                          'leakage_below_carrier_db': -89.3828839,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16120.0,
-                          'occupancy_hi_hz': 20128.8889},
+                          'occupancy_lo_hz': 16125.0,
+                          'occupancy_hi_hz': 20197.2656},
                          {'input': 'speech.wav',
                           'output': 'high_cfg.wav',
-                          'inband_energy_db': 32.7271049,
-                          'leakage_below_carrier_db': -57.2851705,
+                          'inband_energy_db': 32.7271184,
+                          'leakage_below_carrier_db': -84.5761226,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 15120.0,
-                          'occupancy_hi_hz': 17572.6316},
+                          'occupancy_lo_hz': 15123.0469,
+                          'occupancy_hi_hz': 17607.4219},
                          {'input': 'high.wav',
-                          'inband_energy_db': 35.4096483,
-                          'leakage_below_carrier_db': -57.5971177,
+                          'inband_energy_db': 35.4096755,
+                          'leakage_below_carrier_db': -88.4243435,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16120.0,
-                          'occupancy_hi_hz': 19003.5088},
+                          'occupancy_lo_hz': 16119.1406,
+                          'occupancy_hi_hz': 19054.6875},
                          {'input': 'high_cfg.wav',
-                          'inband_energy_db': 32.7271049,
-                          'leakage_below_carrier_db': -57.2851705,
+                          'inband_energy_db': 32.7271184,
+                          'leakage_below_carrier_db': -84.5761226,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 15120.0,
-                          'occupancy_hi_hz': 17572.6316},
+                          'occupancy_lo_hz': 15123.0469,
+                          'occupancy_hi_hz': 17607.4219},
                          {'input': 'high.wav', 'output': 'low.wav', 'recovered_bandwidth_hz': 3000.0},
                          {'input': 'cropped.wav',
                           'output': 'low_ps.wav',
@@ -238,11 +238,11 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                           'records': 50},
                          {'input': 'odd.wav',
                           'output': 'high_odd.wav',
-                          'inband_energy_db': 33.3997109,
-                          'leakage_below_carrier_db': -53.9289247,
+                          'inband_energy_db': 33.3998403,
+                          'leakage_below_carrier_db': -88.0554647,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16120.306,
-                          'occupancy_hi_hz': 19349.6284},
+                          'occupancy_lo_hz': 16125.0,
+                          'occupancy_hi_hz': 19242.1875},
                          {'input': 'high_odd.wav',
                           'output': 'low_odd.wav',
                           'recovered_bandwidth_hz': 3325.4321}],
@@ -260,9 +260,9 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                     'mixed.wav': 'b07fa248dfeab5b52c8a6739b58fa3ef8d02ab49dd7b51feda853d738976ddfc',
                     'spec.pgm': 'd24b15e9f6bcadb375a2a78137edcf7253c20629fc41b66c44a474ef9d41a0ae'},
           'report_csv': 'input,output,leakage_db,suppression_db,occupancy_lo,occupancy_hi,error\r\n'
-                        'speech.wav,b_speech.wav,-51.102,,16120.3,18933.3,\r\n'
-                        'tone.wav,b_tone.wav,-93.722,-112.934,16700.0,16700.0,\r\n'
-                        'speech22.wav,b_speech22.wav,-59.206,,20121.7,26018.5,\r\n'
+                        'speech.wav,b_speech.wav,-78.161,,16119.1,18996.1,\r\n'
+                        'tone.wav,b_tone.wav,-93.565,-112.970,16693.4,16705.1,\r\n'
+                        'speech22.wav,b_speech22.wav,-91.654,,20121.1,25992.2,\r\n'
                         'missing.wav,b_missing.wav,,,,,cannot read missing.wav: [Errno 2] No such file '
                         "or directory: 'missing.wav'\r\n"
                         'tone2.wav,b_tone2.wav,,,,,filter_taps 254 must be an odd integer >= 3\r\n',

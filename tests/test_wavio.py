@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ultraband import (
     BadArgument,
     BadChannel,
+    BadRate,
     IoFailure,
     NotWav,
     PcmClip,
@@ -249,18 +250,20 @@ def test_unknown_chunks_skipped(tmp_path):
 
 
 def test_clip_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument):
         PcmClip(np.array([40000]), RATE)
 
 
 def test_clip_rejects_ragged_channels():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument):
         PcmClip(np.zeros(5, dtype=np.int16), RATE, channels=2)
 
 
 def test_clip_rejects_bad_rate():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRate):
         PcmClip(np.zeros(2, dtype=np.int16), 0)
+    with pytest.raises(BadArgument):
+        PcmClip(np.zeros(2, dtype=np.int16), RATE, channels=0)
 
 
 def test_clip_is_immutable():
@@ -316,6 +319,32 @@ def test_to_float_channel_select():
     clip = PcmClip(interleaved, RATE, channels=2)
     assert (to_float(clip, channel=0).samples * 32768).tolist() == [10, 20, 30]
     assert (to_float(clip, channel=1).samples * 32768).tolist() == [-10, -20, -30]
+
+
+def test_to_float_adopts_a_fresh_read_only_array():
+    interleaved = np.array([10, -10, 20, -20, 32767, -32768], dtype=np.int16)
+    clip = PcmClip(interleaved, RATE, channels=2)
+    for channel in (0, 1):
+        buf = to_float(clip, channel=channel)
+        assert not buf.samples.flags.writeable
+        assert not np.shares_memory(buf.samples, clip.samples)
+        assert np.array_equal(buf.samples, interleaved[channel::2] / 32768)
+        assert buf.sample_rate_hz == float(RATE)
+
+
+def test_buffer_copies_and_freezes_a_caller_array():
+    mine = np.array([0.25, -0.5])
+    buf = SampleBuffer(mine, RATE)
+    mine[0] = 0.75
+    assert buf.samples.tolist() == [0.25, -0.5]
+    assert not buf.samples.flags.writeable
+
+
+@pytest.mark.parametrize("rate", [0.4, 48000.4])
+def test_to_pcm_rejects_a_rate_that_is_not_whole(rate):
+    # 0.4 Hz used to reach PcmClip as 0 and 48000.4 Hz was written as 48000
+    with pytest.raises(BadRate):
+        to_pcm(SampleBuffer(np.zeros(4), rate))
 
 
 def test_to_float_bad_channel():
