@@ -10,7 +10,7 @@ makes partitions exact.
 Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50% overlap,
 summed and scaled so the bins add up to the measured samples' energy; a
 shorter signal is one Hann frame of its own length. ``measure``, ``detect``
-and ``stft`` frame through one helper, one block of frames at a time.
+and ``stft`` take their frames from one helper, a block of frames at a time.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class PcmClip:
         arr = np.array(raw, dtype=np.int16)  # own a private copy
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if int(self.sample_rate_hz) != self.sample_rate_hz or self.sample_rate_hz <= 0:
+        if not (self.sample_rate_hz > 0 and float(self.sample_rate_hz).is_integer()):
             raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be a positive integer")
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
         if self.channels < 1:
@@ -239,13 +239,11 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     that a float round trip is only sample-exact for magnitudes <= 16384.
     A WAV stores an integer rate, so any other rate raises BadRate.
     """
-    if buf.sample_rate_hz != int(buf.sample_rate_hz):
-        raise BadRate(f"sample_rate_hz {buf.sample_rate_hz} is not a whole number of Hz")
     scaled = buf.samples * WRITE_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     clamped = np.clip(rounded, -32768, 32767)
     return PcmClip(
         samples=clamped.astype(np.int16),
-        sample_rate_hz=int(buf.sample_rate_hz),
+        sample_rate_hz=buf.sample_rate_hz,
         channels=1,
     )

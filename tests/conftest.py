@@ -3,12 +3,24 @@
 Oracles here are intentionally independent of the package internals:
 single-frequency magnitudes come from a direct O(n) correlation, not any
 FFT routine, so spectral claims are checked against a second code path.
+``modulate_circular`` is the exception: a reference modulator built from
+the package's kernels, for comparing variants of the pipeline.
 """
 
 import numpy as np
 import pytest
 
-from ultraband import ModulationConfig, SampleBuffer, modulate
+from ultraband import (
+    ModulationConfig,
+    SampleBuffer,
+    apply_filter,
+    design_lowpass,
+    hilbert,
+    modulate,
+    peak_normalize,
+    resample,
+    tukey_window,
+)
 
 RATE = 48000.0
 
@@ -18,6 +30,29 @@ def dft_magnitude(x: np.ndarray, freq_hz: float, rate_hz: float) -> float:
     n = np.arange(x.size)
     angles = 2.0 * np.pi * freq_hz * n / rate_hz
     return float(np.hypot(np.dot(x, np.cos(angles)), np.dot(x, np.sin(angles))))
+
+
+def modulate_circular(
+    signal: SampleBuffer, config: ModulationConfig, arm: float = 1.0
+) -> SampleBuffer:
+    """``modulate`` before the fast-length padding: the Hilbert transform ran
+    circularly at the clip's own length. ``arm`` scales the quadrature arm;
+    any other value than 1 is a broken single-sideband mixer that leaves part
+    of the lower sideband."""
+    work = resample(signal, config.working_rate_hz)
+    lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
+    base = peak_normalize(apply_filter(lpf, work), 1.0)
+    quad = hilbert(base)
+
+    n = np.arange(len(base))
+    phase = 2.0 * np.pi * config.carrier_hz * n / config.working_rate_hz
+    mixed = base.samples * np.cos(phase) - arm * quad.samples * np.sin(phase)
+
+    if len(base) >= 2:
+        taper = tukey_window(len(base), config.tukey_alpha)
+        mixed = mixed * taper
+    shifted = SampleBuffer(mixed, config.working_rate_hz)
+    return peak_normalize(shifted, config.normalize_target)
 
 
 def ncc(a: np.ndarray, b: np.ndarray, trim: float = 0.05) -> float:

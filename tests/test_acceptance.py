@@ -16,6 +16,7 @@ from conftest import (
     RATE,
     build_corpus,
     dft_magnitude,
+    modulate_circular,
     ncc,
     speech_like,
     tone,
@@ -38,10 +39,8 @@ from ultraband import (
     measure,
     modulate,
     pair_defense,
-    peak_normalize,
     read_wav,
     recovered_bandwidth,
-    resample,
     tukey_window,
     write_wav,
 )
@@ -60,25 +59,13 @@ def test_c1_band_confinement(corpus, default_config):
     assert time.perf_counter() - start < 1.0
 
 
-def _modulate_with_arm(signal: SampleBuffer, config: ModulationConfig, arm: float) -> SampleBuffer:
-    """``modulate`` with its Hilbert (quadrature) arm scaled by ``arm``: a
-    broken single-sideband mixer that leaves part of the lower sideband."""
-    work = resample(signal, config.working_rate_hz)
-    lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
-    base = peak_normalize(apply_filter(lpf, work), 1.0)
-    phase = 2.0 * np.pi * config.carrier_hz * np.arange(len(base)) / config.working_rate_hz
-    mixed = base.samples * np.cos(phase) - arm * hilbert(base).samples * np.sin(phase)
-    taper = tukey_window(len(base), config.tukey_alpha)
-    return peak_normalize(SampleBuffer(mixed * taper, config.working_rate_hz), 1.0)
-
-
 @pytest.mark.parametrize("arm", [0.0, 0.5])
 def test_c1_catches_a_broken_quadrature_arm(corpus, default_config, arm):
     # The image keeps (1 - arm)^2 / (1 + arm)^2 of the wanted sideband's
     # energy: half the total without the arm (-3 dB), a tenth at half
     # amplitude (-10 dB). Baseband energy within 500 Hz of DC lands within
     # 500 Hz of the carrier and is not counted, so the reading is lower.
-    out = _modulate_with_arm(corpus[FULLBAND_NAME], default_config, arm)
+    out = modulate_circular(corpus[FULLBAND_NAME], default_config, arm)
     leakage = measure(out, default_config).leakage_below_carrier_db
     image = (1.0 - arm) ** 2
     expected_db = 10.0 * np.log10(image / (image + (1.0 + arm) ** 2))

@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import FULLBAND_NAME, RATE, speech_like, tone
 from ultraband import (
     BadBand,
-    ModulationConfig,
     EmptySignal,
     IoFailure,
+    ModulationConfig,
     SampleBuffer,
     SignalTooShort,
     band_energy,
@@ -293,7 +293,8 @@ def _straddling_bursts(rate: float, frames_per_block: int) -> SampleBuffer:
     hop = frame_len // 2
     n_frames = max(40, 2 * frames_per_block + frames_per_block // 2)
     t = np.arange((n_frames + 1) * hop) / rate
-    x = 0.1 * np.sin(2.0 * np.pi * 440.0 * t) + 0.02 * np.random.default_rng(9).standard_normal(t.size)
+    noise = np.random.default_rng(9).standard_normal(t.size)
+    x = 0.1 * np.sin(2.0 * np.pi * 440.0 * t) + 0.02 * noise
     burst = 0.5 * np.sin(2.0 * np.pi * 17000.0 * t)
     for k, edge in enumerate(range(frames_per_block, n_frames, frames_per_block)[:3]):
         start = max(0, (edge - 1 - k) * hop)  # 1-3 frames before the edge

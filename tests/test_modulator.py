@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import RATE, dft_magnitude, speech_like, tone
+from conftest import RATE, dft_magnitude, modulate_circular, speech_like, tone
 from ultraband import (
     ConfigInvalid,
     EmptySignal,
@@ -11,19 +11,13 @@ from ultraband import (
     ModulationConfig,
     PcmClip,
     SampleBuffer,
-    apply_filter,
     band_energy,
-    design_lowpass,
-    hilbert,
     load_config,
     measure,
     modulate,
     modulate_file,
-    peak_normalize,
     read_wav,
-    resample,
     to_pcm,
-    tukey_window,
     write_wav,
 )
 
@@ -227,25 +221,6 @@ def test_modulate_file_stereo_uses_channel_zero(tmp_path, default_config):
 # --- Hilbert transform at a fast length ---
 
 
-def _modulate_circular(signal: SampleBuffer, config: ModulationConfig) -> SampleBuffer:
-    """``modulate`` before the fast-length padding: the Hilbert transform ran
-    circularly at the clip's own length."""
-    work = resample(signal, config.working_rate_hz)
-    lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
-    base = peak_normalize(apply_filter(lpf, work), 1.0)
-    quad = hilbert(base)
-
-    n = np.arange(len(base))
-    phase = 2.0 * np.pi * config.carrier_hz * n / config.working_rate_hz
-    mixed = base.samples * np.cos(phase) - quad.samples * np.sin(phase)
-
-    if len(base) >= 2:
-        taper = tukey_window(len(base), config.tukey_alpha)
-        mixed = mixed * taper
-    shifted = SampleBuffer(mixed, config.working_rate_hz)
-    return peak_normalize(shifted, config.normalize_target)
-
-
 #: Lengths whose FFT is slow: three primes, then 2*36011, 3*48017 and
 #: 2**3*7*4481 (a 5.2 s clip).
 AWKWARD_LENGTHS = (4801, 48017, 480019, 72022, 144051, 250936)
@@ -268,7 +243,7 @@ def test_fast_length_hilbert_stays_near_circular(n, default_config):
     ]
     for signal, sample_bound in cases:
         assert len(signal) == n
-        ref = _modulate_circular(signal, default_config)
+        ref = modulate_circular(signal, default_config)
         out = modulate(signal, default_config)
         assert np.max(np.abs(out.samples - ref.samples)) <= sample_bound
 
@@ -289,7 +264,7 @@ def test_fast_length_hilbert_edge_effect_falls_with_cycles(freq_hz, default_conf
     # clip), and by at most 2e-2 from 75 cycles on.
     for n in (4801, 48017):
         signal = tone(freq_hz, duration_s=n / RATE)
-        ref = _modulate_circular(signal, default_config)
+        ref = modulate_circular(signal, default_config)
         out = modulate(signal, default_config)
         cycles = freq_hz * n / RATE
         assert np.max(np.abs(out.samples - ref.samples)) <= max(2e-2, 1.5 / cycles)

@@ -260,10 +260,13 @@ def test_clip_rejects_ragged_channels():
 
 
 def test_clip_rejects_bad_rate():
-    with pytest.raises(BadRate):
-        PcmClip(np.zeros(2, dtype=np.int16), 0)
+    # inf and nan used to escape as OverflowError and a bare ValueError
+    for rate in (0, -8000, 48000.4, math.inf, math.nan):
+        with pytest.raises(BadRate):
+            PcmClip(np.zeros(2, dtype=np.int16), rate)
     with pytest.raises(BadArgument):
         PcmClip(np.zeros(2, dtype=np.int16), RATE, channels=0)
+    assert PcmClip(np.zeros(2, dtype=np.int16), 48000.0).sample_rate_hz == 48000
 
 
 def test_clip_is_immutable():
