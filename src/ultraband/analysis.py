@@ -194,7 +194,6 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     * suppression: image-line level relative to the dominant tone line,
       when a single dominant line exists; None otherwise.
     """
-    config.validate()
     if len(signal) == 0:
         raise EmptySignal("cannot measure an empty signal")
 

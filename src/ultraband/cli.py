@@ -56,21 +56,27 @@ def _say(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _field_params(config_cls) -> list:
-    """(name, default, flag, help, provenance) of each field of ``config_cls``."""
-    keys = ("flag", "help", "provenance")
-    return [(f.name, f.default, *map(f.metadata.get, keys)) for f in fields(config_cls)]
-
-
 def _signature_params(fn, table: dict) -> list:
-    """The same for each parameter of ``fn`` that ``table`` maps to (flag,
-    help, provenance); the default is read from the signature of ``fn``."""
+    """(name, default, flag, help, provenance) of each parameter of ``fn``, a
+    function or a dataclass, that ``table`` maps to (flag, help, provenance);
+    the default is read from the signature of ``fn``."""
     signature = inspect.signature(fn).parameters
     return [(name, signature[name].default, *spec) for name, spec in table.items()]
 
 
-_MOD_PARAMS = _field_params(modulator.ModulationConfig)
-_DEMOD_PARAMS = _field_params(demodulator.DemodulationConfig)
+_MOD_PARAMS = _signature_params(modulator.ModulationConfig, {
+    "carrier_hz": ("carrier", "carrier frequency, Hz", "method"),
+    "cutoff_hz": ("cutoff", "baseband low-pass cutoff, Hz", "method"),
+    "tukey_alpha": ("alpha", "Tukey taper fraction", "tool"),
+    "filter_taps": ("taps", "low-pass FIR length, odd", "tool"),
+    "normalize_target": ("target", "output peak level", "tool"),
+    "working_rate_hz": ("rate", "working sample rate, Hz", "tool"),
+})
+_DEMOD_PARAMS = _signature_params(demodulator.DemodulationConfig, {
+    "carrier_hz": ("carrier", "carrier frequency, Hz", "method"),
+    "recovery_cutoff_hz": ("cutoff", "recovery low-pass cutoff, Hz", "method"),
+    "filter_taps": ("taps", "FIR length, odd", "tool"),
+})
 _STFT_PARAMS = _signature_params(analysis.stft, {
     "frame_len": ("frame", "frame length, samples", "tool"),
     "hop": ("hop", "hop, samples", "tool"),
@@ -105,9 +111,7 @@ def _flag_values(args, params: list) -> dict:
 
 def _mod_config(args) -> modulator.ModulationConfig:
     cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
-    cfg = replace(cfg, **_flag_values(args, _MOD_PARAMS))
-    cfg.validate()
-    return cfg
+    return replace(cfg, **_flag_values(args, _MOD_PARAMS))
 
 
 def _add_mod_flags(p: argparse.ArgumentParser) -> None:
@@ -125,38 +129,43 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("modulate", help="shift a WAV into the high band")
+    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("modulate", _cmd_modulate, "shift a WAV into the high band")
     p.add_argument("input")
     p.add_argument("output")
     _add_mod_flags(p)
 
-    p = sub.add_parser("demodulate", help="recover baseband audio from a high-band WAV")
+    p = command("demodulate", _cmd_demodulate, "recover baseband audio from a high-band WAV")
     p.add_argument("input")
     p.add_argument("output")
     _add_flags(p, _DEMOD_PARAMS)
     p.add_argument("--phase-search", action="store_true",
                    help="try 16 carrier phases, keep the strongest (for recordings)")
 
-    p = sub.add_parser("analyze", help="band metrics of a WAV (leakage, occupancy, suppression)")
+    p = command("analyze", _cmd_analyze, "band metrics of a WAV (leakage, occupancy, suppression)")
     p.add_argument("input")
     _add_mod_flags(p)
 
-    p = sub.add_parser("spectrogram", help="render a WAV to a grayscale PGM image")
+    p = command("spectrogram", _cmd_spectrogram, "render a WAV to a grayscale PGM image")
     p.add_argument("input")
     p.add_argument("output")
     _add_flags(p, _STFT_PARAMS)
 
-    p = sub.add_parser("detect", help="flag sustained 16-22 kHz content (exit 2 when flagged)")
+    p = command("detect", _cmd_detect, "flag sustained 16-22 kHz content (exit 2 when flagged)")
     p.add_argument("input")
     _add_flags(p, _DETECT_PARAMS)
 
-    p = sub.add_parser("embed", help="hide a payload WAV in the silence of a host WAV")
+    p = command("embed", _cmd_embed, "hide a payload WAV in the silence of a host WAV")
     p.add_argument("host")
     p.add_argument("payload")
     p.add_argument("output")
     _add_flags(p, _EMBED_PARAMS)
 
-    p = sub.add_parser("catalog", help="query the attack/defense technique catalog")
+    p = command("catalog", _cmd_catalog, "query the attack/defense technique catalog")
     cat_sub = p.add_subparsers(dest="catalog_command", required=True)
     c = cat_sub.add_parser("list", help="print every catalog entry")
     c.add_argument("--file", help="alternate catalog CSV (bundled data when omitted)")
@@ -164,10 +173,10 @@ def build_parser() -> _Parser:
     c.add_argument("technique_id", metavar="T####")
     c.add_argument("--file", help="alternate catalog CSV (bundled data when omitted)")
 
-    p = sub.add_parser("survey", help="aggregate a command survey CSV")
+    p = command("survey", _cmd_survey, "aggregate a command survey CSV")
     p.add_argument("file", nargs="?", help="survey CSV (bundled 50-command data when omitted)")
 
-    p = sub.add_parser("batch", help="modulate every file named in a manifest CSV")
+    p = command("batch", _cmd_batch, "modulate every file named in a manifest CSV")
     p.add_argument("manifest", help="CSV with input,output and optional per-row config columns")
     p.add_argument("--report", required=True, help="where to write the per-file metrics CSV")
     _add_mod_flags(p)
@@ -343,19 +352,6 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "modulate": _cmd_modulate,
-    "demodulate": _cmd_demodulate,
-    "analyze": _cmd_analyze,
-    "spectrogram": _cmd_spectrogram,
-    "detect": _cmd_detect,
-    "embed": _cmd_embed,
-    "catalog": _cmd_catalog,
-    "survey": _cmd_survey,
-    "batch": _cmd_batch,
-}
-
-
 @functools.cache
 def keep_freed_memory() -> bool:
     """Let glibc keep up to 128 MB of freed heap for the next operation.
@@ -401,7 +397,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except IoFailure as exc:
         _say(f"i/o error: {exc}")
         return EXIT_IO

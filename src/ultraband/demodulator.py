@@ -17,7 +17,6 @@ from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
                       design_lowpass, peak_normalize)
-from .modulator import param
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -33,9 +32,9 @@ _RECOVERY_FLOOR = 0.01
 class DemodulationConfig:
     """Carrier and recovery filter settings; defaults mirror the modulator."""
 
-    carrier_hz: float = param(CARRIER_HZ, "carrier", "carrier frequency, Hz", "method")
-    recovery_cutoff_hz: float = param(BAND_HZ, "cutoff", "recovery low-pass cutoff, Hz", "method")
-    filter_taps: int = param(FIR_TAPS, "taps", "FIR length, odd", "tool")
+    carrier_hz: float = CARRIER_HZ
+    recovery_cutoff_hz: float = BAND_HZ
+    filter_taps: int = FIR_TAPS
 
     def validate(self, rate_hz: float) -> None:
         check_band(

@@ -15,7 +15,7 @@ microphones still capture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -38,33 +38,24 @@ from .kernels import (
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 
-def param(default, flag: str, help_text: str, provenance: str):
-    """A config field carrying its command-line flag name, help text and the
-    provenance of its default: ``"method"`` for the published operating point
-    of the modulation scheme, ``"tool"`` for a choice of this implementation."""
-    return field(
-        default=default, metadata={"flag": flag, "help": help_text, "provenance": provenance}
-    )
-
-
 @dataclass(frozen=True)
 class ModulationConfig:
     """Knobs for the up-conversion pipeline.
 
     carrier_hz and cutoff_hz define the output band [carrier, carrier+cutoff];
-    the pair must fit under the working Nyquist frequency. These fields are
-    the one list of modulation parameters: the CLI flags, the config-file
-    keys and the batch manifest columns are all derived from them.
+    the pair must fit under the working Nyquist frequency. Construction checks
+    every field (ConfigInvalid). The field names are the config-file keys and
+    the batch manifest columns; ``cli.py`` declares one flag per field.
     """
 
-    carrier_hz: float = param(CARRIER_HZ, "carrier", "carrier frequency, Hz", "method")
-    cutoff_hz: float = param(BAND_HZ, "cutoff", "baseband low-pass cutoff, Hz", "method")
-    tukey_alpha: float = param(0.05, "alpha", "Tukey taper fraction", "tool")
-    filter_taps: int = param(FIR_TAPS, "taps", "low-pass FIR length, odd", "tool")
-    normalize_target: float = param(1.0, "target", "output peak level", "tool")
-    working_rate_hz: float = param(48000.0, "rate", "working sample rate, Hz", "tool")
+    carrier_hz: float = CARRIER_HZ
+    cutoff_hz: float = BAND_HZ
+    tukey_alpha: float = 0.05
+    filter_taps: int = FIR_TAPS
+    normalize_target: float = 1.0
+    working_rate_hz: float = 48000.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.working_rate_hz < math.inf:
             raise ConfigInvalid(
                 f"working_rate_hz {self.working_rate_hz} must be positive and finite"
@@ -118,9 +109,7 @@ def load_config(path) -> ModulationConfig:
             overrides[key] = parse_field(key, value)
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"{path}:{lineno}: {exc}") from exc
-    cfg = ModulationConfig(**overrides)
-    cfg.validate()
-    return cfg
+    return ModulationConfig(**overrides)
 
 
 def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
@@ -144,7 +133,6 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     With ``tukey_alpha = 0``, an abruptly cut tone's edge samples can move
     by up to ~0.4.
     """
-    config.validate()
     if len(signal) == 0:
         raise EmptySignal("cannot modulate an empty signal")
 

@@ -152,27 +152,33 @@ def test_value_tables_cover_every_field():
     assert set(_DEMOD_VALUES) == {f.name for f in fields(DemodulationConfig)}
 
 
-#: The CLI's flag table of each library function that a subcommand calls.
-_FUNCTION_FLAGS = {
+#: The CLI's flag table of each config class and each library function
+#: that a subcommand calls.
+_FLAG_TABLES = {
+    ModulationConfig: cli._MOD_PARAMS,
+    DemodulationConfig: cli._DEMOD_PARAMS,
     analysis.stft: cli._STFT_PARAMS,
     analysis.detect: cli._DETECT_PARAMS,
     stego.embed_file: cli._EMBED_PARAMS,
 }
 
 
+def _flag_rows(source) -> dict:
+    """The flag table of ``source`` keyed by parameter name; a config class
+    must have one row per field."""
+    rows = {row[0]: row for row in _FLAG_TABLES[source]}
+    if isinstance(source, type):
+        assert set(rows) == {f.name for f in fields(source)}
+    return rows
+
+
 def _flag_labels(source) -> list:
     """(flag, help label) of each flag set from ``source``, a config class or
     a function; the default in the label is read from ``source`` itself."""
-    if isinstance(source, type):
-        return [
-            ("--" + f.metadata["flag"],
-             f"{f.metadata['help']} ({f.default:g} [{f.metadata['provenance']} default])")
-            for f in fields(source)
-        ]
     signature = inspect.signature(source).parameters
     return [
         ("--" + flag, f"{help_text} ({signature[name].default:g} [{provenance} default])")
-        for name, _default, flag, help_text, provenance in _FUNCTION_FLAGS[source]
+        for name, _default, flag, help_text, provenance in _flag_rows(source).values()
     ]
 
 
@@ -221,7 +227,7 @@ def test_flag_config_key_and_manifest_cell_set_the_same_field(
     name, tmp_path, captured_configs, capsys
 ):
     value = _MOD_VALUES[name]
-    flag = next(f.metadata["flag"] for f in fields(ModulationConfig) if f.name == name)
+    flag = _flag_rows(ModulationConfig)[name][2]
     conf = tmp_path / "one.conf"
     conf.write_text(f"{name} = {value}\n")
     manifest = tmp_path / "manifest.csv"
@@ -239,7 +245,7 @@ def test_flag_config_key_and_manifest_cell_set_the_same_field(
 @pytest.mark.parametrize("name", sorted(_DEMOD_VALUES))
 def test_demodulate_flag_sets_its_field(name, captured_configs, capsys):
     value = _DEMOD_VALUES[name]
-    flag = next(f.metadata["flag"] for f in fields(DemodulationConfig) if f.name == name)
+    flag = _flag_rows(DemodulationConfig)[name][2]
     assert run(["demodulate", "a.wav", "b.wav", f"--{flag}", str(value)]) == EXIT_OK
     assert captured_configs == [replace(DemodulationConfig(), **{name: value})]
 

@@ -52,7 +52,7 @@ def test_config_rejects(kwargs):
 
 
 def test_config_defaults_valid():
-    ModulationConfig().validate()
+    ModulationConfig()
 
 
 # --- config file ---
