@@ -193,7 +193,11 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
     * suppression: image-line level relative to the dominant tone line,
       when a single dominant line exists; None otherwise.
+
+    Raises BadBand when [carrier, carrier + cutoff] does not fit under the
+    signal's Nyquist frequency, as ``detect`` does.
     """
+    check_band(config.carrier_hz, config.cutoff_hz, signal.sample_rate_hz, BadBand, "cutoff_hz")
     if len(signal) == 0:
         raise EmptySignal("cannot measure an empty signal")
 

@@ -19,6 +19,13 @@ from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow
 from .kernels import resample
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
+#: Defaults: the payload mix gain, and the silence scan's RMS threshold,
+#: frame length and shortest kept region.
+GAIN = 0.5
+RMS_THRESHOLD = 0.01
+SILENCE_FRAME_MS = 20.0
+MIN_REGION_MS = 500.0
+
 
 @dataclass(frozen=True)
 class SilenceMap:
@@ -35,9 +42,9 @@ class SilenceMap:
 
 def find_silence(
     host: SampleBuffer,
-    rms_threshold: float = 0.01,
-    frame_ms: float = 20.0,
-    min_region_ms: float = 500.0,
+    rms_threshold: float = RMS_THRESHOLD,
+    frame_ms: float = SILENCE_FRAME_MS,
+    min_region_ms: float = MIN_REGION_MS,
 ) -> SilenceMap:
     """Locate stretches of the host quieter than ``rms_threshold``.
 
@@ -106,7 +113,7 @@ def embed(
     host: SampleBuffer,
     payload: SampleBuffer,
     silence: SilenceMap,
-    gain: float = 0.5,
+    gain: float = GAIN,
 ) -> SampleBuffer:
     """Mix ``gain * payload`` into the start of the longest silent region.
 
@@ -122,10 +129,10 @@ def embed_file(
     host_path,
     payload_path,
     out_path,
-    gain: float = 0.5,
-    rms_threshold: float = 0.01,
-    frame_ms: float = 20.0,
-    min_region_ms: float = 500.0,
+    gain: float = GAIN,
+    rms_threshold: float = RMS_THRESHOLD,
+    frame_ms: float = SILENCE_FRAME_MS,
+    min_region_ms: float = MIN_REGION_MS,
 ) -> dict:
     """File-level embed: returns a report dict describing what went where."""
     host = to_float(read_wav(host_path), channel=0)

@@ -53,11 +53,12 @@ class PcmClip:
 
     def __post_init__(self):
         raw = np.asarray(self.samples)
-        if raw.dtype != np.int16:
-            wide = np.asarray(raw, dtype=np.int64)
-            if wide.size and (wide.max() > 32767 or wide.min() < -32768):
+        if raw.dtype != np.int16 and raw.size:
+            if raw.dtype.kind not in "biu" and not (np.trunc(raw) == raw).all():
+                raise BadArgument("samples must be whole numbers")
+            if raw.max() > 32767 or raw.min() < -32768:
                 raise BadArgument("samples outside the signed 16-bit range")
-            raw = wide.astype(np.int16)
+            raw = raw.astype(np.int16)
         arr = np.array(raw, dtype=np.int16)  # own a private copy
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -101,9 +102,9 @@ class SampleBuffer:
     def __post_init__(self):
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
-            raise ValueError("SampleBuffer holds a one-dimensional signal")
+            raise BadArgument("SampleBuffer holds a one-dimensional signal")
         if arr.size and not np.isfinite(arr).all():
-            raise ValueError("samples must be finite")
+            raise BadArgument("samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         if not 0 < self.sample_rate_hz < math.inf:

@@ -198,6 +198,33 @@ def test_measure_empty(default_config):
         measure(SampleBuffer(np.zeros(0), RATE), default_config)
 
 
+@pytest.mark.parametrize("rate", [22050.0, 32000.0])
+def test_measure_rejects_a_band_above_nyquist(rate, default_config):
+    # 16-22 kHz fits under neither Nyquist; measure used to report on it
+    # (at 22050 Hz the only "in-band" bin was the Nyquist bin)
+    with pytest.raises(BadBand, match="does not fit under Nyquist"):
+        measure(speech_like(seed=9, rate=rate), default_config)
+
+
+@pytest.mark.parametrize(
+    "signal,config",
+    [
+        # no energy at all
+        (SampleBuffer(np.zeros(4800), RATE), ModulationConfig()),
+        # no bin lies above carrier + 50 Hz inside the 40 Hz band
+        (tone(16020.0), ModulationConfig(cutoff_hz=40.0)),
+        # the image of a 3 kHz line about a 1 kHz carrier falls below 0 Hz
+        (tone(3000.0), ModulationConfig(carrier_hz=1000.0)),
+        # a 301-sample core has bins 159 Hz apart; none is within 50 Hz of
+        # the image of a line on bin 101
+        (tone(101 * RATE / 301, duration_s=301 / RATE), ModulationConfig(tukey_alpha=0.0)),
+    ],
+    ids=["silence", "no-bin-above-carrier", "image-below-zero", "no-bin-near-image"],
+)
+def test_measure_without_a_measurable_tone_pair(signal, config):
+    assert measure(signal, config).sideband_suppression_db is None
+
+
 # --- detect ---
 
 

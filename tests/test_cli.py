@@ -119,6 +119,18 @@ def test_analyze_subcommand(modulated_wav, capsys):
     assert payload["leakage_below_carrier_db"] <= -40.0
 
 
+@pytest.mark.parametrize("rate", [22050, 32000])
+def test_analyze_band_above_nyquist_is_data_error(tmp_path, rate, capsys):
+    # both used to exit 0 with metrics of a band the file cannot hold
+    path = tmp_path / "low_rate.wav"
+    write_wav(path, to_pcm(speech_like(seed=64, rate=rate)))
+    assert run(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: band [16000.0, 22000.0] Hz does not fit under Nyquist")
+
+
 def test_demodulate_subcommand(tmp_path, modulated_wav, capsys):
     out = tmp_path / "recovered.wav"
     code = run(["demodulate", str(modulated_wav), str(out)])
@@ -488,6 +500,13 @@ def test_batch_unknown_column_rejected(tmp_path, capsys):
         fieldnames=("input", "output", "volume"),
     )
     assert run(["batch", str(manifest), "--report", str(tmp_path / "r.csv")]) == EXIT_DATA
+
+
+def test_batch_manifest_without_path_columns_rejected(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    _write_manifest(manifest, [{"input": "a"}], fieldnames=("input",))
+    assert run(["batch", str(manifest), "--report", str(tmp_path / "r.csv")]) == EXIT_DATA
+    assert "manifest needs 'input' and 'output' columns" in capsys.readouterr().err
 
 
 # --- exit codes ---

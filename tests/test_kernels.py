@@ -341,6 +341,12 @@ def test_resample_silence_upsample():
     assert np.max(np.abs(out.samples)) == 0.0
 
 
+def test_resample_empty_to_another_rate():
+    out = resample(SampleBuffer(np.zeros(0), 44100.0), 48000.0)
+    assert len(out) == 0
+    assert out.sample_rate_hz == 48000.0
+
+
 def test_resample_bad_rate():
     with pytest.raises(BadRate):
         resample(SampleBuffer(np.zeros(10), RATE), 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,27 @@ def test_clip_rejects_out_of_range():
         PcmClip(np.array([40000]), RATE)
 
 
+def test_clip_rejects_samples_that_are_not_whole_numbers():
+    # the int64 cast used to truncate these to [0, -1, 2]
+    with pytest.raises(BadArgument, match="whole numbers"):
+        PcmClip(np.array([0.7, -1.9, 2.5]), RATE)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_clip_rejects_non_finite_samples_without_a_cast_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadArgument):
+            PcmClip(np.array([0.0, value]), RATE)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_clip_accepts_whole_numbers_in_range(dtype):
+    clip = PcmClip(np.array([1, -32768, 32767], dtype=dtype), RATE)
+    assert clip.samples.dtype == np.int16
+    assert clip.samples.tolist() == [1, -32768, 32767]
+
+
 def test_clip_rejects_ragged_channels():
     with pytest.raises(BadArgument):
         PcmClip(np.zeros(5, dtype=np.int16), RATE, channels=2)
@@ -297,6 +319,16 @@ def test_buffer_rejects_rate_that_is_not_positive_and_finite(rate):
 def test_buffer_rejects_2d():
     with pytest.raises(ValueError):
         SampleBuffer(np.zeros((2, 2)), RATE)
+
+
+@pytest.mark.parametrize(
+    "samples", [np.array([0.0, np.nan]), np.array([np.inf]), np.zeros((2, 2))],
+    ids=["nan", "inf", "2-d"],
+)
+def test_buffer_errors_are_typed(samples):
+    # each used to be a bare ValueError
+    with pytest.raises(BadArgument):
+        SampleBuffer(samples, RATE)
 
 
 def test_buffer_len_and_duration():
