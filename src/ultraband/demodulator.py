@@ -8,15 +8,15 @@ external recordings an exhaustive 16-candidate phase search is available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
-                      design_lowpass, peak_normalize)
+                      design_lowpass, next_fast_len, peak_normalize)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -30,17 +30,26 @@ _RECOVERY_FLOOR = 0.01
 
 @dataclass(frozen=True)
 class DemodulationConfig:
-    """Carrier and recovery filter settings; defaults mirror the modulator."""
+    """Carrier and recovery filter settings; defaults mirror the modulator.
+
+    Construction checks the rules that need no sample rate (ConfigInvalid):
+    a positive carrier and cutoff and odd taps >= 3. ``validate(rate)``
+    checks that the band fits under that rate's Nyquist frequency.
+    """
 
     carrier_hz: float = CARRIER_HZ
     recovery_cutoff_hz: float = BAND_HZ
     filter_taps: int = FIR_TAPS
 
+    def __post_init__(self):
+        # An infinite rate leaves only check_band's positive-edge rules.
+        self.validate(math.inf)
+        check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
+
     def validate(self, rate_hz: float) -> None:
         check_band(
             self.carrier_hz, self.recovery_cutoff_hz, rate_hz, ConfigInvalid, "recovery_cutoff_hz"
         )
-        check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
 
 
 def demodulate(
@@ -103,15 +112,16 @@ def recovered_bandwidth(signal: SampleBuffer) -> float:
 
     Useful as a one-number judgment of how much of the original band
     survived a modulate/transmit/demodulate trip. The spectrum is taken
-    with the signal zero-padded to ``scipy.fft.next_fast_len(n, real=True)``,
-    so the answer sits on that finer grid of bins. On noise, speech and
-    tone pairs it is within 8 bins of ``rate / n`` of the unpadded
-    spectrum's answer (tests/test_demodulator.py), and at a length that is
-    already fast the two are equal.
+    with the signal zero-padded to the smallest 5-smooth length
+    ``kernels.next_fast_len(n)``, so the answer sits on that finer grid of
+    bins. On noise, speech and tone pairs it is within 8 bins of
+    ``rate / n`` of the unpadded spectrum's answer
+    (tests/test_demodulator.py), and at a length that is already fast the
+    two are equal.
     """
     if len(signal) == 0:
         raise EmptySignal("no bandwidth for an empty signal")
-    n_fft = next_fast_len(len(signal), real=True)
+    n_fft = next_fast_len(len(signal))
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz)
     (bandwidth,) = _occupancy(freqs, _weighted_power(signal.samples, n_fft), 0.95)
     return bandwidth

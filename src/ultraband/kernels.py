@@ -1,9 +1,10 @@
 """Reusable DSP primitives: FIR design, Hilbert transform, windows, resampling.
 
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
-values. The heavy lifting (FFTs, convolution, polyphase resampling) rides on
-numpy/scipy; the numerically relevant choices -- tap formulas, spectral bin
-weighting, window shapes -- are all explicit in this file.
+values. FFTs come from ``numpy.fft``, so importing the package loads no
+scipy module; only a real rate change imports ``scipy.signal``. The
+numerically relevant choices -- tap formulas, spectral bin weighting, window
+shapes -- are all explicit in this file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import oaconvolve, resample_poly
 
 from .errors import BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal, RateMismatch
 from .wavio import SampleBuffer
@@ -35,6 +35,27 @@ _LOW_QUALITY_TAPS = 31
 #: Largest up or down factor ``resample`` accepts. The polyphase filter has
 #: about 20 taps per unit of the larger factor, so this caps it near 10 MB.
 MAX_RESAMPLE_FACTOR = 1 << 16
+
+# Overlap-add blocks per batch: ~2 MB of scratch at 255 taps whatever the
+# signal length; larger batches fall out of cache and run slower.
+_OLA_BATCH = 64
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2**a * 3**b * 5**c) that is >= ``n`` >= 1.
+
+    Equal to ``scipy.fft.next_fast_len(n, real=True)``; numpy's real FFT is
+    fast at such lengths.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def check_taps(n_taps, error: type, name: str) -> int:
@@ -120,11 +141,14 @@ def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = FIR_TAPS) -> 
 def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     """Filter a signal, compensating group delay so output aligns with input.
 
-    Convolution is overlap-add (blocked FFTs sized to the filter), which
-    costs O(n log taps) rather than one transform of the whole signal.
-    Edges are computed against implicit zero padding; output length equals
-    input length. Raises RateMismatch if the signal's rate is not the rate
-    the filter was designed for.
+    Convolution is overlap-add (Oppenheim & Schafer, ch. 8) on real FFTs of
+    a 5-smooth length near 8x the tap count, or just long enough for a
+    short input to fit in one block (at least 2x the taps). It costs
+    O(n log taps) rather than one transform of the whole signal, and the
+    blocks are transformed a fixed batch at a time, so scratch memory does
+    not grow with the input. Edges are computed against implicit zero
+    padding; output length equals input length. Raises RateMismatch if the
+    signal's rate is not the rate the filter was designed for.
     """
     if not math.isclose(signal.sample_rate_hz, filt.design_rate_hz, rel_tol=1e-9):
         raise RateMismatch(
@@ -132,9 +156,24 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    full = oaconvolve(signal.samples, filt.taps, mode="full")
+    x, m = signal.samples, filt.taps.size
+    n_fft = next_fast_len(min(8 * m, max(2 * m, len(x) + m - 1)))
+    step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
+    n_blocks = -(-len(x) // step)
+    spectrum = np.fft.rfft(filt.taps, n_fft)
+    # Row j holds output samples [j * step, (j + 1) * step): block j's head
+    # plus block j - 1's tail. One spare row takes the last block's tail.
+    full = np.zeros((n_blocks + 1, step))
+    for first in range(0, n_blocks, _OLA_BATCH):
+        chunk = x[first * step : (first + _OLA_BATCH) * step]
+        k = -(-chunk.size // step)
+        blocks = np.zeros((k, step))
+        blocks.reshape(-1)[: chunk.size] = chunk
+        y = np.fft.irfft(np.fft.rfft(blocks, n_fft) * spectrum, n_fft)
+        full[first : first + k] += y[:, :step]
+        full[first + 1 : first + k + 1, : m - 1] += y[:, step:]
     d = filt.group_delay
-    return SampleBuffer(full[d : d + len(signal)], signal.sample_rate_hz)
+    return SampleBuffer(full.reshape(-1)[d : d + len(x)], signal.sample_rate_hz)
 
 
 def hilbert(signal: SampleBuffer) -> SampleBuffer:
@@ -147,7 +186,7 @@ def hilbert(signal: SampleBuffer) -> SampleBuffer:
     periodic input and x -> -x when applied twice to a zero-mean input of
     odd length. Its cost follows the factorisation of the length: a length
     with a large prime factor can take 10-20x longer than the next 5-smooth
-    one (``scipy.fft.next_fast_len``). Padding is left to the caller, since
+    one (``next_fast_len``). Padding is left to the caller, since
     it changes the result near the ends.
     """
     n = len(signal)
@@ -223,5 +262,7 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
             f"{signal.sample_rate_hz} -> {new_rate_hz} Hz needs an up or down "
             f"factor above MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}"
         )
+    from scipy.signal import resample_poly  # ~1.5 s to load; only rate changes pay
+
     out = resample_poly(signal.samples, ratio.numerator, ratio.denominator)
     return SampleBuffer(out, new_rate_hz)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure
@@ -31,6 +30,7 @@ from .kernels import (
     check_taps,
     design_lowpass,
     hilbert,
+    next_fast_len,
     peak_normalize,
     resample,
     tukey_window,
@@ -122,9 +122,10 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     config give bit-identical output.
 
     The Hilbert transform runs on the band-limited signal zero-padded to
-    ``scipy.fft.next_fast_len(n, real=True)``, at most a few percent longer,
-    and its first ``n`` samples are kept. At a length that is already fast
-    this is the circular transform of the signal itself. Elsewhere the
+    ``kernels.next_fast_len(n)``, the smallest 5-smooth length (at most a
+    few percent longer), and its first ``n`` samples are kept. At a length
+    that is already fast this is the circular transform of the signal
+    itself. Elsewhere the
     output differs from the circular one near the two ends, mostly inside
     the default taper. Before PCM, it differs by at most 2e-3 for speech of
     1 s or more and by at most 2e-2 for a tone of 75 cycles or more; on
@@ -140,7 +141,7 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
     base = peak_normalize(apply_filter(lpf, work), 1.0)
     n = len(base)
-    padded = np.pad(base.samples, (0, next_fast_len(n, real=True) - n))
+    padded = np.pad(base.samples, (0, next_fast_len(n) - n))
     quad = hilbert(SampleBuffer(padded, config.working_rate_hz)).samples[:n]
 
     phase = 2.0 * np.pi * config.carrier_hz * np.arange(n) / config.working_rate_hz

@@ -145,6 +145,17 @@ def test_demodulate_phase_search_flag(tmp_path, modulated_wav, capsys):
     assert run(["demodulate", str(modulated_wav), str(out), "--phase-search"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flags", [["--taps", "128"], ["--carrier", "0"], ["--cutoff", "-5"]])
+def test_demodulate_bad_flag_is_data_error_before_reading(tmp_path, flags, capsys):
+    # the config used to be checked only after the input was read (exit 74 here)
+    code = run(["demodulate", str(tmp_path / "missing.wav"), str(tmp_path / "x.wav"), *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "missing.wav" not in line
+
+
 # --- flags, config keys and manifest columns follow the config fields ---
 
 #: A valid non-default value for every config field.

@@ -24,18 +24,26 @@ from ultraband import (
 
 
 def test_config_rejects_band_over_nyquist():
+    config = DemodulationConfig(carrier_hz=16000.0, recovery_cutoff_hz=6000.0)
+    config.validate(RATE)
     with pytest.raises(ConfigInvalid):
-        DemodulationConfig(carrier_hz=16000.0, recovery_cutoff_hz=6000.0).validate(32000.0)
+        config.validate(32000.0)
 
 
+# The rate-free rules run on construction, before any signal is seen.
 def test_config_rejects_even_taps():
-    with pytest.raises(ConfigInvalid):
-        DemodulationConfig(filter_taps=128).validate(RATE)
+    with pytest.raises(ConfigInvalid, match="filter_taps 128 must be an odd integer >= 3"):
+        DemodulationConfig(filter_taps=128)
 
 
 def test_config_rejects_nonpositive_carrier():
-    with pytest.raises(ConfigInvalid):
-        DemodulationConfig(carrier_hz=0.0).validate(RATE)
+    with pytest.raises(ConfigInvalid, match="carrier_hz 0.0 must be positive"):
+        DemodulationConfig(carrier_hz=0.0)
+
+
+def test_config_rejects_nonpositive_cutoff():
+    with pytest.raises(ConfigInvalid, match="recovery_cutoff_hz -1.0 must be positive"):
+        DemodulationConfig(recovery_cutoff_hz=-1.0)
 
 
 def test_demodulate_empty():

@@ -248,7 +248,7 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                           'recovered_bandwidth_hz': 3325.4321}],
           'files': {'b_speech.wav': 'cd3a6703fd9ecbadc43097b648116cd9753e27c3163033416d215de3681e57cf',
                     'b_speech22.wav': '7af1e63025af68d177e521836efee678eaabbf3cfe82c63ff2e69d7597575409',
-                    'b_tone.wav': '6053e765a355d426fe682b61abd86e674a45846576221c6910c5ac1915f8b60f',
+                    'b_tone.wav': '6804f7715f96db5669774d2c450bda99a65e587943c1ce6f65507703714c186a',
                     'high.wav': '6f3738919aa63b9cb856ff8ec6cb1ca497aae92067edac208e4c9cbc494a4fc3',
                     'high22.wav': 'f58a25b480dc4f2031373bd3d32fd0203215763d99db48196221a7fdb6e94c32',
                     'high_cfg.wav': 'a0be55ade7ce1a11a47ee5be206568965a57e6e126e2688b0293ba9deb50b6bf',
@@ -261,7 +261,7 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                     'spec.pgm': 'd24b15e9f6bcadb375a2a78137edcf7253c20629fc41b66c44a474ef9d41a0ae'},
           'report_csv': 'input,output,leakage_db,suppression_db,occupancy_lo,occupancy_hi,error\r\n'
                         'speech.wav,b_speech.wav,-78.161,,16119.1,18996.1,\r\n'
-                        'tone.wav,b_tone.wav,-93.565,-112.970,16693.4,16705.1,\r\n'
+                        'tone.wav,b_tone.wav,-93.565,-113.029,16693.4,16705.1,\r\n'
                         'speech22.wav,b_speech22.wav,-91.654,,20121.1,25992.2,\r\n'
                         'missing.wav,b_missing.wav,,,,,cannot read missing.wav: [Errno 2] No such file '
                         "or directory: 'missing.wav'\r\n"

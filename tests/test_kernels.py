@@ -31,7 +31,7 @@ from ultraband import (
     stft,
     tukey_window,
 )
-from ultraband.kernels import MAX_RESAMPLE_FACTOR
+from ultraband.kernels import _OLA_BATCH, MAX_RESAMPLE_FACTOR, next_fast_len
 
 
 def _freq_response(filt: FirFilter, freq_hz: float) -> float:
@@ -113,6 +113,17 @@ def test_firfilter_validates_construction():
         FirFilter(np.full(5, np.nan), 1000.0, RATE)  # NaN sum is not 1 either
 
 
+# --- next_fast_len ---
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len  # test-time reference
+
+    big = np.random.default_rng(17).integers(100_001, 10**12, 2000).tolist()
+    for n in [*range(1, 100_001), 14_400_017, *big]:
+        assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
+
+
 # --- apply_filter ---
 
 
@@ -125,10 +136,22 @@ def test_filter_preserves_length_and_alignment():
     assert int(np.argmax(np.abs(out.samples))) == 2000
 
 
-@pytest.mark.parametrize("n", [1, 254, 4097, 48000])
-def test_filter_matches_direct_convolution(n):
+def _filter_cases():
+    """(taps, n): the first four at 255 taps, then for each tap count the
+    lengths one below, at and one above the first two overlap-add block
+    edges and the edge of the first batch of blocks."""
+    cases = [pytest.param(255, n, id=str(n)) for n in (1, 254, 4097, 48000)]
+    for taps in (3, 31, 255, 1023):
+        step = next_fast_len(8 * taps) - taps + 1
+        for edge in (step, 2 * step, _OLA_BATCH * step):
+            cases += [pytest.param(taps, n, id=f"{taps}taps-{n}") for n in (edge - 1, edge, edge + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("taps, n", _filter_cases())
+def test_filter_matches_direct_convolution(taps, n):
     # overlap-add vs the direct-form sum; inputs span the demodulator's 2x range
-    filt = design_lowpass(6000.0, RATE, 255)
+    filt = design_lowpass(6000.0, RATE, taps)
     x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
     direct = np.convolve(x, filt.taps)[filt.group_delay : filt.group_delay + n]
     out = apply_filter(filt, SampleBuffer(x, RATE))

@@ -48,7 +48,7 @@ def _central(buf: SampleBuffer, frac: float = 0.05) -> SampleBuffer:
 )
 def test_config_rejects(kwargs):
     with pytest.raises(ConfigInvalid):
-        ModulationConfig(**kwargs).validate()
+        ModulationConfig(**kwargs)
 
 
 def test_config_defaults_valid():
