@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort
-from .kernels import BAND_HZ, CARRIER_HZ, check_band, tukey_window
+from .kernels import BAND_HZ, CARRIER_HZ, check_band, check_positive, tukey_window
 from .wavio import SampleBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -288,10 +288,8 @@ def detect(
     frames spans at least ``sustain_ms``. The score (flagged-frame
     fraction) is monotone in the embedded signal's gain.
     """
-    if ratio_threshold <= 0:
-        raise BadArgument(f"ratio_threshold {ratio_threshold} must be positive")
-    if sustain_ms <= 0:
-        raise BadArgument(f"sustain_ms {sustain_ms} must be positive")
+    check_positive(ratio_threshold, BadArgument, "ratio_threshold")
+    check_positive(sustain_ms, BadArgument, "sustain_ms")
     rate = signal.sample_rate_hz
     check_band(carrier_hz, band_hz, rate, BadBand, "band_hz")
     nyquist = rate / 2.0

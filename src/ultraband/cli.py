@@ -72,7 +72,7 @@ _MOD_PARAMS = _signature_params(modulator.ModulationConfig, {
     "normalize_target": ("target", "output peak level", "tool"),
     "working_rate_hz": ("rate", "working sample rate, Hz", "tool"),
 })
-_DEMOD_PARAMS = _signature_params(demodulator.DemodulationConfig, {
+_DEMOD_PARAMS = _signature_params(demodulator.demodulate_file, {
     "carrier_hz": ("carrier", "carrier frequency, Hz", "method"),
     "recovery_cutoff_hz": ("cutoff", "recovery low-pass cutoff, Hz", "method"),
     "filter_taps": ("taps", "FIR length, odd", "tool"),
@@ -144,7 +144,8 @@ def build_parser() -> _Parser:
     p.add_argument("output")
     _add_flags(p, _DEMOD_PARAMS)
     p.add_argument("--phase-search", action="store_true",
-                   help="try 16 carrier phases, keep the strongest (for recordings)")
+                   help=f"try {demodulator.PHASE_CANDIDATES} carrier phases, keep the "
+                   "strongest (for recordings)")
 
     p = command("analyze", _cmd_analyze, "band metrics of a WAV (leakage, occupancy, suppression)")
     p.add_argument("input")
@@ -194,9 +195,8 @@ def _cmd_modulate(args) -> int:
 
 
 def _cmd_demodulate(args) -> int:
-    cfg = demodulator.DemodulationConfig(**_flag_values(args, _DEMOD_PARAMS))
     bandwidth = demodulator.demodulate_file(
-        args.input, args.output, cfg, phase_search=args.phase_search
+        args.input, args.output, phase_search=args.phase_search, **_flag_values(args, _DEMOD_PARAMS)
     )
     _emit({"input": args.input, "output": args.output, "recovered_bandwidth_hz": bandwidth})
     return EXIT_OK
@@ -398,16 +398,10 @@ def run(argv=None) -> int:
 
     try:
         return args.handler(args)
-    except IoFailure as exc:
+    except (IoFailure, OSError) as exc:
         _say(f"i/o error: {exc}")
         return EXIT_IO
-    except UltrabandError as exc:
-        _say(f"error: {exc}")
-        return EXIT_DATA
-    except OSError as exc:
-        _say(f"i/o error: {exc}")
-        return EXIT_IO
-    except ValueError as exc:
+    except (UltrabandError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_DATA
 

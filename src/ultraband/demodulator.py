@@ -8,15 +8,12 @@ external recordings an exhaustive 16-candidate phase search is available.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
-                      design_lowpass, next_fast_len, peak_normalize)
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_positive,
+                      check_taps, design_lowpass, next_fast_len, peak_normalize)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -28,33 +25,11 @@ PHASE_CANDIDATES = 16
 _RECOVERY_FLOOR = 0.01
 
 
-@dataclass(frozen=True)
-class DemodulationConfig:
-    """Carrier and recovery filter settings; defaults mirror the modulator.
-
-    Construction checks the rules that need no sample rate (ConfigInvalid):
-    a positive carrier and cutoff and odd taps >= 3. ``validate(rate)``
-    checks that the band fits under that rate's Nyquist frequency.
-    """
-
-    carrier_hz: float = CARRIER_HZ
-    recovery_cutoff_hz: float = BAND_HZ
-    filter_taps: int = FIR_TAPS
-
-    def __post_init__(self):
-        # An infinite rate leaves only check_band's positive-edge rules.
-        self.validate(math.inf)
-        check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
-
-    def validate(self, rate_hz: float) -> None:
-        check_band(
-            self.carrier_hz, self.recovery_cutoff_hz, rate_hz, ConfigInvalid, "recovery_cutoff_hz"
-        )
-
-
 def demodulate(
     signal: SampleBuffer,
-    config: DemodulationConfig = DemodulationConfig(),
+    carrier_hz: float = CARRIER_HZ,
+    recovery_cutoff_hz: float = BAND_HZ,
+    filter_taps: int = FIR_TAPS,
     phase_search: bool = False,
 ) -> SampleBuffer:
     """Recover baseband audio from a high-band signal.
@@ -68,14 +43,18 @@ def demodulate(
     Output is peak normalized unless the recovered level is negligible
     next to the input (then the residue is returned as-is, so silence stays
     silent and out-of-band input stays tiny).
+
+    ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
+    signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
     """
     if len(signal) == 0:
         raise EmptySignal("cannot demodulate an empty signal")
-    config.validate(signal.sample_rate_hz)
-
-    lpf = design_lowpass(config.recovery_cutoff_hz, signal.sample_rate_hz, config.filter_taps)
     rate = signal.sample_rate_hz
-    theta = 2.0 * np.pi * config.carrier_hz * np.arange(len(signal)) / rate
+    check_band(carrier_hz, recovery_cutoff_hz, rate, ConfigInvalid, "recovery_cutoff_hz")
+    check_taps(filter_taps, ConfigInvalid, "filter_taps")
+
+    lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
+    theta = 2.0 * np.pi * carrier_hz * np.arange(len(signal)) / rate
 
     def mix_down(carrier: np.ndarray) -> SampleBuffer:
         return apply_filter(lpf, SampleBuffer(2.0 * signal.samples * carrier, rate))
@@ -130,13 +109,21 @@ def recovered_bandwidth(signal: SampleBuffer) -> float:
 def demodulate_file(
     in_path,
     out_path,
-    config: DemodulationConfig = DemodulationConfig(),
+    carrier_hz: float = CARRIER_HZ,
+    recovery_cutoff_hz: float = BAND_HZ,
+    filter_taps: int = FIR_TAPS,
     phase_search: bool = False,
 ) -> float:
     """Demodulate channel 0 of a WAV file, write the result, and report
-    the recovered bandwidth in Hz (measured on the samples written)."""
-    clip = read_wav(in_path)
-    recovered = demodulate(to_float(clip, channel=0), config, phase_search=phase_search)
+    the recovered bandwidth in Hz (measured on the samples written).
+
+    The settings are those of ``demodulate``; the rules that need no sample
+    rate are checked before the file is read."""
+    check_positive(carrier_hz, ConfigInvalid, "carrier_hz")
+    check_positive(recovery_cutoff_hz, ConfigInvalid, "recovery_cutoff_hz")
+    check_taps(filter_taps, ConfigInvalid, "filter_taps")
+    signal = to_float(read_wav(in_path), channel=0)
+    recovered = demodulate(signal, carrier_hz, recovery_cutoff_hz, filter_taps, phase_search)
     pcm = to_pcm(recovered)
     write_wav(out_path, pcm)
     # write/read is byte-exact, so the in-memory clip is what the file holds

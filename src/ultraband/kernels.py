@@ -58,19 +58,24 @@ def next_fast_len(n: int) -> int:
     return best
 
 
+def check_positive(value, error: type, name: str) -> None:
+    """Raise ``error`` unless ``0 < value < inf``; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} {value} must be positive and finite")
+
+
 def check_taps(n_taps, error: type, name: str) -> int:
     """Return ``n_taps`` as an int; raise ``error`` unless it is an odd integer >= 3."""
-    if int(n_taps) != n_taps or n_taps < 3 or int(n_taps) % 2 == 0:
+    if not (n_taps >= 3 and float(n_taps).is_integer() and int(n_taps) % 2):
         raise error(f"{name} {n_taps} must be an odd integer >= 3")
     return int(n_taps)
 
 
 def check_band(carrier_hz: float, width_hz: float, rate_hz: float, error: type, width_name: str):
-    """Raise ``error`` unless both edges are positive and the band
+    """Raise ``error`` unless both edges are positive and finite and the band
     [carrier, carrier + width] fits under Nyquist (up to rounding)."""
-    for name, value in (("carrier_hz", carrier_hz), (width_name, width_hz)):
-        if not value > 0:
-            raise error(f"{name} {value} must be positive")
+    check_positive(carrier_hz, error, "carrier_hz")
+    check_positive(width_hz, error, width_name)
     if carrier_hz + width_hz > rate_hz / 2 * (1.0 + 1e-12):
         raise error(
             f"band [{carrier_hz}, {carrier_hz + width_hz}] Hz does not fit "
@@ -117,8 +122,7 @@ def design_lowpass(cutoff_hz: float, rate_hz: float, n_taps: int = FIR_TAPS) -> 
         Odd number of coefficients, >= 3. Short filters are legal but give
         weak stopband rejection; 255 taps reaches better than -40 dB.
     """
-    if not 0 < rate_hz < math.inf:
-        raise BadRate(f"rate {rate_hz} Hz must be positive and finite")
+    check_positive(rate_hz, BadRate, "rate_hz")
     if not 0 < cutoff_hz < rate_hz / 2:
         raise BadCutoff(f"cutoff {cutoff_hz} Hz must lie inside (0, {rate_hz / 2})")
     n_taps = check_taps(n_taps, BadTaps, "n_taps")
@@ -250,8 +254,7 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     at ``new_rate_hz``; BadRate is raised when either factor exceeds
     ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not positive and finite.
     """
-    if not 0 < new_rate_hz < math.inf:
-        raise BadRate(f"rate {new_rate_hz} Hz must be positive and finite")
+    check_positive(new_rate_hz, BadRate, "new_rate_hz")
     if math.isclose(signal.sample_rate_hz, new_rate_hz, rel_tol=1e-9):
         return SampleBuffer(signal.samples, new_rate_hz)
     if len(signal) == 0:

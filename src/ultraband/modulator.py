@@ -14,7 +14,6 @@ microphones still capture.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +26,7 @@ from .kernels import (
     FIR_TAPS,
     apply_filter,
     check_band,
+    check_positive,
     check_taps,
     design_lowpass,
     hilbert,
@@ -56,13 +56,8 @@ class ModulationConfig:
     working_rate_hz: float = 48000.0
 
     def __post_init__(self):
-        if not 0 < self.working_rate_hz < math.inf:
-            raise ConfigInvalid(
-                f"working_rate_hz {self.working_rate_hz} must be positive and finite"
-            )
-        check_band(
-            self.carrier_hz, self.cutoff_hz, self.working_rate_hz, ConfigInvalid, "cutoff_hz"
-        )
+        check_positive(self.working_rate_hz, ConfigInvalid, "working_rate_hz")
+        check_band(self.carrier_hz, self.cutoff_hz, self.working_rate_hz, ConfigInvalid, "cutoff_hz")
         if not 0.0 <= self.tukey_alpha <= 1.0:
             raise ConfigInvalid(f"tukey_alpha {self.tukey_alpha} outside [0, 1]")
         check_taps(self.filter_taps, ConfigInvalid, "filter_taps")

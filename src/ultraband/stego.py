@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow
-from .kernels import resample
+from .kernels import check_positive, resample
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
@@ -48,21 +48,21 @@ def find_silence(
 ) -> SilenceMap:
     """Locate stretches of the host quieter than ``rms_threshold``.
 
-    The host is cut into ``frame_ms`` blocks (a trailing partial block
-    counts too, so an all-silent file yields one region spanning every
-    sample); consecutive quiet blocks merge into regions, and regions
-    shorter than ``min_region_ms`` are dropped.
+    The host is cut into ``frame_ms`` blocks, at most the whole host (a
+    trailing partial block counts too, so an all-silent file yields one
+    region spanning every sample); consecutive quiet blocks merge into
+    regions, and regions shorter than ``min_region_ms`` are dropped. Each
+    setting must be positive and finite (BadArgument).
     """
     if len(host) == 0:
         raise EmptySignal("cannot scan an empty host")
-    if rms_threshold <= 0:
-        raise BadArgument(f"rms_threshold {rms_threshold} must be positive")
-    if frame_ms <= 0 or min_region_ms <= 0:
-        raise BadArgument("frame_ms and min_region_ms must be positive")
+    check_positive(rms_threshold, BadArgument, "rms_threshold")
+    check_positive(frame_ms, BadArgument, "frame_ms")
+    check_positive(min_region_ms, BadArgument, "min_region_ms")
 
     rate = host.sample_rate_hz
-    frame_len = max(1, int(round(frame_ms * rate / 1000.0)))
     n = len(host)
+    frame_len = max(1, int(round(min(frame_ms * rate / 1000.0, n))))
 
     # Per-block mean square; the full blocks as rows so each row sums the
     # way np.mean sums a lone block, then the trailing partial block.

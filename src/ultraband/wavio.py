@@ -39,6 +39,14 @@ READ_SCALE = 32768.0
 WRITE_SCALE = 32767.0
 
 
+def _real_array(samples) -> np.ndarray:
+    """``samples`` as an array; BadArgument unless it holds real numbers."""
+    raw = np.asarray(samples)
+    if raw.dtype.kind not in "biuf":
+        raise BadArgument(f"samples must be real numbers, not {raw.dtype}")
+    return raw
+
+
 @dataclass(frozen=True)
 class PcmClip:
     """Interleaved signed 16-bit samples plus container metadata.
@@ -52,7 +60,7 @@ class PcmClip:
     channels: int = 1
 
     def __post_init__(self):
-        raw = np.asarray(self.samples)
+        raw = _real_array(self.samples)
         if raw.dtype != np.int16 and raw.size:
             if raw.dtype.kind not in "biu" and not (np.trunc(raw) == raw).all():
                 raise BadArgument("samples must be whole numbers")
@@ -100,7 +108,7 @@ class SampleBuffer:
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
+        arr = np.array(_real_array(self.samples), dtype=np.float64)
         if arr.ndim != 1:
             raise BadArgument("SampleBuffer holds a one-dimensional signal")
         if arr.size and not np.isfinite(arr).all():

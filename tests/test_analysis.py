@@ -1,5 +1,7 @@
 """Spectral measurements: STFT, band energy, metrics, detector, rendering."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import FULLBAND_NAME, RATE, speech_like, tone
 from ultraband import (
+    BadArgument,
     BadBand,
     EmptySignal,
     IoFailure,
@@ -284,6 +287,14 @@ def test_detect_short_signal_empty_verdict():
     assert not verdict.flagged
     assert verdict.score == 0.0
     assert verdict.frame_flags.size == 0
+
+
+@pytest.mark.parametrize("name", ["ratio_threshold", "sustain_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_detect_rejects_non_finite_setting(name, value):
+    # both used to pass the check, and a flagged clip came back clean
+    with pytest.raises(BadArgument, match=f"^{name} {value} must be positive and finite$"):
+        detect(SampleBuffer(np.zeros(96000), RATE), **{name: value})
 
 
 def test_detect_validation():

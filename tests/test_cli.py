@@ -14,10 +14,11 @@ import pytest
 from conftest import RATE, speech_like, tone
 from ultraband import (
     BandMetrics,
-    DemodulationConfig,
     ModulationConfig,
+    SampleBuffer,
     analysis,
     cli,
+    demodulate_file,
     demodulator,
     modulate,
     modulator,
@@ -167,19 +168,23 @@ _MOD_VALUES = {
     "normalize_target": 0.5,
     "working_rate_hz": 96000.0,
 }
+#: A valid non-default value for every setting of ``demodulate_file``.
 _DEMOD_VALUES = {"carrier_hz": 15000.0, "recovery_cutoff_hz": 5000.0, "filter_taps": 101}
 
 
 def test_value_tables_cover_every_field():
     assert set(_MOD_VALUES) == {f.name for f in fields(ModulationConfig)}
-    assert set(_DEMOD_VALUES) == {f.name for f in fields(DemodulationConfig)}
+    settings = set(inspect.signature(demodulate_file).parameters) - {
+        "in_path", "out_path", "phase_search"
+    }
+    assert set(_DEMOD_VALUES) == settings == {row[0] for row in cli._DEMOD_PARAMS}
 
 
 #: The CLI's flag table of each config class and each library function
 #: that a subcommand calls.
 _FLAG_TABLES = {
     ModulationConfig: cli._MOD_PARAMS,
-    DemodulationConfig: cli._DEMOD_PARAMS,
+    demodulate_file: cli._DEMOD_PARAMS,
     analysis.stft: cli._STFT_PARAMS,
     analysis.detect: cli._DETECT_PARAMS,
     stego.embed_file: cli._EMBED_PARAMS,
@@ -211,7 +216,7 @@ def _flag_labels(source) -> list:
         ("modulate", ModulationConfig, {"--config"}),
         ("analyze", ModulationConfig, {"--config"}),
         ("batch", ModulationConfig, {"--config", "--report"}),
-        ("demodulate", DemodulationConfig, {"--phase-search"}),
+        ("demodulate", demodulate_file, {"--phase-search"}),
         ("spectrogram", analysis.stft, set()),
         ("detect", analysis.detect, set()),
         ("embed", stego.embed_file, set()),
@@ -236,8 +241,8 @@ def captured_configs(monkeypatch):
         seen.append(config)
         return BandMetrics(0.0, 0.0, None, 0.0, 0.0)
 
-    def fake_demodulate_file(in_path, out_path, config, phase_search=False):
-        seen.append(config)
+    def fake_demodulate_file(in_path, out_path, **settings):
+        seen.append(settings)
         return 0.0
 
     monkeypatch.setattr(modulator, "modulate_file", fake_modulate_file)
@@ -268,9 +273,9 @@ def test_flag_config_key_and_manifest_cell_set_the_same_field(
 @pytest.mark.parametrize("name", sorted(_DEMOD_VALUES))
 def test_demodulate_flag_sets_its_field(name, captured_configs, capsys):
     value = _DEMOD_VALUES[name]
-    flag = _flag_rows(DemodulationConfig)[name][2]
+    flag = _flag_rows(demodulate_file)[name][2]
     assert run(["demodulate", "a.wav", "b.wav", f"--{flag}", str(value)]) == EXIT_OK
-    assert captured_configs == [replace(DemodulationConfig(), **{name: value})]
+    assert captured_configs == [{"phase_search": False, name: value}]
 
 
 def test_non_numeric_config_value_names_the_key(tmp_path, speech_wav, capsys):
@@ -332,6 +337,17 @@ def test_detect_threshold_flag(modulated_wav, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("flag", ["--threshold", "--sustain-ms"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_detect_non_finite_setting_is_data_error(modulated_wav, flag, value, capsys):
+    # each used to report this flagged clip as clean (exit 0)
+    assert run(["detect", str(modulated_wav), flag, value]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f" {value} must be positive and finite")
+
+
 def test_shared_parser_keeps_no_flag_value(modulated_wav, capsys):
     # the parser is built once per process; a flag given to one call must
     # not reach the next
@@ -352,6 +368,42 @@ def test_embed_subcommand(tmp_path, modulated_wav, capsys):
     payload = _json_lines(capsys)[0]
     assert payload["insertion"]["start_sample"] >= 0
     assert run(["detect", str(out)]) == EXIT_DETECTED
+
+
+@pytest.fixture()
+def silent_host_wav(tmp_path):
+    path = tmp_path / "silent_host.wav"
+    write_wav(path, to_pcm(SampleBuffer(np.zeros(3 * int(RATE)), RATE)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("frame-ms", "inf"), ("frame-ms", "nan"), ("rms-threshold", "nan"),
+     ("min-region-ms", "nan"), ("min-region-ms", "inf")],
+)
+def test_embed_non_finite_silence_setting_is_named(
+    tmp_path, silent_host_wav, modulated_wav, flag, value, capsys
+):
+    # --frame-ms inf escaped run() as an OverflowError, nan printed numpy's
+    # cast error, and the others were reported as "no silent region found"
+    argv = ["embed", str(silent_host_wav), str(modulated_wav), str(tmp_path / "x.wav")]
+    assert run([*argv, f"--{flag}", value]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag.replace("-", "_")
+    assert captured.err == f"error: {name} {value} must be positive and finite\n"
+
+
+def test_embed_frame_longer_than_host_is_one_block(
+    tmp_path, silent_host_wav, modulated_wav, capsys
+):
+    # used to fail with numpy's "Maximum allowed dimension exceeded"
+    out = tmp_path / "mixed.wav"
+    argv = ["embed", str(silent_host_wav), str(modulated_wav), str(out), "--frame-ms", "1e300"]
+    assert run(argv) == EXIT_OK
+    (region,) = _json_lines(capsys)[0]["silent_regions"]
+    assert (region["start_sample"], region["end_sample"]) == (0, 3 * int(RATE))
 
 
 def test_embed_no_room_is_data_error(tmp_path, modulated_wav, capsys):
@@ -521,6 +573,37 @@ def test_batch_manifest_without_path_columns_rejected(tmp_path, capsys):
 
 
 # --- exit codes ---
+
+
+def test_non_finite_flag_values_are_data_errors(
+    tmp_path, speech_wav, modulated_wav, silent_host_wav, capsys
+):
+    """nan, inf and -inf given to any float flag exit 65 with one error line
+    and no output; an int flag rejects them while parsing (exit 64)."""
+    out = str(tmp_path / "out")
+    commands = [
+        (cli._MOD_PARAMS, ["modulate", str(speech_wav), out]),
+        (cli._DEMOD_PARAMS, ["demodulate", str(modulated_wav), out]),
+        (cli._STFT_PARAMS, ["spectrogram", str(speech_wav), out]),
+        (cli._DETECT_PARAMS, ["detect", str(modulated_wav)]),
+        (cli._EMBED_PARAMS, ["embed", str(silent_host_wav), str(modulated_wav), out]),
+    ]
+    wrong = []
+    for params, argv in commands:
+        for _name, default, flag, *_ in params:
+            expected = EXIT_DATA if isinstance(default, float) else EXIT_USAGE
+            for value in ("nan", "inf", "-inf"):
+                try:
+                    code = run([*argv, f"--{flag}={value}"])  # "=": -inf is no option
+                except Exception as exc:  # an exception escaping run() is a failure too
+                    code = repr(exc)
+                captured = capsys.readouterr()
+                lines = captured.err.splitlines()
+                prefix = "error: " if expected == EXIT_DATA else "usage error: "
+                one_line = len(lines) == 1 and lines[0].startswith(prefix)
+                if (code, captured.out, one_line) != (expected, "", True):
+                    wrong.append((argv[0], flag, value, code, captured.err))
+    assert wrong == []
 
 
 def test_no_arguments_is_usage_error(capsys):

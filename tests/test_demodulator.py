@@ -6,9 +6,9 @@ import pytest
 from conftest import FULLBAND_NAME, RATE, dft_magnitude, ncc, speech_like, tone
 from ultraband import demodulator
 from ultraband.analysis import _occupancy, _weighted_power
+from ultraband.kernels import BAND_HZ, CARRIER_HZ, FIR_TAPS
 from ultraband import (
     ConfigInvalid,
-    DemodulationConfig,
     EmptySignal,
     SampleBuffer,
     apply_filter,
@@ -24,26 +24,25 @@ from ultraband import (
 
 
 def test_config_rejects_band_over_nyquist():
-    config = DemodulationConfig(carrier_hz=16000.0, recovery_cutoff_hz=6000.0)
-    config.validate(RATE)
+    demodulate(tone(17000.0), carrier_hz=16000.0, recovery_cutoff_hz=6000.0)
     with pytest.raises(ConfigInvalid):
-        config.validate(32000.0)
+        demodulate(tone(12000.0, rate=32000.0), carrier_hz=16000.0, recovery_cutoff_hz=6000.0)
 
 
-# The rate-free rules run on construction, before any signal is seen.
-def test_config_rejects_even_taps():
+# The rate-free rules run before the input file is read.
+def test_config_rejects_even_taps(tmp_path):
     with pytest.raises(ConfigInvalid, match="filter_taps 128 must be an odd integer >= 3"):
-        DemodulationConfig(filter_taps=128)
+        demodulate_file(tmp_path / "missing.wav", tmp_path / "x.wav", filter_taps=128)
 
 
-def test_config_rejects_nonpositive_carrier():
+def test_config_rejects_nonpositive_carrier(tmp_path):
     with pytest.raises(ConfigInvalid, match="carrier_hz 0.0 must be positive"):
-        DemodulationConfig(carrier_hz=0.0)
+        demodulate_file(tmp_path / "missing.wav", tmp_path / "x.wav", carrier_hz=0.0)
 
 
-def test_config_rejects_nonpositive_cutoff():
+def test_config_rejects_nonpositive_cutoff(tmp_path):
     with pytest.raises(ConfigInvalid, match="recovery_cutoff_hz -1.0 must be positive"):
-        DemodulationConfig(recovery_cutoff_hz=-1.0)
+        demodulate_file(tmp_path / "missing.wav", tmp_path / "x.wav", recovery_cutoff_hz=-1.0)
 
 
 def test_demodulate_empty():
@@ -129,11 +128,11 @@ def _cropped_covert(config):
     return SampleBuffer(y.samples[7:-500], RATE)
 
 
-def _brute_force_candidates(signal, config=DemodulationConfig()):
+def _brute_force_candidates(signal):
     # the 16-pass search written out: one direct-form filter per phase
-    lpf = design_lowpass(config.recovery_cutoff_hz, RATE, config.filter_taps)
+    lpf = design_lowpass(BAND_HZ, RATE, FIR_TAPS)
     d = lpf.group_delay
-    base = 2.0 * np.pi * config.carrier_hz * np.arange(len(signal)) / RATE
+    base = 2.0 * np.pi * CARRIER_HZ * np.arange(len(signal)) / RATE
     return [
         np.convolve(2.0 * signal.samples * np.cos(base + 2.0 * np.pi * k / 16), lpf.taps)[
             d : d + len(signal)

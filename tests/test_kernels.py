@@ -31,7 +31,7 @@ from ultraband import (
     stft,
     tukey_window,
 )
-from ultraband.kernels import _OLA_BATCH, MAX_RESAMPLE_FACTOR, next_fast_len
+from ultraband.kernels import _OLA_BATCH, MAX_RESAMPLE_FACTOR, check_positive, next_fast_len
 
 
 def _freq_response(filt: FirFilter, freq_hz: float) -> float:
@@ -80,10 +80,22 @@ def test_lowpass_bad_cutoff(cutoff):
         design_lowpass(cutoff, RATE, 255)
 
 
-@pytest.mark.parametrize("taps", [2, 4, 1, -5, 6.5])
+@pytest.mark.parametrize("taps", [2, 4, 1, -5, 6.5, math.inf, math.nan])
 def test_lowpass_bad_taps(taps):
+    # inf used to raise OverflowError and nan a bare ValueError
     with pytest.raises(BadTaps):
         design_lowpass(6000.0, RATE, taps)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_check_positive_rejects(value):
+    with pytest.raises(BadArgument, match=f"^x {value} must be positive and finite$"):
+        check_positive(value, BadArgument, "x")
+
+
+def test_check_positive_accepts_every_positive_finite_value():
+    for value in (5e-324, 1, 1.5, 1e308):
+        check_positive(value, BadArgument, "x")
 
 
 def test_lowpass_bad_rate():

@@ -1,11 +1,14 @@
 """Silence scanning and payload embedding: placement, transparency, recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import RATE, build_corpus, ncc, speech_like
 from ultraband import stego
 from ultraband import (
+    BadArgument,
     EmptySignal,
     NoRoom,
     RateTooLow,
@@ -79,6 +82,25 @@ def test_find_silence_validation():
         find_silence(host, rms_threshold=0.0)
     with pytest.raises(ValueError):
         find_silence(host, frame_ms=-1.0)
+
+
+@pytest.mark.parametrize("name", ["rms_threshold", "frame_ms", "min_region_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_find_silence_rejects_non_finite_setting(name, value):
+    # frame_ms inf raised OverflowError and nan a bare ValueError; the
+    # others passed and left no silent region
+    host = SampleBuffer(np.zeros(1000), RATE)
+    with pytest.raises(BadArgument, match=f"^{name} {value} must be positive and finite$"):
+        find_silence(host, **{name: value})
+
+
+def test_frame_longer_than_host_is_one_block():
+    # 1e300 ms used to fail with numpy's "Maximum allowed dimension exceeded"
+    quiet = SampleBuffer(np.full(1000, 0.001), RATE)
+    for frame_ms in (1000 / RATE * 1000, 1e3, 1e300):
+        assert find_silence(quiet, frame_ms=frame_ms, min_region_ms=1.0).regions == ((0, 1000),)
+    loud = SampleBuffer(np.full(1000, 0.5), RATE)
+    assert find_silence(loud, frame_ms=1e300, min_region_ms=1.0).regions == ()
 
 
 def _find_silence_loop(host, rms_threshold=0.01, frame_ms=20.0, min_region_ms=500.0):

@@ -269,6 +269,15 @@ def test_clip_rejects_non_finite_samples_without_a_cast_warning(value):
             PcmClip(np.array([0.0, value]), RATE)
 
 
+@pytest.mark.parametrize(
+    "samples", [["1", "2"], np.array([1.0 + 0.0j])], ids=["strings", "complex"]
+)
+def test_clip_rejects_samples_that_are_not_real_numbers(samples):
+    # each used to raise a bare TypeError
+    with pytest.raises(BadArgument, match="real numbers"):
+        PcmClip(samples, RATE)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_clip_accepts_whole_numbers_in_range(dtype):
     clip = PcmClip(np.array([1, -32768, 32767], dtype=dtype), RATE)
@@ -322,11 +331,14 @@ def test_buffer_rejects_2d():
 
 
 @pytest.mark.parametrize(
-    "samples", [np.array([0.0, np.nan]), np.array([np.inf]), np.zeros((2, 2))],
-    ids=["nan", "inf", "2-d"],
+    "samples",
+    [np.array([0.0, np.nan]), np.array([np.inf]), np.zeros((2, 2)), np.array([1.0 + 1.0j]),
+     ["1", "2"]],
+    ids=["nan", "inf", "2-d", "complex", "strings"],
 )
 def test_buffer_errors_are_typed(samples):
-    # each used to be a bare ValueError
+    # the first three used to be bare ValueErrors; complex samples lost their
+    # imaginary part and strings were parsed as numbers
     with pytest.raises(BadArgument):
         SampleBuffer(samples, RATE)
 
