@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort
-from .kernels import BAND_HZ, CARRIER_HZ, check_band, check_positive, tukey_window
+from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
+                     check_positive)
+from .kernels import BAND_HZ, CARRIER_HZ, check_band, tukey_window
 from .wavio import SampleBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,11 +126,11 @@ def stft(
     Frame count is ``floor((len - frame_len) / hop) + 1``; a trailing
     remainder shorter than one frame is dropped. A full-scale sine lands at
     about 0 dB in its bin; silence sits exactly on the -120 dB floor.
+    ``frame_len`` is a whole number >= 16 and ``hop`` one in [1, frame_len]
+    (BadArgument).
     """
-    if frame_len < 16:
-        raise BadArgument(f"frame_len {frame_len} must be >= 16")
-    if not 0 < hop <= frame_len:
-        raise BadArgument(f"hop {hop} must be in (0, frame_len]")
+    frame_len = check_count(frame_len, BadArgument, "frame_len", 16)
+    hop = check_count(hop, BadArgument, "hop", 1, frame_len)
     if len(signal) < frame_len:
         raise SignalTooShort(f"{len(signal)} samples, need at least {frame_len}")
     w = tukey_window(frame_len, alpha)

@@ -109,9 +109,10 @@ def _flag_values(args, params: list) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _mod_config(args) -> modulator.ModulationConfig:
+def _mod_config(args, **fixed) -> modulator.ModulationConfig:
+    """The config file, then the flags, then ``fixed``: each wins over the last."""
     cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
-    return replace(cfg, **_flag_values(args, _MOD_PARAMS))
+    return replace(cfg, **{**_flag_values(args, _MOD_PARAMS), **fixed})
 
 
 def _add_mod_flags(p: argparse.ArgumentParser) -> None:
@@ -204,7 +205,8 @@ def _cmd_demodulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     signal = to_float(read_wav(args.input), channel=0)
-    metrics = analysis.measure(signal, _mod_config(args))
+    # the band is checked against the file's rate, not modulate's working rate
+    metrics = analysis.measure(signal, _mod_config(args, working_rate_hz=signal.sample_rate_hz))
     _emit({"input": args.input, **asdict(metrics)})
     return EXIT_OK
 

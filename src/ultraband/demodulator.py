@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import _occupancy, _weighted_power
-from .errors import ConfigInvalid, EmptySignal
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_positive,
-                      check_taps, design_lowpass, next_fast_len, peak_normalize)
+from .errors import ConfigInvalid, EmptySignal, check_positive
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
+                      design_lowpass, next_fast_len, peak_normalize)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.

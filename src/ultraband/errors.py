@@ -3,7 +3,12 @@
 Every error raised on purpose derives from UltrabandError so callers can
 catch one type at the boundary. The CLI maps subgroups onto sysexits-style
 codes (data problems vs. genuine I/O failures).
+
+The number rules at the end are the one place where a numeric setting or a
+WAV header field is range-checked; every module, ``wavio`` up, uses them.
 """
+
+import math
 
 
 class UltrabandError(Exception):
@@ -96,3 +101,27 @@ class ParseError(UltrabandError):
 
 class EmptyInput(UltrabandError):
     """Aggregation called with no records."""
+
+
+# --- Number rules ---
+
+def check_positive(value, error: type, name: str) -> None:
+    """Raise ``error`` unless ``0 < value < inf``; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} {value} must be positive and finite")
+
+
+def check_count(value, error: type, name: str, low: int, high: float = math.inf) -> int:
+    """Return ``value`` as an int; raise ``error`` unless it is a whole number
+    in [low, high]. NaN, inf and 2.5 fail; 64.0 passes as 64."""
+    if not (low <= value <= high and value % 1 == 0):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise error(f"{name} {value} must be a whole number {bounds}")
+    return int(value)
+
+
+def check_fraction(value, error: type, name: str, zero_ok: bool = False) -> None:
+    """Raise ``error`` unless ``value`` lies in (0, 1], or in [0, 1] when
+    ``zero_ok`` is set; NaN fails too."""
+    if not (0 <= value <= 1 if zero_ok else 0 < value <= 1):
+        raise error(f"{name} {value} outside {'[' if zero_ok else '('}0, 1]")

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal, RateMismatch
+from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
+                     RateMismatch, check_count, check_fraction, check_positive)
 from .wavio import SampleBuffer
 
 log = logging.getLogger(__name__)
@@ -56,12 +57,6 @@ def next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def check_positive(value, error: type, name: str) -> None:
-    """Raise ``error`` unless ``0 < value < inf``; NaN fails too."""
-    if not 0 < value < math.inf:
-        raise error(f"{name} {value} must be positive and finite")
 
 
 def check_taps(n_taps, error: type, name: str) -> int:
@@ -209,12 +204,11 @@ def tukey_window(length: int, alpha: float) -> np.ndarray:
 
     ``alpha`` is the total fraction of the window spent in the two cosine
     ramps: alpha=0 degenerates to rectangular, alpha=1 to a Hann window.
-    For alpha > 0 the endpoints are exactly zero.
+    For alpha > 0 the endpoints are exactly zero. BadAlpha unless alpha lies
+    in [0, 1]; BadArgument unless ``length`` is a whole number >= 2.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise BadAlpha(f"alpha {alpha} outside [0, 1]")
-    if length < 2:
-        raise BadArgument("window length must be >= 2")
+    check_fraction(alpha, BadAlpha, "alpha", zero_ok=True)
+    length = check_count(length, BadArgument, "window length", 2)
     if alpha == 0.0:
         return np.ones(length)
 
@@ -232,8 +226,7 @@ def peak_normalize(signal: SampleBuffer, target: float = 1.0) -> SampleBuffer:
 
     All-zero (or empty) input is returned unchanged; there is no peak to move.
     """
-    if not 0.0 < target <= 1.0:
-        raise BadArgument(f"target {target} outside (0, 1]")
+    check_fraction(target, BadArgument, "target")
     if len(signal) == 0:
         return signal
     peak = float(np.max(np.abs(signal.samples)))

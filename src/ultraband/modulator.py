@@ -19,14 +19,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analysis
-from .errors import ConfigInvalid, EmptySignal, IoFailure
+from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
 from .kernels import (
     BAND_HZ,
     CARRIER_HZ,
     FIR_TAPS,
     apply_filter,
     check_band,
-    check_positive,
     check_taps,
     design_lowpass,
     hilbert,
@@ -58,11 +57,9 @@ class ModulationConfig:
     def __post_init__(self):
         check_positive(self.working_rate_hz, ConfigInvalid, "working_rate_hz")
         check_band(self.carrier_hz, self.cutoff_hz, self.working_rate_hz, ConfigInvalid, "cutoff_hz")
-        if not 0.0 <= self.tukey_alpha <= 1.0:
-            raise ConfigInvalid(f"tukey_alpha {self.tukey_alpha} outside [0, 1]")
+        check_fraction(self.tukey_alpha, ConfigInvalid, "tukey_alpha", zero_ok=True)
         check_taps(self.filter_taps, ConfigInvalid, "filter_taps")
-        if not 0.0 < self.normalize_target <= 1.0:
-            raise ConfigInvalid(f"normalize_target {self.normalize_target} outside (0, 1]")
+        check_fraction(self.normalize_target, ConfigInvalid, "normalize_target")
 
 
 def parse_field(key: str, text: str):
@@ -110,9 +107,10 @@ def load_config(path) -> ModulationConfig:
 def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
     """Shift a baseband signal up into the near-ultrasound band.
 
-    Steps: resample to the working rate, low-pass at the cutoff, peak
-    normalize, mix with the carrier using the Hilbert transform to cancel
-    the lower sideband, apply the Tukey taper, then normalize to the target.
+    Steps: resample to the working rate, low-pass at the cutoff, mix with
+    the carrier using the Hilbert transform to cancel the lower sideband,
+    apply the Tukey taper, then normalize to the target. Every step before
+    the last is linear, so that one normalization sets the output level.
     Output is at ``config.working_rate_hz``. Deterministic: equal input and
     config give bit-identical output.
 
@@ -134,7 +132,7 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
 
     work = resample(signal, config.working_rate_hz)
     lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
-    base = peak_normalize(apply_filter(lpf, work), 1.0)
+    base = apply_filter(lpf, work)
     n = len(base)
     padded = np.pad(base.samples, (0, next_fast_len(n) - n))
     quad = hilbert(SampleBuffer(padded, config.working_rate_hz)).samples[:n]

@@ -15,8 +15,8 @@ import numpy as np
 
 from .analysis import true_runs
 from .demodulator import recovered_bandwidth
-from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow
-from .kernels import check_positive, resample
+from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
+from .kernels import resample
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
@@ -85,8 +85,7 @@ def _mix(
     """``embed``, also returning the [start, end) span the payload went into."""
     if len(host) == 0 or len(payload) == 0:
         raise EmptySignal("host and payload must be nonempty")
-    if not 0.0 < gain <= 1.0:
-        raise BadArgument(f"gain {gain} outside (0, 1]")
+    check_fraction(gain, BadArgument, "gain")
 
     payload_top = recovered_bandwidth(payload)
     if host.sample_rate_hz < 2.0 * payload_top:

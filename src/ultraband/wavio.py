@@ -13,7 +13,6 @@ Two value types travel through the rest of the package:
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -27,6 +26,8 @@ from .errors import (
     NotWav,
     TruncatedFile,
     UnsupportedFormat,
+    check_count,
+    check_positive,
 )
 
 _HEADER = struct.Struct("<4sI4s")
@@ -52,7 +53,10 @@ class PcmClip:
     """Interleaved signed 16-bit samples plus container metadata.
 
     Instances are immutable; every field is validated on construction so a
-    clip that exists is always writable as a legal WAV file.
+    clip that exists is always writable as a legal WAV file: ``channels`` is
+    a whole number in [1, 32767], so that the 16-bit block-align field holds
+    2 * channels, and ``sample_rate_hz`` one in [1, 0xFFFFFFFF // (2 *
+    channels)], so that the 32-bit byte-rate field holds it.
     """
 
     samples: np.ndarray
@@ -70,12 +74,12 @@ class PcmClip:
         arr = np.array(raw, dtype=np.int16)  # own a private copy
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if not (self.sample_rate_hz > 0 and float(self.sample_rate_hz).is_integer()):
-            raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be a positive integer")
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-        if self.channels < 1:
-            raise BadArgument("channels must be >= 1")
-        if arr.size % self.channels:
+        channels = check_count(self.channels, BadArgument, "channels", 1, 0xFFFF // 2)
+        object.__setattr__(self, "channels", channels)
+        max_rate = 0xFFFFFFFF // (2 * channels)
+        rate = check_count(self.sample_rate_hz, BadRate, "sample_rate_hz", 1, max_rate)
+        object.__setattr__(self, "sample_rate_hz", rate)
+        if arr.size % channels:
             raise BadArgument("sample count is not a whole number of frames")
 
     def __eq__(self, other):
@@ -115,8 +119,7 @@ class SampleBuffer:
             raise BadArgument("samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise BadRate(f"sample_rate_hz {self.sample_rate_hz} must be positive and finite")
+        check_positive(self.sample_rate_hz, BadRate, "sample_rate_hz")
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
     @classmethod
@@ -149,9 +152,9 @@ def read_wav(path) -> PcmClip:
 
     Unknown chunks (LIST, fact, ...) are skipped. Raises NotWav for
     non-RIFF input, UnsupportedFormat for recognizable-but-unusable audio
-    such as MP3, float WAV or a 0 Hz sample rate, TruncatedFile when the
-    container promises more bytes than exist, and IoFailure when the OS
-    read fails.
+    such as MP3, float WAV, 0 channels or a rate that ``PcmClip`` refuses
+    (0 Hz, or a byte rate past 32 bits), TruncatedFile when the container
+    promises more bytes than exist, and IoFailure when the OS read fails.
     """
     try:
         with open(path, "rb") as fh:
@@ -192,14 +195,16 @@ def read_wav(path) -> PcmClip:
                 )
             if bits != 16:
                 raise UnsupportedFormat(f"{path}: {bits}-bit samples, only 16-bit is supported")
-            if channels < 1 or block_align != channels * 2:
+            check_count(channels, UnsupportedFormat, f"{path}: channels", 1)
+            if block_align != channels * 2:
                 raise UnsupportedFormat(f"{path}: inconsistent channel layout")
-            if rate == 0:
-                raise UnsupportedFormat(f"{path}: sample rate of 0 Hz")
             if size % block_align:
                 raise TruncatedFile(f"{path}: data chunk is not a whole number of frames")
             samples = np.frombuffer(blob, dtype="<i2", count=size // 2, offset=body_start)
-            return PcmClip(samples=samples, sample_rate_hz=rate, channels=channels)
+            try:
+                return PcmClip(samples=samples, sample_rate_hz=rate, channels=channels)
+            except BadRate as exc:
+                raise UnsupportedFormat(f"{path}: {exc}") from exc
         # skip anything else; odd-sized chunks carry a pad byte
         pos = body_start + size + (size & 1)
     raise TruncatedFile(f"{path}: no data chunk found")
@@ -233,9 +238,9 @@ def write_wav(path, clip: PcmClip) -> None:
 
 
 def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:
-    """Extract one channel as float64, scaled by 1/32768 into [-1, 1)."""
-    if not 0 <= channel < clip.channels:
-        raise BadChannel(f"channel {channel} of a {clip.channels}-channel clip")
+    """Extract one channel as float64, scaled by 1/32768 into [-1, 1);
+    BadChannel unless ``channel`` is a whole number in [0, channels - 1]."""
+    channel = check_count(channel, BadChannel, "channel", 0, clip.channels - 1)
     lane = clip.samples.reshape(-1, clip.channels)[:, channel]
     return SampleBuffer._adopt(lane / READ_SCALE, clip.sample_rate_hz)
 
@@ -246,7 +251,8 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     The read scale (1/32768) and write scale (32767) are deliberately
     asymmetric so that -1.0 maps to -32767 rather than -32768; the price is
     that a float round trip is only sample-exact for magnitudes <= 16384.
-    A WAV stores an integer rate, so any other rate raises BadRate.
+    A WAV stores a whole-number rate that fits its header, so any other
+    rate raises BadRate.
     """
     scaled = buf.samples * WRITE_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)

@@ -132,6 +132,21 @@ def test_analyze_band_above_nyquist_is_data_error(tmp_path, rate, capsys):
     assert line.startswith("error: band [16000.0, 22000.0] Hz does not fit under Nyquist")
 
 
+def test_analyze_checks_the_band_at_the_file_rate(tmp_path, capsys):
+    # a 96 kHz file used to be checked against the 48 kHz working rate
+    # (exit 65) unless --rate 96000 was given
+    cfg = ModulationConfig(carrier_hz=20000.0, cutoff_hz=8000.0, working_rate_hz=96000.0)
+    path = tmp_path / "h96.wav"
+    write_wav(path, to_pcm(modulate(speech_like(seed=65), cfg)))
+    band = ["--carrier", "20000", "--cutoff", "8000"]
+    assert run(["analyze", str(path), *band]) == EXIT_OK
+    # modulate's own settings do not change what analyze reports
+    assert run(["analyze", str(path), *band, "--rate", "48000", "--taps", "31"]) == EXIT_OK
+    first, second = _json_lines(capsys)
+    assert first == second
+    assert first["leakage_below_carrier_db"] <= -40.0
+
+
 def test_demodulate_subcommand(tmp_path, modulated_wav, capsys):
     out = tmp_path / "recovered.wav"
     code = run(["demodulate", str(modulated_wav), str(out)])
