@@ -10,13 +10,15 @@ makes partitions exact.
 Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50% overlap,
 summed and scaled so the bins add up to the measured samples' energy; a
 shorter signal is one Hann frame of its own length. ``measure``, ``detect``
-and ``stft`` take their frames from one helper, a block of frames at a time.
+and ``stft`` take their frames from one helper, a block of frames at a time,
+out of the source's ``blocks``: a ``SampleBuffer`` in memory, or for
+``detect`` also a ``WavFile`` read from disk block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
 from .kernels import BAND_HZ, CARRIER_HZ, check_band, tukey_window
-from .wavio import SampleBuffer
+from .wavio import SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modulator import ModulationConfig
@@ -98,16 +100,23 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndar
     return weights * power / n_fft
 
 
-def _frame_blocks(samples: np.ndarray, frame_len: int, hop: int, window=None):
-    """Yield the frames of ``samples`` (``frame_len`` long, ``hop`` apart, a
+def _frame_blocks(source: Union[SampleBuffer, WavFile], frame_len: int, hop: int, window=None):
+    """Yield the frames of ``source`` (``frame_len`` long, ``hop`` apart, a
     trailing remainder shorter than a frame dropped), times ``window`` when
     given, as consecutive (frames x frame_len) blocks of at most
-    ``_BLOCK_SAMPLES`` samples (at least one frame)."""
-    frames = sliding_window_view(samples, frame_len)[::hop]
+    ``_BLOCK_SAMPLES`` samples (at least one frame).
+
+    Each block of ``step`` frames is framed from one of ``source.blocks``,
+    which starts on a hop boundary and overlaps the next by ``frame_len -
+    hop``; so the frames, and their grouping into blocks, do not depend on
+    where the samples come from.
+    """
     step = max(1, _BLOCK_SAMPLES // frame_len)
-    for start in range(0, frames.shape[0], step):
-        block = frames[start : start + step]
-        yield block if window is None else block * window
+    for chunk in source.blocks((step - 1) * hop + frame_len, frame_len - hop):
+        if chunk.size < frame_len:  # only the last chunk can hold no frame
+            return
+        frames = sliding_window_view(chunk, frame_len)[::hop]
+        yield frames if window is None else frames * window
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
@@ -136,7 +145,7 @@ def stft(
     w = tukey_window(frame_len, alpha)
 
     spectra = np.concatenate(
-        [np.abs(np.fft.rfft(b, axis=1)) for b in _frame_blocks(signal.samples, frame_len, hop, w)]
+        [np.abs(np.fft.rfft(b, axis=1)) for b in _frame_blocks(signal, frame_len, hop, w)]
     )
     full_scale = w.sum() / 2.0
     floor_mag = full_scale * 10.0 ** (DB_FLOOR / 20.0)
@@ -209,7 +218,8 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, core.size)
-    blocks = _frame_blocks(core, seg, max(1, seg // 2), np.hanning(seg))
+    # a view of the frozen signal, so adopting it copies nothing
+    blocks = _frame_blocks(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2), np.hanning(seg))
     energy = sum(_weighted_power(block).sum(axis=0) for block in blocks)
     framed = energy.sum()
     energy *= float(np.dot(core, core)) / framed if framed > 0.0 else 0.0
@@ -275,7 +285,7 @@ def _tone_pair_suppression(
 
 
 def detect(
-    signal: SampleBuffer,
+    signal: Union[SampleBuffer, WavFile],
     carrier_hz: float = CARRIER_HZ,
     band_hz: float = BAND_HZ,
     ratio_threshold: float = 4.0,
@@ -288,6 +298,9 @@ def detect(
     speech band. The clip is flagged when some consecutive run of flagged
     frames spans at least ``sustain_ms``. The score (flagged-frame
     fraction) is monotone in the embedded signal's gain.
+
+    ``signal`` may be an open ``WavFile``: its channel 0 is then read a
+    block at a time, with the same result as ``to_float`` of the whole file.
     """
     check_positive(ratio_threshold, BadArgument, "ratio_threshold")
     check_positive(sustain_ms, BadArgument, "sustain_ms")
@@ -302,10 +315,13 @@ def detect(
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
     attack = _band_mask(freqs, carrier_hz, min(carrier_hz + band_hz, nyquist), nyquist)
     speech = _band_mask(freqs, SPEECH_BAND[0], min(SPEECH_BAND[1], nyquist), nyquist)
-    sums = [
-        (power[:, attack].sum(axis=1), power[:, speech].sum(axis=1))
-        for power in map(_weighted_power, _frame_blocks(signal.samples, frame_len, hop))
-    ]
+
+    def band_sums(frames):
+        # a local, so one block's power is freed before the next is framed
+        power = _weighted_power(frames)
+        return power[:, attack].sum(axis=1), power[:, speech].sum(axis=1)
+
+    sums = [band_sums(frames) for frames in _frame_blocks(signal, frame_len, hop)]
     e_attack, e_speech = (np.concatenate(parts) for parts in zip(*sums))
     flags = e_attack > ratio_threshold * e_speech
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields, replace
 
 from . import analysis, catalog, demodulator, modulator, stego
 from .errors import IoFailure, UltrabandError
-from .wavio import read_wav, to_float
+from .wavio import open_wav, read_wav, to_float
 
 EXIT_OK = 0
 EXIT_DETECTED = 2
@@ -227,8 +227,8 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    signal = to_float(read_wav(args.input), channel=0)
-    verdict = analysis.detect(signal, **_flag_values(args, _DETECT_PARAMS))
+    with open_wav(args.input) as signal:  # read a block at a time
+        verdict = analysis.detect(signal, **_flag_values(args, _DETECT_PARAMS))
     _emit(
         {
             "input": args.input,

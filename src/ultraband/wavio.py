@@ -3,16 +3,21 @@
 The parser walks RIFF chunks directly instead of going through the stdlib
 ``wave`` module so that malformed inputs map onto precise error types and
 so the writer can guarantee a canonical 44-byte header: files written here
-and read back compare byte for byte.
+and read back compare byte for byte. One parser serves both readers:
+:func:`read_wav` reads the whole data chunk, and :func:`open_wav` keeps the
+file open and reads it a block at a time.
 
-Two value types travel through the rest of the package:
+Three types travel through the rest of the package:
 
 * :class:`PcmClip` -- integer samples exactly as stored on disk.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
+* :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
+  blocks, as a :class:`SampleBuffer` does.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,6 +38,11 @@ from .errors import (
 _HEADER = struct.Struct("<4sI4s")
 _FMT_BODY = struct.Struct("<HHIIHH")
 _CHUNK_HEAD = struct.Struct("<4sI")
+#: WAVE_FORMAT_EXTENSIBLE: cbSize, valid bits, channel mask and SubFormat
+#: GUID follow the 16-byte body, 40 bytes in all.
+_EXTENSIBLE = 0xFFFE
+_FMT_EXTENSION = struct.Struct("<HHI16s")
+_PCM_SUBFORMAT = bytes.fromhex("01000000" "0000" "1000" "8000" "00aa00389b71")
 
 #: Scale used when converting stored integers to floats (read direction).
 READ_SCALE = 32768.0
@@ -81,6 +91,17 @@ class PcmClip:
         object.__setattr__(self, "sample_rate_hz", rate)
         if arr.size % channels:
             raise BadArgument("sample count is not a whole number of frames")
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate_hz: int, channels: int) -> "PcmClip":
+        """Take ownership of a fresh int16 array whose fields ``_parse_header``
+        has checked: no copy, no scan."""
+        samples.flags.writeable = False
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "samples", samples)
+        object.__setattr__(clip, "sample_rate_hz", sample_rate_hz)
+        object.__setattr__(clip, "channels", channels)
+        return clip
 
     def __eq__(self, other):
         if not isinstance(other, PcmClip):
@@ -138,6 +159,29 @@ class SampleBuffer:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
+    def blocks(self, size: int, overlap: int):
+        """Views of consecutive blocks of ``size`` samples, each overlapping
+        the next by ``overlap``; the last is shorter when it reaches the end
+        of the signal. BadArgument unless ``size`` is a whole number >= 1 and
+        ``overlap`` one in [0, size - 1]."""
+        for start, stop in _spans(len(self), size, overlap):
+            yield self.samples[start:stop]
+
+
+def _spans(n: int, size: int, overlap: int):
+    """(start, stop) of the blocks of both ``blocks`` methods over ``n``
+    samples: each ``size - overlap`` after the one before, until one
+    reaches ``n``; none when ``n`` is 0."""
+    size = check_count(size, BadArgument, "size", 1)
+    overlap = check_count(overlap, BadArgument, "overlap", 0, size - 1)
+    start = 0
+    while start < n:
+        stop = min(start + size, n)
+        yield start, stop
+        if stop == n:
+            return
+        start += size - overlap
+
 
 def _sniff_mp3(head: bytes) -> bool:
     # ID3v2 tag or a bare MPEG frame sync; either way there is no point
@@ -147,76 +191,192 @@ def _sniff_mp3(head: bytes) -> bool:
     return len(head) >= 2 and head[0] == 0xFF and (head[1] & 0xE0) == 0xE0
 
 
-def read_wav(path) -> PcmClip:
-    """Read a 16-bit PCM WAV file exactly as stored.
+def _unpack(fh, layout: struct.Struct, path) -> tuple:
+    """The next ``layout.size`` bytes of ``fh``, unpacked."""
+    raw = fh.read(layout.size)
+    if len(raw) < layout.size:  # the file shrank after fstat
+        raise TruncatedFile(f"{path}: file ends inside a header")
+    return layout.unpack(raw)
+
+
+def _parse_header(fh, path) -> tuple:
+    """Walk the RIFF chunks of the open file ``fh`` to its data chunk and
+    check everything the header claims: (rate, channels, data offset, frames).
 
     Unknown chunks (LIST, fact, ...) are skipped. Raises NotWav for
     non-RIFF input, UnsupportedFormat for recognizable-but-unusable audio
     such as MP3, float WAV, 0 channels or a rate that ``PcmClip`` refuses
-    (0 Hz, or a byte rate past 32 bits), TruncatedFile when the container
-    promises more bytes than exist, and IoFailure when the OS read fails.
+    (0 Hz, or a byte rate past 32 bits), and TruncatedFile when the
+    container promises more bytes than the file's size (``os.fstat``)
+    holds. WAVE_FORMAT_EXTENSIBLE is read when its SubFormat is PCM with 16
+    valid bits of 16.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-    if _sniff_mp3(blob[:4]):
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if _sniff_mp3(head[:4]):
         raise UnsupportedFormat(f"{path}: MP3 data, not PCM WAV")
-    if len(blob) < 12:
-        if blob[: min(len(blob), 4)] == b"RIFF"[: min(len(blob), 4)] and blob:
+    if len(head) < _HEADER.size:
+        if head and head[:4] == b"RIFF"[: len(head)]:
             raise TruncatedFile(f"{path}: shorter than a RIFF header")
         raise NotWav(f"{path}: not a RIFF/WAVE file")
-    riff, riff_size, wave_id = _HEADER.unpack_from(blob, 0)
+    riff, riff_size, wave_id = _HEADER.unpack(head)
     if riff != b"RIFF" or wave_id != b"WAVE":
         raise NotWav(f"{path}: not a RIFF/WAVE file")
-    if riff_size + 8 > len(blob):
-        raise TruncatedFile(f"{path}: RIFF declares {riff_size + 8} bytes, file has {len(blob)}")
+    if riff_size + 8 > size:
+        raise TruncatedFile(f"{path}: RIFF declares {riff_size + 8} bytes, file has {size}")
 
     fmt = None
-    pos = 12
-    while pos + 8 <= len(blob):
-        cid, size = _CHUNK_HEAD.unpack_from(blob, pos)
-        body_start = pos + 8
-        if body_start + size > len(blob):
+    pos = _HEADER.size
+    while pos + _CHUNK_HEAD.size <= size:
+        fh.seek(pos)
+        cid, chunk_size = _unpack(fh, _CHUNK_HEAD, path)
+        body_start = pos + _CHUNK_HEAD.size
+        if body_start + chunk_size > size:
             raise TruncatedFile(f"{path}: chunk {cid!r} runs past end of file")
         if cid == b"fmt ":
-            if size < _FMT_BODY.size:
+            if chunk_size < _FMT_BODY.size:
                 raise TruncatedFile(f"{path}: fmt chunk too small")
-            fmt = _FMT_BODY.unpack_from(blob, body_start)
+            fmt = _unpack(fh, _FMT_BODY, path)
+            if fmt[0] != _EXTENSIBLE:
+                fmt += (fmt[5], _PCM_SUBFORMAT)  # all bits valid
+            elif chunk_size < _FMT_BODY.size + _FMT_EXTENSION.size:
+                raise TruncatedFile(f"{path}: fmt chunk too small")
+            else:
+                fmt += _unpack(fh, _FMT_EXTENSION, path)[1::2]  # valid bits, SubFormat
         elif cid == b"data":
             if fmt is None:
                 raise NotWav(f"{path}: data chunk before fmt chunk")
-            audio_format, channels, rate, _byte_rate, block_align, bits = fmt
-            if audio_format != 1:
+            audio_format, channels, rate, _byte_rate, block_align, bits, valid_bits, subformat = fmt
+            if audio_format not in (1, _EXTENSIBLE):
                 raise UnsupportedFormat(
                     f"{path}: format code {audio_format}, only PCM (1) is supported"
                 )
+            if subformat != _PCM_SUBFORMAT:
+                raise UnsupportedFormat(
+                    f"{path}: extensible subformat {subformat.hex()}, only PCM is supported"
+                )
             if bits != 16:
                 raise UnsupportedFormat(f"{path}: {bits}-bit samples, only 16-bit is supported")
+            if valid_bits != 16:
+                raise UnsupportedFormat(f"{path}: {valid_bits} valid bits of 16, only 16 is supported")
             check_count(channels, UnsupportedFormat, f"{path}: channels", 1)
             if block_align != channels * 2:
                 raise UnsupportedFormat(f"{path}: inconsistent channel layout")
-            if size % block_align:
+            if chunk_size % block_align:
                 raise TruncatedFile(f"{path}: data chunk is not a whole number of frames")
-            samples = np.frombuffer(blob, dtype="<i2", count=size // 2, offset=body_start)
-            try:
-                return PcmClip(samples=samples, sample_rate_hz=rate, channels=channels)
-            except BadRate as exc:
-                raise UnsupportedFormat(f"{path}: {exc}") from exc
+            # PcmClip's rule, so that every header read here makes a valid clip
+            max_rate = 0xFFFFFFFF // block_align
+            check_count(rate, UnsupportedFormat, f"{path}: sample_rate_hz", 1, max_rate)
+            return rate, channels, body_start, chunk_size // block_align
         # skip anything else; odd-sized chunks carry a pad byte
-        pos = body_start + size + (size & 1)
+        pos = body_start + chunk_size + (chunk_size & 1)
     raise TruncatedFile(f"{path}: no data chunk found")
 
 
+class WavFile:
+    """A 16-bit PCM WAV file held open, its header checked by the parser
+    that ``read_wav`` uses; made by :func:`open_wav`.
+
+    ``len`` is the frame count. ``blocks`` reads channel 0 a block at a time,
+    as float64 scaled by 1/32768 exactly as ``to_float`` scales it, so
+    ``detect`` of a ``WavFile`` equals ``detect`` of ``to_float(read_wav(p))``
+    while holding one block, not the file. Close it, or use it in a ``with``.
+    """
+
+    def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
+        self._fh = fh
+        self._offset = offset
+        self._frames = frames
+        self._path = path
+        self.sample_rate_hz = sample_rate_hz
+        self.channels = channels
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def __enter__(self) -> "WavFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def _read_into(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (little-endian int16) with the interleaved samples of
+        the frames from ``start`` on."""
+        try:
+            self._fh.seek(self._offset + start * 2 * self.channels)
+            got = self._fh.readinto(out.view(np.uint8))
+        except OSError as exc:
+            raise IoFailure(f"cannot read {self._path}: {exc}") from exc
+        if got != out.nbytes:  # the file shrank after it was opened
+            raise TruncatedFile(f"{self._path}: data chunk ends early")
+        return out
+
+    def blocks(self, size: int, overlap: int):
+        """Channel 0 as float64 blocks, framed as ``SampleBuffer.blocks``
+        frames its samples: ``size`` frames each, overlapping the next by
+        ``overlap``. One int16 buffer is reused; each float block is new."""
+        buf = None
+        for start, stop in _spans(self._frames, size, overlap):
+            if buf is None:  # the first block is the longest
+                buf = np.empty((stop - start) * self.channels, dtype="<i2")
+            pcm = self._read_into(start, buf[: (stop - start) * self.channels])
+            yield pcm[:: self.channels] / READ_SCALE
+
+
+def open_wav(path) -> WavFile:
+    """Open a 16-bit PCM WAV file and check its header, reading no samples.
+
+    Raises what ``read_wav`` raises for the same file, except for a file
+    that shrinks after it was opened. Close the result, or use it in a
+    ``with`` statement.
+    """
+    try:
+        fh = open(path, "rb")
+        try:
+            return WavFile(fh, path, *_parse_header(fh, path))
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_wav(path) -> PcmClip:
+    """Read a 16-bit PCM WAV file exactly as stored.
+
+    The header is checked as ``open_wav`` checks it: NotWav for non-RIFF
+    input, UnsupportedFormat for recognizable-but-unusable audio such as
+    MP3, float WAV, 0 channels or a rate that ``PcmClip`` refuses,
+    TruncatedFile when the container promises more bytes than exist, and
+    IoFailure when the OS read fails. The data chunk is read once, into the
+    array the clip keeps.
+    """
+    with open_wav(path) as wav:
+        pcm = wav._read_into(0, np.empty(len(wav) * wav.channels, dtype="<i2"))
+        return PcmClip._adopt(pcm.astype(np.int16, copy=False), wav.sample_rate_hz, wav.channels)
+
+
+def _data_chunk_bytes(n_bytes: int) -> int:
+    """``n_bytes`` if a data chunk that long fits the 32-bit RIFF size field
+    (which counts 36 header bytes too); BadArgument otherwise."""
+    return check_count(n_bytes, BadArgument, "WAV data bytes", 0, 0xFFFFFFFF - 36)
+
+
 def write_wav(path, clip: PcmClip) -> None:
-    """Write ``clip`` with a canonical 44-byte header (PCM, fmt size 16)."""
-    payload = clip.samples.astype("<i2").tobytes()
+    """Write ``clip`` with a canonical 44-byte header (PCM, fmt size 16).
+
+    A clip of more than 0xFFFFFFFF - 36 bytes of samples does not fit the
+    header; it raises BadArgument before the file is opened.
+    """
+    n_bytes = _data_chunk_bytes(2 * clip.samples.size)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + n_bytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -227,12 +387,12 @@ def write_wav(path, clip: PcmClip) -> None:
         clip.channels * 2,
         16,
         b"data",
-        len(payload),
+        n_bytes,
     )
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            fh.write(clip.samples.astype("<i2", copy=False))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

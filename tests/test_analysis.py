@@ -1,6 +1,8 @@
 """Spectral measurements: STFT, band energy, metrics, detector, rendering."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +17,19 @@ from ultraband import (
     EmptySignal,
     IoFailure,
     ModulationConfig,
+    PcmClip,
     SampleBuffer,
     SignalTooShort,
     band_energy,
     detect,
     measure,
     modulate,
+    open_wav,
+    read_wav,
     render_spectrogram,
     stft,
+    to_float,
+    write_wav,
 )
 from ultraband import analysis
 from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _weighted_power
@@ -356,6 +363,73 @@ def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames):
             assert verdict.score == score
             assert verdict.sustained_ms == sustained
             assert clip is short or verdict.flagged
+
+
+def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chunk: bool):
+    """A 16-bit PCM WAV built by hand; with ``list_chunk``, an odd-sized LIST
+    chunk and its pad byte sit between ``fmt `` and ``data``."""
+    fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, channels, rate, rate * 2 * channels,
+                      2 * channels, 16)
+    extra = struct.pack("<4sI", b"LIST", 7) + b"INFOabc" + b"\x00" if list_chunk else b""
+    data = interleaved.astype("<i2").tobytes()
+    body = b"WAVE" + fmt + extra + struct.pack("<4sI", b"data", len(data)) + data
+    path.write_bytes(struct.pack("<4sI", b"RIFF", len(body)) + body)
+
+
+@pytest.mark.parametrize("block_frames", [1, 2, 7, None])
+@pytest.mark.parametrize("rate", [44100, 48000])
+def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_frames):
+    frame_len = int(round(FRAME_MS * rate / 1000.0))
+    hop = frame_len // 2
+    if block_frames is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
+    step = max(1, analysis._BLOCK_SAMPLES // frame_len)
+    # 17 kHz bursts across the first block edges, long enough for every prefix
+    bursts = np.round(_straddling_bursts(float(rate), step).samples * 32767).astype(np.int16)
+    first_end = (step - 1) * hop + frame_len  # the first block's samples
+    lengths = {frame_len - 1, frame_len}
+    for edge in (first_end, first_end + step * hop):  # where blocks 1 and 2 end
+        lengths |= {edge - 1, edge, edge + 1}
+    cases = [(f"n{n}", bursts[:n], 1, False) for n in sorted(lengths)]
+    # channel 1 is a loud 17 kHz tone that would flag every frame if it were read
+    loud = np.round(30000 * np.sin(2 * np.pi * 17000 * np.arange(bursts.size) / rate))
+    cases += [("bursts", bursts, 1, False),
+              ("stereo_list", np.stack([bursts, loud.astype(np.int16)], axis=1).ravel(), 2, True)]
+    for name, interleaved, channels, list_chunk in cases:
+        path = tmp_path / f"{name}.wav"
+        _wav_file(path, interleaved, rate, channels, list_chunk)
+        whole = detect(to_float(read_wav(path)))
+        with open_wav(path) as wav:
+            streamed = detect(wav)
+        assert np.array_equal(streamed.frame_flags, whole.frame_flags), name
+        assert (streamed.score, streamed.sustained_ms) == (whole.score, whole.sustained_ms), name
+        if len(wav) >= frame_len:
+            flags, score, sustained = _detect_whole_batch(to_float(read_wav(path)))
+            assert np.array_equal(streamed.frame_flags, flags), name
+            assert (streamed.score, streamed.sustained_ms) == (score, sustained), name
+        if name in ("bursts", "stereo_list"):
+            assert streamed.flagged and not streamed.frame_flags.all(), name
+
+
+def test_streamed_detect_memory_is_flat_in_file_length(tmp_path):
+    # reading the whole file held its bytes, a copy of them and the float64
+    # signal: over 40 MB at 80 s, and four times the 20 s peak
+    peaks = []
+    for seconds in (20, 80):
+        path = tmp_path / f"{seconds}s.wav"
+        noise = np.random.default_rng(seconds).integers(-8000, 8000, seconds * 48000)
+        write_wav(path, PcmClip(noise.astype(np.int16), 48000))
+        del noise
+        tracemalloc.start()
+        try:
+            with open_wav(path) as wav:
+                verdict = detect(wav)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.frame_flags.size == (seconds * 48000 - 2400) // 1200 + 1
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    assert max(peaks) < 40 << 20, peaks
 
 
 def _longest_run_loop(flags):

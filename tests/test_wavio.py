@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,11 +21,14 @@ from ultraband import (
     TruncatedFile,
     UltrabandError,
     UnsupportedFormat,
+    detect,
+    open_wav,
     read_wav,
     to_float,
     to_pcm,
     write_wav,
 )
+from ultraband.wavio import _data_chunk_bytes
 
 RATE = 48000
 
@@ -108,6 +112,25 @@ def test_round_trip_any_clip(tmp_path_factory, samples, rate, channels):
 def test_write_failure_raises_io(tmp_path):
     with pytest.raises(IoFailure):
         write_wav(tmp_path / "nope" / "x.wav", PcmClip(np.zeros(1, dtype=np.int16), RATE))
+
+
+def test_data_chunk_bound_is_the_riff_size_field():
+    # the RIFF size field holds the data bytes plus 36 header bytes
+    assert _data_chunk_bytes(0) == 0
+    assert _data_chunk_bytes(0xFFFFFFFF - 36) == 0xFFFFFFFF - 36
+    for n_bytes in (0xFFFFFFFF - 35, 0xFFFFFFFF, 1 << 40):
+        with pytest.raises(BadArgument, match="WAV data bytes"):
+            _data_chunk_bytes(n_bytes)
+
+
+def test_oversized_clip_raises_before_the_file_exists(tmp_path):
+    # 2**31 zero-stride samples are 4 GiB of PCM without 4 GiB of memory;
+    # struct.pack used to fail on them after the file was created
+    huge = PcmClip._adopt(np.broadcast_to(np.int16(0), (1 << 31,)), 48000, 1)
+    path = tmp_path / "huge.wav"
+    with pytest.raises(BadArgument):
+        write_wav(path, huge)
+    assert not path.exists()
 
 
 # --- reader error taxonomy ---
@@ -245,6 +268,124 @@ def test_unknown_chunks_skipped(tmp_path):
     path.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body)
     clip = read_wav(path)
     assert clip.samples.tolist() == [7, -7]
+
+
+# --- WAVE_FORMAT_EXTENSIBLE ---
+
+_PCM_GUID = bytes.fromhex("01000000" "0000" "1000" "8000" "00aa00389b71")
+_FLOAT_GUID = bytes.fromhex("03000000" "0000" "1000" "8000" "00aa00389b71")
+
+
+def _extensible_wav(samples, channels=1, bits=16, valid_bits=16, guid=_PCM_GUID, fmt_size=40):
+    """A WAV whose fmt chunk is WAVE_FORMAT_EXTENSIBLE (tag 0xFFFE), built by hand."""
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", 0xFFFE, channels, RATE, RATE * align, align, bits)
+    body += struct.pack("<HHI16s", 22, valid_bits, (1 << channels) - 1, guid)
+    body = body[:fmt_size] + bytes(max(0, fmt_size - len(body)))
+    data = np.asarray(samples, dtype="<i2").tobytes()
+    chunks = (struct.pack("<4sI", b"fmt ", fmt_size) + body + bytes(fmt_size & 1)
+              + struct.pack("<4sI", b"data", len(data)) + data)
+    return struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE") + chunks
+
+
+def _stereo_burst(frames=48000):
+    """Channel 0 a 17 kHz burst in its middle third, channel 1 silence."""
+    t = np.arange(frames) / RATE
+    lane = 16000 * np.sin(2 * np.pi * 17000 * t) * (abs(t - t[-1] / 2) < t[-1] / 6)
+    return np.stack([lane, np.zeros(frames)], axis=1).round().astype(np.int16).ravel()
+
+
+@pytest.mark.parametrize("fmt_size", [40, 41])
+def test_extensible_pcm_reads_as_plain_pcm(tmp_path, fmt_size):
+    samples = _stereo_burst()
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    write_wav(plain, PcmClip(samples, RATE, channels=2))
+    extensible.write_bytes(_extensible_wav(samples, channels=2, fmt_size=fmt_size))
+    assert read_wav(extensible) == read_wav(plain)
+    with open_wav(extensible) as wav:
+        verdict = detect(wav)
+    assert verdict.flagged
+    assert np.array_equal(verdict.frame_flags, detect(to_float(read_wav(plain))).frame_flags)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [({"guid": _FLOAT_GUID}, "subformat 03000000"),
+     ({"bits": 24, "valid_bits": 24}, "24-bit"),
+     ({"valid_bits": 12}, "12 valid bits"),
+     ({"valid_bits": 20}, "20 valid bits")],
+)
+def test_extensible_other_than_16_bit_pcm_rejected(tmp_path, kwargs, message):
+    path = tmp_path / "ext.wav"
+    samples = np.zeros(6 * kwargs.get("bits", 16) // 16, dtype=np.int16)
+    path.write_bytes(_extensible_wav(samples, **kwargs))
+    with pytest.raises(UnsupportedFormat, match=message):
+        read_wav(path)
+    with pytest.raises(UnsupportedFormat, match=message):
+        detect(open_wav(path))
+
+
+@pytest.mark.parametrize("fmt_size", [16, 18, 39])
+def test_extensible_fmt_chunk_under_40_bytes_is_truncated(tmp_path, fmt_size):
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(_extensible_wav(np.zeros(4), fmt_size=fmt_size))
+    with pytest.raises(TruncatedFile, match="fmt chunk too small"):
+        read_wav(path)
+    with pytest.raises(TruncatedFile, match="fmt chunk too small"):
+        detect(open_wav(path))
+
+
+# --- read_wav keeps one copy; open_wav reads blocks ---
+
+
+def test_read_wav_holds_the_pcm_once(tmp_path):
+    # the parent held the file's bytes and a private copy of them: 2x
+    clip = PcmClip(np.arange(1 << 20, dtype=np.int64).astype(np.int16), RATE)
+    path = tmp_path / "one_copy.wav"
+    write_wav(path, clip)
+    tracemalloc.start()
+    try:
+        got = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == clip
+    assert not got.samples.flags.writeable
+    assert peak < 1.1 * clip.samples.nbytes
+
+
+def test_open_wav_blocks_equal_to_float_views(tmp_path):
+    rng = np.random.default_rng(12)
+    interleaved = rng.integers(-32768, 32768, 3 * 1001, dtype=np.int64).astype(np.int16)
+    path = tmp_path / "three.wav"
+    write_wav(path, PcmClip(interleaved, 44100, channels=3))
+    buf = to_float(read_wav(path))
+    with open_wav(path) as wav:
+        assert (len(wav), wav.sample_rate_hz, wav.channels) == (1001, 44100, 3)
+        for size, overlap in [(1, 0), (7, 3), (100, 99), (1000, 10), (1001, 0), (5000, 4000)]:
+            ours, views = list(wav.blocks(size, overlap)), list(buf.blocks(size, overlap))
+            assert len(ours) == len(views)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, views))
+            assert all(np.shares_memory(v, buf.samples) for v in views)
+            starts = np.cumsum([0] + [v.size - overlap for v in views[:-1]])
+            assert all(np.array_equal(v, buf.samples[s : s + v.size]) for s, v in zip(starts, views))
+            assert starts[-1] + views[-1].size == 1001
+    assert list(SampleBuffer(np.zeros(0), RATE).blocks(4, 1)) == []
+
+
+@pytest.mark.parametrize("size,overlap", [(0, 0), (4, 4), (4, -1), (2.5, 0), (4, 1.5)])
+def test_blocks_reject_bad_sizes(size, overlap):
+    with pytest.raises(BadArgument):
+        next(SampleBuffer(np.zeros(8), RATE).blocks(size, overlap))
+
+
+def test_open_wav_closes_its_file(tmp_path):
+    path = tmp_path / "c.wav"
+    write_wav(path, PcmClip(np.zeros(8, dtype=np.int16), RATE))
+    with open_wav(path) as wav:
+        pass
+    with pytest.raises(ValueError):
+        next(wav.blocks(4, 0))
 
 
 # --- value types ---
@@ -494,3 +635,34 @@ def test_read_wav_mutated_header(fuzz_path, fields, edits, length):
     if length is not None:
         blob = blob[:length] + bytes(max(0, length - len(blob)))
     _read_or_reject(fuzz_path, bytes(blob))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.tuples(st.sampled_from(_HEADER_FIELDS), _FIELD_VALUE), max_size=3),
+    edits=st.lists(st.tuples(st.integers(0, len(_valid_wav()) - 1), st.integers(0, 255)),
+                   max_size=3),
+    length=st.none() | st.integers(0, len(_valid_wav()) + 8),
+)
+def test_open_wav_agrees_with_read_wav(fuzz_path, fields, edits, length):
+    # one parser: the same file gives both readers the same error or data
+    blob = bytearray(_valid_wav())
+    for (offset, width), value in fields:
+        blob[offset : offset + width] = (value % (1 << (8 * width))).to_bytes(width, "little")
+    for offset, value in edits:
+        blob[offset] = value
+    if length is not None:
+        blob = blob[:length] + bytes(max(0, length - len(blob)))
+    fuzz_path.write_bytes(bytes(blob))
+    try:
+        clip = read_wav(fuzz_path)
+    except UltrabandError as exc:
+        with pytest.raises(type(exc)) as caught:
+            open_wav(fuzz_path)
+        assert str(caught.value) == str(exc)
+        return
+    with open_wav(fuzz_path) as wav:
+        assert (wav.sample_rate_hz, wav.channels, len(wav)) == (
+            clip.sample_rate_hz, clip.channels, clip.frames)
+        lane = np.concatenate([np.zeros(0), *wav.blocks(max(1, len(wav)), 0)])
+        assert np.array_equal(lane, to_float(clip).samples)
