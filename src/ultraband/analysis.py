@@ -91,13 +91,13 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndar
     bins are then ``rfftfreq(n_fft)`` and the sum still equals sum(x**2).
     """
     n_fft = samples.shape[-1] if n_fft is None else n_fft
-    spectrum = np.fft.rfft(samples, n=n_fft)
-    power = np.abs(spectrum) ** 2
-    weights = np.full(power.shape[-1], 2.0)
-    weights[0] = 1.0
-    if n_fft % 2 == 0:
-        weights[-1] = 1.0
-    return weights * power / n_fft
+    # One float array beside the transform, worked in place: |X|**2, then
+    # twice every bin but DC and (for an even n_fft) Nyquist, then / n_fft.
+    power = np.abs(np.fft.rfft(samples, n=n_fft))
+    power **= 2
+    power[..., 1 : power.shape[-1] - (n_fft % 2 == 0)] *= 2.0
+    power /= n_fft
+    return power
 
 
 def _frame_blocks(source: Union[SampleBuffer, WavFile], frame_len: int, hop: int, window=None):

@@ -1,6 +1,8 @@
 """DSP primitive tests with independent frequency-domain oracles."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -418,6 +420,45 @@ def test_resample_factor_message_names_rates_and_bound():
     assert "48000.0" in message and "1e+300" in message
     assert f"MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}" in message
     assert len(message) < 200
+
+
+def _resample_cases():
+    for old, new in [(8000, 48000), (16000, 48000), (22050, 48000), (44100, 48000),
+                     (96000, 48000), (48000, 44100), (96000, 8000)]:
+        up = Fraction(new, old).numerator
+        for n in sorted({1, 2, up - 1, up, up + 1, int(0.3 * old), 4 * old} - {0}):
+            yield pytest.param(float(old), float(new), n, id=f"{old}-{new}-{n}")
+
+
+@pytest.mark.parametrize("old, new, n", _resample_cases())
+def test_resample_matches_resample_poly(old, new, n):
+    from scipy.signal import resample_poly  # test-time reference
+
+    ratio = Fraction(new) / Fraction(old)
+    x = np.random.default_rng(n).standard_normal(n)
+    out = resample(SampleBuffer(x, old), new)
+    ref = resample_poly(x, ratio.numerator, ratio.denominator)
+    assert out.samples.shape == ref.shape
+    assert np.max(np.abs(out.samples - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("old, new", [(65536.0, 65535.0), (65535.0, 65536.0)])
+def test_resample_at_largest_factor_matches_and_stays_bounded(old, new):
+    # a 1.3 M-tap filter for 10 or 11 outputs; the design's temporaries stay
+    # bounded (resample_poly peaks at 63 MB here)
+    from scipy.signal import resample_poly  # test-time reference
+
+    x = np.random.default_rng(7).standard_normal(10)
+    tracemalloc.start()
+    try:
+        out = resample(SampleBuffer(x, old), new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 << 20, peak
+    ref = resample_poly(x, int(new), int(old))
+    assert out.samples.shape == ref.shape
+    assert np.max(np.abs(out.samples - ref)) <= 1e-13
 
 
 # --- argument errors ---
