@@ -12,8 +12,8 @@ import numpy as np
 
 from .analysis import _occupancy, _weighted_power
 from .errors import ConfigInvalid, EmptySignal, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, apply_filter, check_band, check_taps,
-                      design_lowpass, next_fast_len, peak_normalize)
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _mix, apply_filter, check_band,
+                      check_taps, design_lowpass, next_fast_len, peak_normalize)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -42,7 +42,10 @@ def demodulate(
     the one in [0, pi) is returned, so the output polarity is deterministic.
     Output is peak normalized unless the recovered level is negligible
     next to the input (then the residue is returned as-is, so silence stays
-    silent and out-of-band input stays tiny).
+    silent and out-of-band input stays tiny). The carrier comes from a table
+    of whole periods with its phase reduced exactly, as in ``modulate``, so
+    a carrier that repeats within the signal does not drift over a long
+    recording.
 
     ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
     signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
@@ -54,19 +57,21 @@ def demodulate(
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
 
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
-    theta = 2.0 * np.pi * carrier_hz * np.arange(len(signal)) / rate
+    cos, sin = _carrier(carrier_hz, rate, len(signal))
 
-    def mix_down(carrier: np.ndarray) -> SampleBuffer:
-        return apply_filter(lpf, SampleBuffer(2.0 * signal.samples * carrier, rate))
+    def mix_down(table: np.ndarray) -> SampleBuffer:
+        # 2 * x * c can overflow, so the constructor's finiteness check stays
+        mixed = SampleBuffer(_mix(signal.samples, 2.0 * table, np.empty(len(signal))), rate)
+        return apply_filter(lpf, mixed)
 
-    recovered = mix_down(np.cos(theta))
+    recovered = mix_down(cos)
     if phase_search:
         # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by
         # linearity, so the candidate energies follow from II, QQ and IQ.
         # Candidates k and k + 8 are negations with equal energy: score
         # k < 8 only and let argmax keep the lowest index on ties.
         i_arm = recovered.samples
-        q_arm = mix_down(np.sin(theta)).samples
+        q_arm = mix_down(sin).samples
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
         ii, qq, iq = np.dot(i_arm, i_arm), np.dot(q_arm, q_arm), np.dot(i_arm, q_arm)

@@ -24,6 +24,9 @@ from .kernels import (
     BAND_HZ,
     CARRIER_HZ,
     FIR_TAPS,
+    _carrier,
+    _mix,
+    _taper,
     apply_filter,
     check_band,
     check_taps,
@@ -32,7 +35,6 @@ from .kernels import (
     next_fast_len,
     peak_normalize,
     resample,
-    tukey_window,
 )
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
@@ -114,6 +116,11 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     Output is at ``config.working_rate_hz``. Deterministic: equal input and
     config give bit-identical output.
 
+    The carrier's cos and sin are read from tables of one or more whole
+    periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
+    it is scaled, so a carrier that repeats within the signal is exact to
+    rounding at any length.
+
     The Hilbert transform runs on the band-limited signal zero-padded to
     ``kernels.next_fast_len(n)``, the smallest 5-smooth length (at most a
     few percent longer), and its first ``n`` samples are kept. At a length
@@ -137,12 +144,12 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     padded = np.pad(base.samples, (0, next_fast_len(n) - n))
     quad = hilbert(SampleBuffer(padded, config.working_rate_hz)).samples[:n]
 
-    phase = 2.0 * np.pi * config.carrier_hz * np.arange(n) / config.working_rate_hz
-    mixed = base.samples * np.cos(phase) - quad * np.sin(phase)
+    cos, sin = _carrier(config.carrier_hz, config.working_rate_hz, n)
+    mixed = _mix(base.samples, cos, np.empty(n))
+    mixed -= _mix(quad, sin, padded[:n])  # the transform holds its own copy of padded
 
     if n >= 2:
-        taper = tukey_window(n, config.tukey_alpha)
-        mixed = mixed * taper
+        _taper(mixed, config.tukey_alpha)
     shifted = SampleBuffer(mixed, config.working_rate_hz)
     return peak_normalize(shifted, config.normalize_target)
 

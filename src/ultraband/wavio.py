@@ -414,11 +414,16 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     A WAV stores a whole-number rate that fits its header, so any other
     rate raises BadRate.
     """
-    scaled = buf.samples * WRITE_SCALE
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    clamped = np.clip(rounded, -32768, 32767)
+    # one array: scale, abs, +0.5, floor, copysign, clip; scaling by a
+    # positive number keeps every sign, so the input's signs serve copysign
+    q = buf.samples * WRITE_SCALE
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, buf.samples, out=q)
+    np.clip(q, -32768, 32767, out=q)
     return PcmClip(
-        samples=clamped.astype(np.int16),
+        samples=q.astype(np.int16),
         sample_rate_hz=buf.sample_rate_hz,
         channels=1,
     )

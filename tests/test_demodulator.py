@@ -1,5 +1,7 @@
 """Coherent recovery: round-trip fidelity, silence handling, bandwidth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,18 @@ def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
     calls.clear()
     demodulate(signal)
     assert calls == [len(signal)]
+
+
+def test_phase_search_memory_at_10_s():
+    # 15.6 MiB measured (22.8 MiB with per-sample carriers); 2.4 MiB margin
+    high = SampleBuffer(np.random.default_rng(5).uniform(-1.0, 1.0, 10 * int(RATE)), RATE)
+    tracemalloc.start()
+    try:
+        demodulate(high, phase_search=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 << 20, peak
 
 
 def test_phase_search_polarity_is_repeatable(default_config):

@@ -558,6 +558,16 @@ def test_to_pcm_examples(value, expected):
     assert clip.samples[0] == expected
 
 
+def test_to_pcm_keeps_the_rounding_of_its_formula():
+    # ties and full scale against the formula's whole-array form
+    ties = np.array([0.5, 16383.5, 32767.0, 32766.5, 32767.5, 40000.0, 1e9]) / 32767.0
+    near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 2.0)])
+    x = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324]])
+    scaled = x * 32767.0
+    expected = np.clip(np.copysign(np.floor(np.abs(scaled) + 0.5), scaled), -32768, 32767)
+    assert np.array_equal(to_pcm(SampleBuffer(x, RATE)).samples, expected.astype(np.int16))
+
+
 def test_float_round_trip_exact_in_symmetric_core():
     # With read scale 32768 and write scale 32767 the composition maps
     # s -> round(s - s/32768); exact up to |s| = 16384, off by one beyond.
