@@ -68,7 +68,7 @@ _MOD_PARAMS = _signature_params(modulator.ModulationConfig, {
     "carrier_hz": ("carrier", "carrier frequency, Hz", "method"),
     "cutoff_hz": ("cutoff", "baseband low-pass cutoff, Hz", "method"),
     "tukey_alpha": ("alpha", "Tukey taper fraction", "tool"),
-    "filter_taps": ("taps", "low-pass FIR length, odd", "tool"),
+    "filter_taps": ("taps", "least SSB filter length, odd", "tool"),
     "normalize_target": ("target", "output peak level", "tool"),
     "working_rate_hz": ("rate", "working sample rate, Hz", "tool"),
 })

@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 #: detector watches.
 CARRIER_HZ = 16000.0
 BAND_HZ = 6000.0
-#: FIR length of the band-limiting and recovery low-pass filters.
+#: FIR length of the recovery low-pass filter; in ``modulate``, a floor.
 FIR_TAPS = 255
 
 # Below this the Hamming-windowed sinc cannot reach useful stopband rejection.
@@ -41,9 +41,9 @@ _LOW_QUALITY_TAPS = 31
 #: takes about 0.12 s (2-core VM).
 MAX_RESAMPLE_FACTOR = 1 << 16
 
-# Overlap-add blocks per batch: ~2 MB of scratch at 255 taps whatever the
-# signal length; larger batches fall out of cache and run slower.
-_OLA_BATCH = 64
+# Overlap-add FFT points per batch, over all tap rows: a few MB of scratch
+# whatever the signal or filter; larger batches fall out of cache and run slower.
+_OLA_SAMPLES = 1 << 17
 
 # Resampler output periods per matrix product, so that a product's input
 # rows (1.4 MB at 44.1 -> 48 kHz) stay in cache.
@@ -158,11 +158,11 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     Convolution is overlap-add (Oppenheim & Schafer, ch. 8) on real FFTs of
     a 5-smooth length near 8x the tap count, or just long enough for a
     short input to fit in one block (at least 2x the taps). It costs
-    O(n log taps) rather than one transform of the whole signal, and the
-    blocks are transformed a fixed batch at a time, so scratch memory does
-    not grow with the input. Edges are computed against implicit zero
-    padding; output length equals input length. Raises RateMismatch if the
-    signal's rate is not the rate the filter was designed for.
+    O(n log taps) rather than one transform of the whole signal, and
+    scratch memory does not grow with the input: the blocks are transformed
+    about 2**17 FFT points at a time. Edges are computed against implicit
+    zero padding; output length equals input length. Raises RateMismatch if
+    the signal's rate is not the rate the filter was designed for.
     """
     if not math.isclose(signal.sample_rate_hz, filt.design_rate_hz, rel_tol=1e-9):
         raise RateMismatch(
@@ -170,24 +170,32 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    x, m = signal.samples, filt.taps.size
+    return SampleBuffer(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
+
+
+def _overlap_add(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``apply_filter``'s convolution of ``x`` (nonempty) with each row of
+    ``taps`` (shape (..., m), m odd): a view of shape (..., len(x)) into one
+    fresh array. Each block's ``rfft`` is shared by every row."""
+    m, rows = taps.shape[-1], taps.shape[:-1]
     n_fft = next_fast_len(min(8 * m, max(2 * m, len(x) + m - 1)))
     step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
     n_blocks = -(-len(x) // step)
-    spectrum = np.fft.rfft(filt.taps, n_fft)
+    batch = max(1, _OLA_SAMPLES // (n_fft * math.prod(rows)))
+    spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
     # Row j holds output samples [j * step, (j + 1) * step): block j's head
     # plus block j - 1's tail. One spare row takes the last block's tail.
-    full = np.zeros((n_blocks + 1, step))
-    for first in range(0, n_blocks, _OLA_BATCH):
-        chunk = x[first * step : (first + _OLA_BATCH) * step]
+    full = np.zeros(rows + (n_blocks + 1, step))
+    for first in range(0, n_blocks, batch):
+        chunk = x[first * step : (first + batch) * step]
         k = -(-chunk.size // step)
         blocks = np.zeros((k, step))
         blocks.reshape(-1)[: chunk.size] = chunk
         y = np.fft.irfft(np.fft.rfft(blocks, n_fft) * spectrum, n_fft)
-        full[first : first + k] += y[:, :step]
-        full[first + 1 : first + k + 1, : m - 1] += y[:, step:]
-    d = filt.group_delay
-    return SampleBuffer(full.reshape(-1)[d : d + len(x)], signal.sample_rate_hz)
+        full[..., first : first + k, :] += y[..., :step]
+        full[..., first + 1 : first + k + 1, : m - 1] += y[..., step:]
+    d = (m - 1) // 2
+    return full.reshape(rows + (-1,))[..., d : d + len(x)]
 
 
 def hilbert(signal: SampleBuffer) -> SampleBuffer:
@@ -200,8 +208,7 @@ def hilbert(signal: SampleBuffer) -> SampleBuffer:
     periodic input and x -> -x when applied twice to a zero-mean input of
     odd length. Its cost follows the factorisation of the length: a length
     with a large prime factor can take 10-20x longer than the next 5-smooth
-    one (``next_fast_len``). Padding is left to the caller, since
-    it changes the result near the ends.
+    one (``next_fast_len``).
     """
     n = len(signal)
     if n == 0:
@@ -354,6 +361,24 @@ def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
     return out.reshape(-1)[:n_out]
 
 
+def _factors(old_rate_hz: float, new_rate_hz: float):
+    """(up, down): new / old in lowest terms; (1, 1) for rates within 1e-9."""
+    check_positive(new_rate_hz, BadRate, "new_rate_hz")
+    if math.isclose(old_rate_hz, new_rate_hz, rel_tol=1e-9):
+        return 1, 1
+    ratio = Fraction(new_rate_hz) / Fraction(old_rate_hz)
+    if max(ratio.numerator, ratio.denominator) > MAX_RESAMPLE_FACTOR:
+        raise BadRate(f"{old_rate_hz} -> {new_rate_hz} Hz needs an up or down factor "
+                      f"above MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}")
+    return ratio.numerator, ratio.denominator
+
+
+def resampled_length(signal: SampleBuffer, new_rate_hz: float) -> int:
+    """``len(resample(signal, new_rate_hz))`` without resampling; BadRate alike."""
+    up, down = _factors(signal.sample_rate_hz, new_rate_hz)
+    return -(-len(signal) * up // down)
+
+
 def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     """Band-limited rational resampling (polyphase Kaiser-windowed sinc).
 
@@ -362,22 +387,13 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     (beta = 5) windowed sinc of 20 * max(up, down) + 1 taps, cut off at the
     lower of the two Nyquist rates, and the output equals
     ``scipy.signal.resample_poly`` to rounding (about 1e-15) in length and
-    alignment: ceil(n * up / down) samples, the first at the first input's
+    alignment: ``resampled_length`` samples, the first at the first input's
     time. Content below 0.45 * min(old, new) rate survives within 0.5 dB. A
-    same-rate request returns the samples untouched. BadRate is raised when
-    either factor exceeds ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not
-    positive and finite.
+    same-rate request shares the input's samples. BadRate is raised, at any
+    length, when either factor exceeds ``MAX_RESAMPLE_FACTOR`` or
+    ``new_rate_hz`` is not positive and finite.
     """
-    check_positive(new_rate_hz, BadRate, "new_rate_hz")
-    if math.isclose(signal.sample_rate_hz, new_rate_hz, rel_tol=1e-9):
-        return SampleBuffer(signal.samples, new_rate_hz)
-    if len(signal) == 0:
-        return SampleBuffer(signal.samples, new_rate_hz)
-    ratio = Fraction(new_rate_hz) / Fraction(signal.sample_rate_hz)
-    if max(ratio.numerator, ratio.denominator) > MAX_RESAMPLE_FACTOR:
-        raise BadRate(
-            f"{signal.sample_rate_hz} -> {new_rate_hz} Hz needs an up or down "
-            f"factor above MAX_RESAMPLE_FACTOR = {MAX_RESAMPLE_FACTOR}"
-        )
-    out = _polyphase(signal.samples, ratio.numerator, ratio.denominator)
-    return SampleBuffer(out, new_rate_hz)
+    up, down = _factors(signal.sample_rate_hz, new_rate_hz)
+    if up == down or len(signal) == 0:  # the samples are frozen and finite already
+        return SampleBuffer._adopt(signal.samples, new_rate_hz)
+    return SampleBuffer(_polyphase(signal.samples, up, down), new_rate_hz)

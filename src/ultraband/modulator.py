@@ -1,10 +1,12 @@
 """Single upper-sideband modulation of speech-band audio into 16-22 kHz.
 
-The pipeline band-limits the input, takes its Hilbert transform, and mixes
-both against a carrier so that the spectrum is shifted up without a mirror
+One complex FIR, the phasing method's analytic band-pass (R. G. Lyons,
+*Understanding Digital Signal Processing*, 3rd ed., 2011, ch. 9), keeps the
+input's band [GUARD_HZ, cutoff], xb, and its Hilbert transform xh, which are
+mixed against a carrier so that the spectrum is shifted up without a mirror
 image below the carrier:
 
-    y[n] = x[n] * cos(2*pi*fc*n/rate) - xh[n] * sin(2*pi*fc*n/rate)
+    y[n] = xb[n] * cos(2*pi*fc*n/rate) - xh[n] * sin(2*pi*fc*n/rate)
 
 A short Tukey taper removes the on/off clicks, and the result is peak
 normalized. With the default carrier of 16 kHz and 6 kHz cutoff the output
@@ -14,29 +16,20 @@ microphones still capture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
-from .kernels import (
-    BAND_HZ,
-    CARRIER_HZ,
-    FIR_TAPS,
-    _carrier,
-    _mix,
-    _taper,
-    apply_filter,
-    check_band,
-    check_taps,
-    design_lowpass,
-    hilbert,
-    next_fast_len,
-    peak_normalize,
-    resample,
-)
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _mix, _overlap_add, _taper,
+                      check_band, check_taps, peak_normalize, resample)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
+
+#: Lower edge of the single-sideband passband. Baseband content below it
+#: would land just under the carrier, so the filter drops it.
+GUARD_HZ = 100.0
 
 
 @dataclass(frozen=True)
@@ -44,9 +37,11 @@ class ModulationConfig:
     """Knobs for the up-conversion pipeline.
 
     carrier_hz and cutoff_hz define the output band [carrier, carrier+cutoff];
-    the pair must fit under the working Nyquist frequency. Construction checks
-    every field (ConfigInvalid). The field names are the config-file keys and
-    the batch manifest columns; ``cli.py`` declares one flag per field.
+    the pair must fit under the working Nyquist frequency. ``filter_taps`` is
+    a floor on the single-sideband filter's length (1023 taps at 48 kHz,
+    2047 at 96 kHz). Construction checks every field (ConfigInvalid). The
+    field names are the config-file keys and the batch manifest columns;
+    ``cli.py`` declares one flag per field.
     """
 
     carrier_hz: float = CARRIER_HZ
@@ -106,52 +101,52 @@ def load_config(path) -> ModulationConfig:
     return ModulationConfig(**overrides)
 
 
+def _ssb_taps(config: ModulationConfig) -> np.ndarray:
+    """Rows 2p * cos and 2p * sin of the analytic band-pass [GUARD_HZ, cutoff]:
+    p a Kaiser (beta = 8) windowed sinc low-pass of half the band's width,
+    unit sum, moved by e^(j*2*pi*fm*k/rate) to the band's centre fm. The
+    length, at least ``filter_taps``, scales with the rate so that the
+    transition bands keep their width in Hz: 1023 taps at 48 kHz."""
+    rate = config.working_rate_hz
+    n_taps = max(config.filter_taps, 2 * math.ceil(512 * rate / 48000.0) - 1)
+    k = np.arange(n_taps) - (n_taps - 1) // 2
+    p = np.sinc((config.cutoff_hz - GUARD_HZ) / rate * k) * np.kaiser(n_taps, 8.0)
+    p *= 2.0 / p.sum()
+    phase = np.pi * (GUARD_HZ + config.cutoff_hz) / rate * k
+    return np.stack([p * np.cos(phase), p * np.sin(phase)])
+
+
 def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
     """Shift a baseband signal up into the near-ultrasound band.
 
-    Steps: resample to the working rate, low-pass at the cutoff, mix with
-    the carrier using the Hilbert transform to cancel the lower sideband,
-    apply the Tukey taper, then normalize to the target. Every step before
-    the last is linear, so that one normalization sets the output level.
-    Output is at ``config.working_rate_hz``. Deterministic: equal input and
-    config give bit-identical output.
+    Steps: resample to the working rate, take the band [GUARD_HZ, cutoff]
+    and its Hilbert transform with one analytic band-pass FIR (run by
+    ``apply_filter``'s overlap-add), mix both with the carrier so that
+    the lower sideband cancels, apply the Tukey taper, then normalize to the
+    target. Every step before the last is linear, so that one normalization
+    sets the output level. Output is at ``config.working_rate_hz``.
+    Deterministic: equal input and config give bit-identical output.
+    ConfigInvalid unless the cutoff lies above ``GUARD_HZ``.
 
     The carrier's cos and sin are read from tables of one or more whole
     periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
     it is scaled, so a carrier that repeats within the signal is exact to
     rounding at any length.
-
-    The Hilbert transform runs on the band-limited signal zero-padded to
-    ``kernels.next_fast_len(n)``, the smallest 5-smooth length (at most a
-    few percent longer), and its first ``n`` samples are kept. At a length
-    that is already fast this is the circular transform of the signal
-    itself. Elsewhere the
-    output differs from the circular one near the two ends, mostly inside
-    the default taper. Before PCM, it differs by at most 2e-3 for speech of
-    1 s or more and by at most 2e-2 for a tone of 75 cycles or more; on
-    such clips, the measured leakage moves by at most 1e-9 of the total
-    energy and the suppression by at most 0.1 dB (tests/test_modulator.py).
-    With ``tukey_alpha = 0``, an abruptly cut tone's edge samples can move
-    by up to ~0.4.
     """
     if len(signal) == 0:
         raise EmptySignal("cannot modulate an empty signal")
+    if not config.cutoff_hz > GUARD_HZ:
+        raise ConfigInvalid(f"cutoff_hz {config.cutoff_hz} must lie above {GUARD_HZ} Hz")
 
     work = resample(signal, config.working_rate_hz)
-    lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
-    base = apply_filter(lpf, work)
-    n = len(base)
-    padded = np.pad(base.samples, (0, next_fast_len(n) - n))
-    quad = hilbert(SampleBuffer(padded, config.working_rate_hz)).samples[:n]
+    base, quad = _overlap_add(work.samples, _ssb_taps(config))
+    cos, sin = _carrier(config.carrier_hz, config.working_rate_hz, len(work))
+    mixed = _mix(base, cos, base)
+    mixed -= _mix(quad, sin, quad)
 
-    cos, sin = _carrier(config.carrier_hz, config.working_rate_hz, n)
-    mixed = _mix(base.samples, cos, np.empty(n))
-    mixed -= _mix(quad, sin, padded[:n])  # the transform holds its own copy of padded
-
-    if n >= 2:
+    if len(mixed) >= 2:
         _taper(mixed, config.tukey_alpha)
-    shifted = SampleBuffer(mixed, config.working_rate_hz)
-    return peak_normalize(shifted, config.normalize_target)
+    return peak_normalize(SampleBuffer(mixed, config.working_rate_hz), config.normalize_target)
 
 
 def modulate_file(

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
-from .kernels import resample
+from .kernels import resample, resampled_length
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
@@ -79,33 +79,15 @@ def find_silence(
     return SilenceMap(regions=kept)
 
 
-def _mix(
-    host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap, gain: float
-) -> Tuple[SampleBuffer, int, int]:
-    """``embed``, also returning the [start, end) span the payload went into."""
-    if len(host) == 0 or len(payload) == 0:
-        raise EmptySignal("host and payload must be nonempty")
-    check_fraction(gain, BadArgument, "gain")
-
-    payload_top = recovered_bandwidth(payload)
-    if host.sample_rate_hz < 2.0 * payload_top:
-        raise RateTooLow(
-            f"host rate {host.sample_rate_hz} Hz cannot carry content up to "
-            f"{payload_top:.0f} Hz"
-        )
-    fitted = resample(payload, host.sample_rate_hz)
-
+def _span(host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap) -> Tuple[int, int]:
+    """[start, end) the payload fills at the host rate from the start of the
+    longest silent region, found without resampling: BadRate, then NoRoom."""
+    length = resampled_length(payload, host.sample_rate_hz)
     start, region_end = silence.longest()
-    if region_end - start < len(fitted):
-        raise NoRoom(
-            f"longest silent region holds {region_end - start} samples, "
-            f"payload needs {len(fitted)}"
-        )
-
-    end = start + len(fitted)
-    out = host.samples.copy()
-    out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
-    return SampleBuffer(out, host.sample_rate_hz), start, end
+    if region_end - start < length:
+        raise NoRoom(f"longest silent region holds {region_end - start} samples, "
+                     f"payload needs {length}")
+    return start, start + length
 
 
 def embed(
@@ -116,12 +98,27 @@ def embed(
 ) -> SampleBuffer:
     """Mix ``gain * payload`` into the start of the longest silent region.
 
-    The payload is resampled to the host rate first. Samples outside the
-    insertion span are returned bit-identical; the mixed span is clamped to
-    [-1, 1]. Raises RateTooLow when the host rate cannot represent the
-    payload's band and NoRoom when no region is long enough.
+    The payload is resampled to the host rate once it is known to fit.
+    Samples outside the insertion span are returned bit-identical; the mixed
+    span is clamped to [-1, 1]. Raises RateTooLow when the host rate cannot
+    represent the payload's band and NoRoom when no region is long enough.
     """
-    return _mix(host, payload, silence, gain)[0]
+    if len(host) == 0 or len(payload) == 0:
+        raise EmptySignal("host and payload must be nonempty")
+    check_fraction(gain, BadArgument, "gain")
+
+    payload_top = recovered_bandwidth(payload)
+    if host.sample_rate_hz < 2.0 * payload_top:
+        raise RateTooLow(
+            f"host rate {host.sample_rate_hz} Hz cannot carry content up to "
+            f"{payload_top:.0f} Hz"
+        )
+    start, end = _span(host, payload, silence)
+    fitted = resample(payload, host.sample_rate_hz)
+
+    out = host.samples.copy()
+    out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
+    return SampleBuffer(out, host.sample_rate_hz)
 
 
 def embed_file(
@@ -137,7 +134,8 @@ def embed_file(
     host = to_float(read_wav(host_path), channel=0)
     payload = to_float(read_wav(payload_path), channel=0)
     silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
-    mixed, start, end = _mix(host, payload, silence, gain)
+    mixed = embed(host, payload, silence, gain)
+    start, end = _span(host, payload, silence)
     write_wav(out_path, to_pcm(mixed))
 
     rate = host.sample_rate_hz

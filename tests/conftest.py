@@ -35,10 +35,10 @@ def dft_magnitude(x: np.ndarray, freq_hz: float, rate_hz: float) -> float:
 def modulate_circular(
     signal: SampleBuffer, config: ModulationConfig, arm: float = 1.0
 ) -> SampleBuffer:
-    """``modulate`` before the fast-length padding: the Hilbert transform ran
-    circularly at the clip's own length. ``arm`` scales the quadrature arm;
-    any other value than 1 is a broken single-sideband mixer that leaves part
-    of the lower sideband."""
+    """The Hilbert-transform form of ``modulate``: a low-pass, then a circular
+    Hilbert transform at the clip's own length. ``arm`` scales the quadrature
+    arm; any other value than 1 is a broken single-sideband mixer that leaves
+    part of the lower sideband."""
     work = resample(signal, config.working_rate_hz)
     lpf = design_lowpass(config.cutoff_hz, config.working_rate_hz, config.filter_taps)
     base = peak_normalize(apply_filter(lpf, work), 1.0)

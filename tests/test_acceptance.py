@@ -98,8 +98,7 @@ def test_c3_reversibility(corpus, modulated_corpus, default_config):
 
 
 def test_c1_c3_at_prime_length(default_config):
-    # Every corpus clip above has a fast FFT length (96000), so modulate's
-    # padded Hilbert path is a no-op there; 96001 is prime.
+    # Every corpus clip above has a fast FFT length (96000); 96001 is prime.
     n = 96001
     seconds = n / RATE
     signal = speech_like(f0=130.0, seed=3, noise_level=2.5, duration_s=seconds)

@@ -84,7 +84,7 @@ def _write_corpus(root: Path) -> None:
     write_wav(root / "speech22.wav", to_pcm(speech_like(duration_s=1.0, seed=12, rate=22050.0)))
     write_wav(root / "tone.wav", to_pcm(tone(700.0, duration_s=1.0)))
     write_wav(root / "tone2.wav", to_pcm(tone(1100.0, duration_s=0.5)))
-    # 48017 samples is prime: modulate and demodulate pad their transforms
+    # 48017 samples is prime: recovered_bandwidth pads its transform
     write_wav(root / "odd.wav", to_pcm(speech_like(duration_s=48017 / RATE, seed=14)))
     write_wav(root / "host.wav", to_pcm(speech_like(duration_s=3.0, seed=13, pauses=[(0.6, 2.7)])))
     (root / "mod.conf").write_text("# lower band\ncarrier_hz = 15000\ncutoff_hz = 5000\n")
@@ -142,44 +142,42 @@ def observe(root: Path) -> dict:
 GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65, 74, 64, 0, 0],
           'json_lines': [{'input': 'speech.wav',
                           'output': 'high.wav',
-                          'inband_energy_db': 35.4096755,
-                          'leakage_below_carrier_db': -88.4243435,
+                          'inband_energy_db': 35.6667454,
+                          'leakage_below_carrier_db': -90.0962622,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16119.1406,
-                          'occupancy_hi_hz': 19054.6875},
+                          'occupancy_lo_hz': 16236.3281,
+                          'occupancy_hi_hz': 19148.4375},
                          {'input': 'speech22.wav',
                           'output': 'high22.wav',
-                          'inband_energy_db': 32.9121618,
-                          'leakage_below_carrier_db': -89.3828839,
+                          'inband_energy_db': 32.5497162,
+                          'leakage_below_carrier_db': -88.8762411,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16125.0,
-                          'occupancy_hi_hz': 20197.2656},
+                          'occupancy_lo_hz': 16236.3281,
+                          'occupancy_hi_hz': 20332.0312},
                          {'input': 'speech.wav',
                           'output': 'high_cfg.wav',
-                          'inband_energy_db': 32.7271184,
-                          'leakage_below_carrier_db': -84.5761226,
+                          'inband_energy_db': 33.0181427,
+                          'leakage_below_carrier_db': -87.7495926,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 15123.0469,
-                          'occupancy_hi_hz': 17607.4219},
+                          'occupancy_lo_hz': 15234.375,
+                          'occupancy_hi_hz': 17642.5781},
                          {'input': 'high.wav',
-                          'inband_energy_db': 35.4096755,
-                          'leakage_below_carrier_db': -88.4243435,
+                          'inband_energy_db': 35.6667454,
+                          'leakage_below_carrier_db': -90.0962622,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16119.1406,
-                          'occupancy_hi_hz': 19054.6875},
+                          'occupancy_lo_hz': 16236.3281,
+                          'occupancy_hi_hz': 19148.4375},
                          {'input': 'high_cfg.wav',
-                          'inband_energy_db': 32.7271184,
-                          'leakage_below_carrier_db': -84.5761226,
+                          'inband_energy_db': 33.0181427,
+                          'leakage_below_carrier_db': -87.7495926,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 15123.0469,
-                          'occupancy_hi_hz': 17607.4219},
-                         {'input': 'high.wav', 'output': 'low.wav', 'recovered_bandwidth_hz': 3000.0},
-                         {'input': 'cropped.wav',
-                          'output': 'low_ps.wav',
-                          'recovered_bandwidth_hz': 3000.0},
+                          'occupancy_lo_hz': 15234.375,
+                          'occupancy_hi_hz': 17642.5781},
+                         {'input': 'high.wav', 'output': 'low.wav', 'recovered_bandwidth_hz': 3120.0},
+                         {'input': 'cropped.wav', 'output': 'low_ps.wav', 'recovered_bandwidth_hz': 3120.0},
                          {'input': 'high_cfg.wav',
                           'output': 'low_cfg.wav',
-                          'recovered_bandwidth_hz': 2524.0},
+                          'recovered_bandwidth_hz': 2640.0},
                          {'input': 'high.wav', 'output': 'spec.pgm', 'frames': 139, 'bins': 513},
                          {'input': 'speech.wav',
                           'flagged': False,
@@ -238,31 +236,31 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                           'records': 50},
                          {'input': 'odd.wav',
                           'output': 'high_odd.wav',
-                          'inband_energy_db': 33.3998403,
-                          'leakage_below_carrier_db': -88.0554647,
+                          'inband_energy_db': 33.5505339,
+                          'leakage_below_carrier_db': -90.1238862,
                           'sideband_suppression_db': None,
-                          'occupancy_lo_hz': 16125.0,
-                          'occupancy_hi_hz': 19242.1875},
+                          'occupancy_lo_hz': 16236.3281,
+                          'occupancy_hi_hz': 19365.2344},
                          {'input': 'high_odd.wav',
                           'output': 'low_odd.wav',
-                          'recovered_bandwidth_hz': 3325.4321}],
-          'files': {'b_speech.wav': 'cd3a6703fd9ecbadc43097b648116cd9753e27c3163033416d215de3681e57cf',
-                    'b_speech22.wav': '7af1e63025af68d177e521836efee678eaabbf3cfe82c63ff2e69d7597575409',
-                    'b_tone.wav': '6804f7715f96db5669774d2c450bda99a65e587943c1ce6f65507703714c186a',
-                    'high.wav': '6f3738919aa63b9cb856ff8ec6cb1ca497aae92067edac208e4c9cbc494a4fc3',
-                    'high22.wav': 'f58a25b480dc4f2031373bd3d32fd0203215763d99db48196221a7fdb6e94c32',
-                    'high_cfg.wav': 'a0be55ade7ce1a11a47ee5be206568965a57e6e126e2688b0293ba9deb50b6bf',
-                    'high_odd.wav': 'a3826a5b80dff4efc84b9a346f26e8272e74d2f5a9faf075b840438d260f4580',
-                    'low.wav': 'c8340f817212a1dbaaba70b5c3ac2da9797c402881100a91503506bd9b09549d',
-                    'low_cfg.wav': 'f53ae3a603fbe51d8c84998d273181ebc0b725673df85ff2a8112e4a131cdb57',
-                    'low_odd.wav': '0f19eeed111f2a516c3b609b6125eb4ab5889ca2bfae75bc8494af8d9bae6815',
-                    'low_ps.wav': '864f786643e62b00fa315690ced03c1248f67d1ca02d1596c87a7e4caf5afe13',
-                    'mixed.wav': 'b07fa248dfeab5b52c8a6739b58fa3ef8d02ab49dd7b51feda853d738976ddfc',
-                    'spec.pgm': 'd24b15e9f6bcadb375a2a78137edcf7253c20629fc41b66c44a474ef9d41a0ae'},
+                          'recovered_bandwidth_hz': 3406.41975}],
+          'files': {'b_speech.wav': '79751b82d1c86cacd04923403e6e29a172c45244b3d45be464d545ccada531a1',
+                    'b_speech22.wav': '10c05844815cab03cfff4de86002db605452ed7b5c89035cc0475425fb19faca',
+                    'b_tone.wav': '6d3f0520a4435bbe7c51d7e2c06ab5e05a80f435dd59693fd042360bcf3774fc',
+                    'high.wav': 'c02de26fc8d0b944baa2a752733a7c81c8e025c5bca00216999b10260ff038fe',
+                    'high22.wav': 'a858d1c68d9291653ce03b30c9467b53281dc93bcbe7773fa2a68cc2b7682b43',
+                    'high_cfg.wav': '58c419949ff14e0eab61d648eba79013fb4e60b2e9c8c845b8c4a5c13ec0d027',
+                    'high_odd.wav': 'e4a733a6234110f47084116cd50b88a0b338f4dc567880eaa820e752576ae377',
+                    'low.wav': 'ea522cf2d92604d0f8ebabf2b3e58034bd23025ef585b92ed74290e86e273fd1',
+                    'low_cfg.wav': '9d99ba4dfd27dde305f2792691d1dbe047c5a5129fe6b280227079973d47ae53',
+                    'low_odd.wav': '2404ec84c27e4ebcbbc5deb69a10c385273b41426c486ffea0e840ba47b9ed69',
+                    'low_ps.wav': '04fe6411a4e9c12a0968cea179230ae4e0dcb2f284c1f0d87448bf8225ceccdc',
+                    'mixed.wav': '2b47fb7314c0a1278ac628fe73ac199ec00130f6f6776ef726b4ab27229be63d',
+                    'spec.pgm': 'e316593185bbe8414941b8978333046836ed7e0552bfdc2416f9bbfd44e0bf68'},
           'report_csv': 'input,output,leakage_db,suppression_db,occupancy_lo,occupancy_hi,error\r\n'
-                        'speech.wav,b_speech.wav,-78.161,,16119.1,18996.1,\r\n'
-                        'tone.wav,b_tone.wav,-93.565,-113.029,16693.4,16705.1,\r\n'
-                        'speech22.wav,b_speech22.wav,-91.654,,20121.1,25992.2,\r\n'
+                        'speech.wav,b_speech.wav,-90.147,,16236.3,19148.4,\r\n'
+                        'tone.wav,b_tone.wav,-91.502,-96.847,16693.4,16705.1,\r\n'
+                        'speech22.wav,b_speech22.wav,-91.419,,20238.3,26179.7,\r\n'
                         'missing.wav,b_missing.wav,,,,,cannot read missing.wav: [Errno 2] No such file '
                         "or directory: 'missing.wav'\r\n"
                         'tone2.wav,b_tone2.wav,,,,,filter_taps 254 must be an odd integer >= 3\r\n',

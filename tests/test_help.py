@@ -63,7 +63,7 @@ options:
   --carrier CARRIER  carrier frequency, Hz (16000 [method default])
   --cutoff CUTOFF    baseband low-pass cutoff, Hz (6000 [method default])
   --alpha ALPHA      Tukey taper fraction (0.05 [tool default])
-  --taps TAPS        low-pass FIR length, odd (255 [tool default])
+  --taps TAPS        least SSB filter length, odd (255 [tool default])
   --target TARGET    output peak level (1 [tool default])
   --rate RATE        working sample rate, Hz (48000 [tool default])
 """,
@@ -99,7 +99,7 @@ options:
   --carrier CARRIER  carrier frequency, Hz (16000 [method default])
   --cutoff CUTOFF    baseband low-pass cutoff, Hz (6000 [method default])
   --alpha ALPHA      Tukey taper fraction (0.05 [tool default])
-  --taps TAPS        low-pass FIR length, odd (255 [tool default])
+  --taps TAPS        least SSB filter length, odd (255 [tool default])
   --target TARGET    output peak level (1 [tool default])
   --rate RATE        working sample rate, Hz (48000 [tool default])
 """,
@@ -193,7 +193,7 @@ options:
   --carrier CARRIER  carrier frequency, Hz (16000 [method default])
   --cutoff CUTOFF    baseband low-pass cutoff, Hz (6000 [method default])
   --alpha ALPHA      Tukey taper fraction (0.05 [tool default])
-  --taps TAPS        low-pass FIR length, odd (255 [tool default])
+  --taps TAPS        least SSB filter length, odd (255 [tool default])
   --target TARGET    output peak level (1 [tool default])
   --rate RATE        working sample rate, Hz (48000 [tool default])
 """,

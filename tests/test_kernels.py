@@ -33,8 +33,8 @@ from ultraband import (
     stft,
     tukey_window,
 )
-from ultraband.kernels import (_OLA_BATCH, MAX_RESAMPLE_FACTOR, _carrier, _mix, _taper,
-                               check_positive, next_fast_len)
+from ultraband.kernels import (_OLA_SAMPLES, MAX_RESAMPLE_FACTOR, _carrier, _mix, _overlap_add,
+                               _taper, check_positive, next_fast_len, resampled_length)
 
 
 def _freq_response(filt: FirFilter, freq_hz: float) -> float:
@@ -154,11 +154,14 @@ def test_filter_preserves_length_and_alignment():
 def _filter_cases():
     """(taps, n): the first four at 255 taps, then for each tap count the
     lengths one below, at and one above the first two overlap-add block
-    edges and the edge of the first batch of blocks."""
+    edges, the edge of 64 blocks (one batch at 255 taps) and the edges of
+    the first batch of blocks for one row of taps and for two."""
     cases = [pytest.param(255, n, id=str(n)) for n in (1, 254, 4097, 48000)]
     for taps in (3, 31, 255, 1023):
-        step = next_fast_len(8 * taps) - taps + 1
-        for edge in (step, 2 * step, _OLA_BATCH * step):
+        n_fft = next_fast_len(8 * taps)
+        step = n_fft - taps + 1
+        batches = {_OLA_SAMPLES // n_fft, _OLA_SAMPLES // (2 * n_fft)}
+        for edge in sorted({step, 2 * step, 64 * step} | {b * step for b in batches}):
             cases += [pytest.param(taps, n, id=f"{taps}taps-{n}") for n in (edge - 1, edge, edge + 1)]
     return cases
 
@@ -171,6 +174,9 @@ def test_filter_matches_direct_convolution(taps, n):
     direct = np.convolve(x, filt.taps)[filt.group_delay : filt.group_delay + n]
     out = apply_filter(filt, SampleBuffer(x, RATE))
     assert np.max(np.abs(out.samples - direct)) <= 1e-13
+    # rows of taps share each block's FFT, in half the blocks per batch; each keeps its bits
+    rows = _overlap_add(x, np.stack([filt.taps, 2.0 * filt.taps]))
+    assert np.array_equal(rows, [out.samples, 2.0 * out.samples])
 
 
 def test_filter_passes_low_tone_rejects_high_tone():
@@ -425,9 +431,11 @@ def test_normalize_property(x, target):
 
 
 def test_resample_same_rate_identity():
+    # rates equal within 1e-9: the frozen samples are shared, not copied
     x = SampleBuffer(np.arange(100, dtype=float), RATE)
-    out = resample(x, RATE)
-    assert np.array_equal(out.samples, x.samples)
+    out = resample(x, RATE * (1.0 + 1e-12))
+    assert np.array_equal(out.samples, x.samples) and np.shares_memory(out.samples, x.samples)
+    assert out.sample_rate_hz == RATE * (1.0 + 1e-12)
 
 
 def test_resample_tone_amplitude_preserved():
@@ -467,8 +475,11 @@ def test_resample_uses_exact_ratio():
 def test_resample_rejects_factor_over_bound():
     # 48000 -> 96001 reduces to 96001/48000, above MAX_RESAMPLE_FACTOR
     assert 96001 > MAX_RESAMPLE_FACTOR
-    with pytest.raises(BadRate):
-        resample(SampleBuffer(np.zeros(10), 48000.0), 96001.0)
+    for n in (10, 0):  # at any length, and the length rule agrees
+        with pytest.raises(BadRate):
+            resample(SampleBuffer(np.zeros(n), 48000.0), 96001.0)
+        with pytest.raises(BadRate):
+            resampled_length(SampleBuffer(np.zeros(n), 48000.0), 96001.0)
 
 
 @pytest.mark.parametrize(
@@ -492,7 +503,8 @@ def test_resample_factor_message_names_rates_and_bound():
 
 def _resample_cases():
     for old, new in [(8000, 48000), (16000, 48000), (22050, 48000), (44100, 48000),
-                     (96000, 48000), (48000, 44100), (96000, 8000)]:
+                     (96000, 48000), (48000, 44100), (96000, 8000), (48000, 48000),
+                     (22050, 96000), (480, 48000)]:
         up = Fraction(new, old).numerator
         for n in sorted({1, 2, up - 1, up, up + 1, int(0.3 * old), 4 * old} - {0}):
             yield pytest.param(float(old), float(new), n, id=f"{old}-{new}-{n}")
@@ -503,10 +515,10 @@ def test_resample_matches_resample_poly(old, new, n):
     from scipy.signal import resample_poly  # test-time reference
 
     ratio = Fraction(new) / Fraction(old)
-    x = np.random.default_rng(n).standard_normal(n)
-    out = resample(SampleBuffer(x, old), new)
-    ref = resample_poly(x, ratio.numerator, ratio.denominator)
-    assert out.samples.shape == ref.shape
+    x = SampleBuffer(np.random.default_rng(n).standard_normal(n), old)
+    out = resample(x, new)
+    ref = resample_poly(x.samples, ratio.numerator, ratio.denominator)
+    assert out.samples.shape == ref.shape == (resampled_length(x, new),)
     assert np.max(np.abs(out.samples - ref)) <= 1e-13
 
 
@@ -525,7 +537,7 @@ def test_resample_at_largest_factor_matches_and_stays_bounded(old, new):
         tracemalloc.stop()
     assert peak <= 16 << 20, peak
     ref = resample_poly(x, int(new), int(old))
-    assert out.samples.shape == ref.shape
+    assert out.samples.shape == ref.shape == (resampled_length(SampleBuffer(x, old), new),)
     assert np.max(np.abs(out.samples - ref)) <= 1e-13
 
 

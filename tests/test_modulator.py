@@ -1,9 +1,11 @@
 """Up-conversion pipeline: band placement, sideband purity, config plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import RATE, dft_magnitude, modulate_circular, speech_like, tone
+from conftest import RATE, dft_magnitude, ncc, speech_like, tone
 from ultraband import (
     ConfigInvalid,
     EmptySignal,
@@ -11,7 +13,10 @@ from ultraband import (
     ModulationConfig,
     PcmClip,
     SampleBuffer,
+    apply_filter,
     band_energy,
+    demodulate,
+    design_lowpass,
     load_config,
     measure,
     modulate,
@@ -26,6 +31,14 @@ def _central(buf: SampleBuffer, frac: float = 0.05) -> SampleBuffer:
     n = len(buf)
     edge = int(round(n * frac))
     return SampleBuffer(buf.samples[edge : n - edge], buf.sample_rate_hz)
+
+
+def _image_db(out: SampleBuffer, f0: float, carrier_hz: float = 16000.0) -> float:
+    # central 0.9 s slice keeps both probe frequencies on integer cycles
+    rate, mid, half = out.sample_rate_hz, len(out) // 2, int(0.45 * out.sample_rate_hz)
+    core = out.samples[mid - half : mid + half]
+    lower = dft_magnitude(core, carrier_hz - f0, rate)
+    return 20.0 * np.log10(lower / dft_magnitude(core, carrier_hz + f0, rate))
 
 
 # --- config validation ---
@@ -145,14 +158,7 @@ def test_tone_maps_to_single_line(default_config):
 
 
 def test_tone_lower_sideband_suppressed(default_config):
-    # central 0.9 s slice keeps both probe frequencies on integer cycles
-    out = modulate(tone(1000.0), default_config)
-    n = len(out)
-    half = int(0.45 * RATE)
-    core = out.samples[n // 2 - half : n // 2 + half]
-    upper = dft_magnitude(core, 17000.0, RATE)
-    lower = dft_magnitude(core, 15000.0, RATE)
-    assert 20.0 * np.log10(lower / upper) <= -40.0
+    assert _image_db(modulate(tone(1000.0), default_config), 1000.0) <= -40.0
 
 
 def test_band_confinement_whole_corpus(modulated_corpus):
@@ -218,53 +224,46 @@ def test_modulate_file_stereo_uses_channel_zero(tmp_path, default_config):
     assert read_wav(dst).channels == 1
 
 
-# --- Hilbert transform at a fast length ---
+# --- the single-sideband filter ---
 
 
-#: Lengths whose FFT is slow: three primes, then 2*36011, 3*48017 and
-#: 2**3*7*4481 (a 5.2 s clip).
-AWKWARD_LENGTHS = (4801, 48017, 480019, 72022, 144051, 250936)
+@pytest.mark.parametrize("rate", [48000.0, 96000.0])
+@pytest.mark.parametrize("f0", [100.0, 300.0])
+def test_low_tone_image_rejected(rate, f0):
+    out = modulate(tone(f0, rate=rate), ModulationConfig(working_rate_hz=rate))
+    assert _image_db(out, f0) <= -80.0
 
 
-@pytest.mark.parametrize("n", AWKWARD_LENGTHS)
-def test_fast_length_hilbert_stays_near_circular(n, default_config):
-    # The two differ near the ends, where the circular transform wraps one
-    # end onto the other and the padded one sees a zero gap. Leakage reads
-    # -90 to -128 dB here, where a fraction of the total energy is the
-    # meaningful difference; 1e-9 is stricter than 0.1 dB at -60 dB. A 0.1 s
-    # clip has 120-sample taper ramps and one Hann frame of its own length,
-    # so its suppression and occupancy bounds are wider.
-    seconds = n / RATE
-    long_clip = seconds >= 1.0
-    db_bound, hz_bound = (0.1, 1.0) if long_clip else (1.5, 11.0)
-    cases = [
-        (speech_like(duration_s=seconds, seed=7), 2e-3 if long_clip else 2e-2),
-        (tone(700.0, duration_s=seconds), 2e-2),
-    ]
-    for signal, sample_bound in cases:
-        assert len(signal) == n
-        ref = modulate_circular(signal, default_config)
-        out = modulate(signal, default_config)
-        assert np.max(np.abs(out.samples - ref.samples)) <= sample_bound
+def test_just_below_carrier_is_quiet(modulated_corpus, default_config):
+    # [fc - 500, fc), where baseband content near 0 Hz lands, as the
+    # difference of two of measure's leakage readings
+    def below(out, edge_hz):
+        cfg = replace(default_config, carrier_hz=edge_hz + 500.0)
+        return 10.0 ** (measure(out, cfg).leakage_below_carrier_db / 10.0)
 
-        m_ref, m_out = measure(ref, default_config), measure(out, default_config)
-        fraction = [10.0 ** (m.leakage_below_carrier_db / 10.0) for m in (m_ref, m_out)]
-        assert abs(fraction[1] - fraction[0]) <= 1e-9
-        if m_ref.sideband_suppression_db is None:
-            assert m_out.sideband_suppression_db is None
-        else:
-            assert abs(m_out.sideband_suppression_db - m_ref.sideband_suppression_db) <= db_bound
-        assert abs(m_out.occupancy_lo_hz - m_ref.occupancy_lo_hz) <= hz_bound
-        assert abs(m_out.occupancy_hi_hz - m_ref.occupancy_hi_hz) <= hz_bound
+    for name, out in modulated_corpus.items():
+        assert 10.0 * np.log10(below(out, 16000.0) - below(out, 15500.0)) <= -70.0, name
 
 
-@pytest.mark.parametrize("freq_hz", [50.0, 100.0, 300.0, 3000.0])
-def test_fast_length_hilbert_edge_effect_falls_with_cycles(freq_hz, default_config):
-    # An abruptly cut low tone moves most: by up to 1.5 / (cycles in the
-    # clip), and by at most 2e-2 from 75 cycles on.
-    for n in (4801, 48017):
-        signal = tone(freq_hz, duration_s=n / RATE)
-        ref = modulate_circular(signal, default_config)
-        out = modulate(signal, default_config)
-        cycles = freq_hz * n / RATE
-        assert np.max(np.abs(out.samples - ref.samples)) <= max(2e-2, 1.5 / cycles)
+@pytest.mark.parametrize("rate, floor", [(48000.0, 1023), (96000.0, 2047)])
+def test_filter_taps_is_a_floor_on_the_length(rate, floor):
+    signal = speech_like(duration_s=0.5, seed=5, rate=rate)
+    pcm = {taps: to_pcm(modulate(signal, ModulationConfig(filter_taps=taps, working_rate_hz=rate)))
+           for taps in (127, 255, floor, floor + 2)}
+    assert pcm[127] == pcm[255] == pcm[floor] != pcm[floor + 2]
+
+
+@pytest.mark.parametrize("cutoff_hz", [100.0, 50.0])
+def test_cutoff_at_or_under_the_guard_edge_is_refused(cutoff_hz):
+    cfg = ModulationConfig(cutoff_hz=cutoff_hz)
+    with pytest.raises(ConfigInvalid):
+        modulate(tone(1000.0), cfg)
+    measure(tone(17000.0), cfg)  # measure still takes it
+
+
+def test_round_trip_low_voice(default_config):
+    # 90 Hz is the lowest f0 of the benchmark's speech clips
+    signal = speech_like(f0=90.0, seed=4)
+    lpf = design_lowpass(default_config.cutoff_hz, RATE, default_config.filter_taps)
+    recovered = demodulate(modulate(signal, default_config))
+    assert ncc(recovered.samples, apply_filter(lpf, signal).samples) >= 0.95

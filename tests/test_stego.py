@@ -1,6 +1,7 @@
 """Silence scanning and payload embedding: placement, transparency, recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,20 @@ def test_embed_no_room(payload):
     assert silence.regions  # the gap was found
     with pytest.raises(NoRoom):
         embed(host, payload, silence)
+
+
+def test_embed_checks_room_before_it_resamples():
+    # 100 s at 480 Hz is 4.8 M samples (37 MiB) at 48 kHz: no room, so no resampling
+    host = SampleBuffer(np.zeros(48000), RATE)
+    slow = SampleBuffer(np.random.default_rng(3).uniform(-0.5, 0.5, 48000), 480.0)
+    silence = find_silence(host)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoRoom):
+            embed(host, slow, silence)
+        assert tracemalloc.get_traced_memory()[1] <= 8 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_embed_validation(payload):
