@@ -17,6 +17,8 @@ out of the source's ``blocks``: a ``SampleBuffer`` in memory, or for
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -299,8 +301,10 @@ def detect(
     frames spans at least ``sustain_ms``. The score (flagged-frame
     fraction) is monotone in the embedded signal's gain.
 
-    ``signal`` may be an open ``WavFile``: its channel 0 is then read a
-    block at a time, with the same result as ``to_float`` of the whole file.
+    ``signal`` may be an open ``WavFile``; its channel 0 is then read a block
+    at a time. Memory is one block plus one spectrum buffer. Up to two CPUs
+    share each block, and the verdict is bit-identical to the one-CPU path
+    and to ``detect(to_float(read_wav(p)))``.
     """
     check_positive(ratio_threshold, BadArgument, "ratio_threshold")
     check_positive(sustain_ms, BadArgument, "sustain_ms")
@@ -313,16 +317,26 @@ def detect(
         return DetectionVerdict(False, 0.0, 0.0, np.zeros(0, dtype=bool))
 
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
-    attack = _band_mask(freqs, carrier_hz, min(carrier_hz + band_hz, nyquist), nyquist)
-    speech = _band_mask(freqs, SPEECH_BAND[0], min(SPEECH_BAND[1], nyquist), nyquist)
+    # a band's energy is 2 / frame_len times re**2 + im**2 summed over its run
+    # of bins; DC and Nyquist, scaled by sqrt(1/2), count once (_weighted_power)
+    edges = [0, 1, -2, -1] if frame_len % 2 == 0 else [0, 1]
+    masks = [_band_mask(freqs, lo, min(hi, nyquist), nyquist)
+             for lo, hi in ((carrier_hz, carrier_hz + band_hz), SPEECH_BAND)]
+    bands = [slice(2 * np.argmax(m), 2 * (np.argmax(m) + np.sum(m))) for m in masks]
+    spectrum, parts = None, []
+    for frames in _frame_blocks(signal, frame_len, hop):
+        if spectrum is None:  # one buffer, as long as the first (longest) block
+            spectrum = np.empty((len(frames), frame_len // 2 + 1), dtype=complex)
+        parts.append(np.empty((2, len(frames))))  # attack, speech
 
-    def band_sums(frames):
-        # a local, so one block's power is freed before the next is framed
-        power = _weighted_power(frames)
-        return power[:, attack].sum(axis=1), power[:, speech].sum(axis=1)
+        def band_sums(a, b, frames=frames, out=parts[-1]):
+            view = np.fft.rfft(frames[a:b], axis=1, out=spectrum[a:b]).view(np.float64)
+            view[:, edges] *= np.sqrt(0.5)
+            for e, cols in zip(out, bands):
+                np.einsum("ij,ij->i", view[:, cols], view[:, cols], out=e[a:b])
 
-    sums = [band_sums(frames) for frames in _frame_blocks(signal, frame_len, hop)]
-    e_attack, e_speech = (np.concatenate(parts) for parts in zip(*sums))
+        _in_two(band_sums, len(frames))
+    e_attack, e_speech = np.concatenate(parts, axis=1) * (2.0 / frame_len)
     flags = e_attack > ratio_threshold * e_speech
 
     sustained = _longest_run_ms(flags, frame_len, hop, rate)
@@ -332,6 +346,32 @@ def detect(
         sustained_ms=float(sustained),
         frame_flags=flags,
     )
+
+
+def _cpu_count() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_two(work, n: int) -> None:
+    """Run ``work(0, n)``. With two CPUs or more, a worker thread runs the
+    second half, ``work(n // 2, n)``, while this one runs the first; both
+    finish before an exception from either is raised here."""
+    if _cpu_count() < 2 or n < 2:
+        return work(0, n)
+    failed = []
+
+    def guarded(a, b):
+        try:
+            work(a, b)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=guarded, args=(n // 2, n))
+    worker.start()
+    guarded(0, n // 2)
+    worker.join()
+    if failed:
+        raise failed[0]
 
 
 def true_runs(flags: np.ndarray) -> tuple:

@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -316,31 +318,35 @@ def test_detect_validation():
         detect(SampleBuffer(np.zeros(1000), 16000.0))  # band above Nyquist
 
 
-def _detect_whole_batch(signal: SampleBuffer, ratio_threshold: float = 4.0):
+def _detect_whole_batch(signal: SampleBuffer, ratio_threshold: float = 4.0,
+                        carrier_hz: float = 16000.0, band_hz: float = 6000.0):
     """Reference: detect's flags, score and sustained_ms from the rfft of all
     frames at once."""
     rate = signal.sample_rate_hz
+    nyquist = rate / 2.0
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = frame_len // 2
     frames = sliding_window_view(signal.samples, frame_len)[::hop]
     power = _weighted_power(frames)
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
-    attack = _band_mask(freqs, 16000.0, 22000.0, rate / 2.0)
-    speech = _band_mask(freqs, 300.0, 8000.0, rate / 2.0)
+    attack = _band_mask(freqs, carrier_hz, min(carrier_hz + band_hz, nyquist), nyquist)
+    speech = _band_mask(freqs, 300.0, min(8000.0, nyquist), nyquist)
     flags = power[:, attack].sum(axis=1) > ratio_threshold * power[:, speech].sum(axis=1)
     return flags, float(flags.mean()), _longest_run_ms(flags, frame_len, hop, rate)
 
 
-def _straddling_bursts(rate: float, frames_per_block: int) -> SampleBuffer:
+def _straddling_bursts(rate: float, frames_per_block: int,
+                       burst_hz: float = 17000.0) -> SampleBuffer:
     """A noisy 440 Hz tone over two and a half blocks of detect's frames,
-    with a 17 kHz burst across each of the first block edges."""
+    with a ``burst_hz`` burst (a cosine, so Nyquist works too) across each of
+    the first block edges."""
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = frame_len // 2
     n_frames = max(40, 2 * frames_per_block + frames_per_block // 2)
     t = np.arange((n_frames + 1) * hop) / rate
     noise = np.random.default_rng(9).standard_normal(t.size)
     x = 0.1 * np.sin(2.0 * np.pi * 440.0 * t) + 0.02 * noise
-    burst = 0.5 * np.sin(2.0 * np.pi * 17000.0 * t)
+    burst = 0.5 * np.cos(2.0 * np.pi * burst_hz * t)
     for k, edge in enumerate(range(frames_per_block, n_frames, frames_per_block)[:3]):
         start = max(0, (edge - 1 - k) * hop)  # 1-3 frames before the edge
         stop = (edge + 9 + 3 * k) * hop  # 9-15 frames after it
@@ -348,21 +354,110 @@ def _straddling_bursts(rate: float, frames_per_block: int) -> SampleBuffer:
     return SampleBuffer(x / np.max(np.abs(x)), rate)
 
 
-@pytest.mark.parametrize("block_frames", [1, 7, 256, None])
-def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames):
-    for rate in (48000.0, 44100.0):
+def _rising_tone(rate: float, tone_hz: float) -> SampleBuffer:
+    """A noisy 440 Hz tone under a ``tone_hz`` cosine whose amplitude rises
+    from 0 over 2 s: the flagging ratio crosses its threshold in one frame, so
+    a bin weighted wrongly moves the first flagged frame."""
+    t = np.arange(int(2.0 * rate)) / rate
+    noise = np.random.default_rng(11).standard_normal(t.size)
+    x = 0.1 * np.sin(2.0 * np.pi * 440.0 * t) + 0.02 * noise
+    x += 0.25 * t * np.cos(2.0 * np.pi * tone_hz * t)
+    return SampleBuffer(x / np.max(np.abs(x)), rate)
+
+
+def _on_one_and_two_cpus(block_frames):
+    """(block_frames, cpus) cases: each block size on two CPUs under its bare
+    id, and on one CPU under that id plus "-1cpu"."""
+    return [pytest.param(b, cpus, id=str(b) if cpus == 2 else f"{b}-1cpu")
+            for cpus in (2, 1) for b in block_frames]
+
+
+#: (rate, detect settings, burst Hz). 44.1 kHz frames are 2205 samples, an
+#: odd length with no Nyquist bin, also under a band that reaches Nyquist
+#: (22040 Hz is its top bin); at 16 kHz both the 5-8 kHz band and the
+#: 300-8000 Hz speech band claim the Nyquist bin, where the bursts sit.
+_DETECT_CASES = [
+    (48000.0, {}, 17000.0),
+    (44100.0, {}, 17000.0),
+    (44100.0, {"carrier_hz": 16050.0}, 22040.0),
+    (16000.0, {"carrier_hz": 5000.0, "band_hz": 3000.0, "ratio_threshold": 0.5}, 8000.0),
+]
+
+
+@pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 7, 256, None]))
+def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames, cpus):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+    for rate, kwargs, burst_hz in _DETECT_CASES:
         frame_len = int(round(FRAME_MS * rate / 1000.0))
         if block_frames is not None:
             monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
         per_block = max(1, analysis._BLOCK_SAMPLES // frame_len)
         short = speech_like(duration_s=0.4, seed=4, rate=rate)
-        for clip in (_straddling_bursts(rate, per_block), short):
-            flags, score, sustained = _detect_whole_batch(clip)
-            verdict = detect(clip)
-            assert np.array_equal(verdict.frame_flags, flags)
-            assert verdict.score == score
-            assert verdict.sustained_ms == sustained
-            assert clip is short or verdict.flagged
+        for clip in (_straddling_bursts(rate, per_block, burst_hz), _rising_tone(rate, burst_hz),
+                     short):
+            flags, score, sustained = _detect_whole_batch(clip, **kwargs)
+            verdict = detect(clip, **kwargs)
+            assert np.array_equal(verdict.frame_flags, flags), rate
+            assert verdict.score == score, rate
+            assert verdict.sustained_ms == sustained, rate
+            assert clip is short or verdict.flagged, rate
+
+
+def _no_thread(self):
+    raise AssertionError("detect started a thread on one CPU")
+
+
+def test_detect_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 16 * 2400)  # 3 blocks at 48 kHz
+    clip = _straddling_bursts(RATE, 16)
+    before = threading.active_count()
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", _no_thread)
+        expected = detect(clip)
+
+    # more callers than cores, switching often: each call keeps to its own buffers
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    verdicts = []
+    callers = [threading.Thread(target=lambda: verdicts.append(detect(clip))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(verdicts) == 4
+    for verdict in verdicts:
+        assert np.array_equal(verdict.frame_flags, expected.frame_flags)
+        assert (verdict.score, verdict.sustained_ms) == (expected.score, expected.sustained_ms)
+    assert threading.active_count() == before
+
+    # the FFT fails on the worker's rows only: detect raises it once the worker ended
+    rfft, caller_id, errors = np.fft.rfft, [], []
+
+    def rfft_failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != caller_id[0]:
+            raise MemoryError("worker rows")
+        return rfft(*args, **kwargs)
+
+    def call():
+        caller_id.append(threading.get_ident())
+        try:
+            detect(clip)
+        except MemoryError as exc:
+            errors.append((str(exc), threading.active_count()))
+
+    monkeypatch.setattr(np.fft, "rfft", rfft_failing_off_the_caller)
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert errors == [("worker rows", before + 1)]  # the runner itself, no worker
+    assert threading.active_count() == before
 
 
 def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chunk: bool):
@@ -376,9 +471,10 @@ def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chun
     path.write_bytes(struct.pack("<4sI", b"RIFF", len(body)) + body)
 
 
-@pytest.mark.parametrize("block_frames", [1, 2, 7, None])
+@pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 2, 7, None]))
 @pytest.mark.parametrize("rate", [44100, 48000])
-def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_frames):
+def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_frames, cpus):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = frame_len // 2
     if block_frames is not None:
