@@ -6,13 +6,15 @@ query sum to the time-domain energy, and any disjoint partition of
 that a band reaching Nyquist also claims the Nyquist bin, which is what
 makes partitions exact.
 
-``measure`` is Welch's averaged modified periodogram (P. D. Welch, IEEE Trans.
-Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50% overlap,
-summed and scaled so the bins add up to the measured samples' energy; a
-shorter signal is one Hann frame of its own length. ``measure``, ``detect``
-and ``stft`` take their frames from one helper, a block of frames at a time,
-out of the source's ``blocks``: a ``SampleBuffer`` in memory, or for
-``detect`` also a ``WavFile`` read from disk block by block.
+``band_energy`` and ``recovered_bandwidth`` sum the periodograms of
+non-overlapping segments of at most 2**17 samples (M. S. Bartlett, Nature
+161, 1948). ``measure`` is Welch's averaged modified periodogram (P. D. Welch,
+IEEE Trans. Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50%
+overlap, summed and scaled so the bins add up to the measured samples'
+energy; a shorter signal is one Hann frame of its own length. ``measure``,
+``detect`` and ``stft`` take their frames from one helper, a block of frames
+at a time, out of the source's ``blocks``: a ``SampleBuffer`` in memory, or
+for ``detect`` also a ``WavFile`` read from disk block by block.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
-from .kernels import BAND_HZ, CARRIER_HZ, check_band, tukey_window
+from .kernels import _FFT_POINTS, BAND_HZ, CARRIER_HZ, check_band, next_fast_len, tukey_window
 from .wavio import SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,11 +89,8 @@ class DetectionVerdict:
 
 
 def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndarray:
-    """Per-bin energies of an rfft such that their sum equals sum(x**2).
-
-    ``n_fft`` (default: the signal length) zero-pads the transform; the
-    bins are then ``rfftfreq(n_fft)`` and the sum still equals sum(x**2).
-    """
+    """Per-bin energies of an rfft zero-padded to ``n_fft`` (default: the
+    signal length), such that their sum equals sum(x**2)."""
     n_fft = samples.shape[-1] if n_fft is None else n_fft
     # One float array beside the transform, worked in place: |X|**2, then
     # twice every bin but DC and (for an even n_fft) Nyquist, then / n_fft.
@@ -100,6 +99,15 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndar
     power[..., 1 : power.shape[-1] - (n_fft % 2 == 0)] *= 2.0
     power /= n_fft
     return power
+
+
+def _spectrum(signal: SampleBuffer) -> tuple:
+    """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
+    of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
+    zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform."""
+    n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
+    energy = sum(_weighted_power(block, n_fft) for block in signal.blocks(n_fft, 0))
+    return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
 
 
 def _frame_blocks(source: Union[SampleBuffer, WavFile], frame_len: int, hop: int, window=None):
@@ -163,18 +171,16 @@ def stft(
 
 
 def band_energy(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
-    """Signal energy (sum of squares) inside [lo_hz, hi_hz).
-
-    A band whose upper edge reaches Nyquist includes the Nyquist bin, so a
-    disjoint partition of [0, rate/2] sums exactly to the total energy.
-    """
+    """Signal energy (sum of squares) inside [lo_hz, hi_hz), from the
+    segmented spectrum ``_spectrum``. A band whose upper edge reaches Nyquist
+    includes the Nyquist bin, so a disjoint partition of [0, rate/2] sums to
+    the total energy."""
     if len(signal) == 0:
         raise EmptySignal("no energy in an empty signal")
     nyquist = signal.sample_rate_hz / 2.0
     if not (0.0 <= lo_hz < hi_hz and hi_hz <= nyquist * (1.0 + 1e-12)):
         raise BadBand(f"band [{lo_hz}, {hi_hz}] Hz invalid for rate {signal.sample_rate_hz} Hz")
-    freqs = np.fft.rfftfreq(len(signal), d=1.0 / signal.sample_rate_hz)
-    energy = _weighted_power(signal.samples)
+    freqs, energy = _spectrum(signal)
     return float(energy[_band_mask(freqs, lo_hz, hi_hz, nyquist)].sum())
 
 

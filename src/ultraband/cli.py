@@ -72,6 +72,7 @@ _MOD_PARAMS = _signature_params(modulator.ModulationConfig, {
     "normalize_target": ("target", "output peak level", "tool"),
     "working_rate_hz": ("rate", "working sample rate, Hz", "tool"),
 })
+_ANALYZE_PARAMS = _MOD_PARAMS[:3]  # measure reads the band and the taper only
 _DEMOD_PARAMS = _signature_params(demodulator.demodulate_file, {
     "carrier_hz": ("carrier", "carrier frequency, Hz", "method"),
     "recovery_cutoff_hz": ("cutoff", "recovery low-pass cutoff, Hz", "method"),
@@ -109,15 +110,15 @@ def _flag_values(args, params: list) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _mod_config(args, **fixed) -> modulator.ModulationConfig:
+def _mod_config(args, params=_MOD_PARAMS, **fixed) -> modulator.ModulationConfig:
     """The config file, then the flags, then ``fixed``: each wins over the last."""
     cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
-    return replace(cfg, **{**_flag_values(args, _MOD_PARAMS), **fixed})
+    return replace(cfg, **{**_flag_values(args, params), **fixed})
 
 
-def _add_mod_flags(p: argparse.ArgumentParser) -> None:
+def _add_mod_flags(p: argparse.ArgumentParser, params=_MOD_PARAMS) -> None:
     p.add_argument("--config", metavar="FILE", help="key = value config file read before flags")
-    _add_flags(p, _MOD_PARAMS)
+    _add_flags(p, params)
 
 
 @functools.cache
@@ -150,7 +151,7 @@ def build_parser() -> _Parser:
 
     p = command("analyze", _cmd_analyze, "band metrics of a WAV (leakage, occupancy, suppression)")
     p.add_argument("input")
-    _add_mod_flags(p)
+    _add_mod_flags(p, _ANALYZE_PARAMS)
 
     p = command("spectrogram", _cmd_spectrogram, "render a WAV to a grayscale PGM image")
     p.add_argument("input")
@@ -206,8 +207,8 @@ def _cmd_demodulate(args) -> int:
 def _cmd_analyze(args) -> int:
     signal = to_float(read_wav(args.input), channel=0)
     # the band is checked against the file's rate, not modulate's working rate
-    metrics = analysis.measure(signal, _mod_config(args, working_rate_hz=signal.sample_rate_hz))
-    _emit({"input": args.input, **asdict(metrics)})
+    config = _mod_config(args, _ANALYZE_PARAMS, working_rate_hz=signal.sample_rate_hz)
+    _emit({"input": args.input, **asdict(analysis.measure(signal, config))})
     return EXIT_OK
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _occupancy, _weighted_power
+from .analysis import _occupancy, _spectrum
 from .errors import ConfigInvalid, EmptySignal, check_positive
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _mix, apply_filter, check_band,
-                      check_taps, design_lowpass, next_fast_len, peak_normalize)
+                      check_taps, design_lowpass, peak_normalize)
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
@@ -92,22 +92,15 @@ def demodulate(
 
 
 def recovered_bandwidth(signal: SampleBuffer) -> float:
-    """Smallest frequency below which 95% of the signal's energy lies.
+    """Smallest frequency below which 95% of the signal's energy lies, in the
+    segmented spectrum that ``band_energy`` sums (``analysis._spectrum``).
 
     Useful as a one-number judgment of how much of the original band
-    survived a modulate/transmit/demodulate trip. The spectrum is taken
-    with the signal zero-padded to the smallest 5-smooth length
-    ``kernels.next_fast_len(n)``, so the answer sits on that finer grid of
-    bins. On noise, speech and tone pairs it is within 8 bins of
-    ``rate / n`` of the unpadded spectrum's answer
-    (tests/test_demodulator.py), and at a length that is already fast the
-    two are equal.
+    survived a modulate/transmit/demodulate trip.
     """
     if len(signal) == 0:
         raise EmptySignal("no bandwidth for an empty signal")
-    n_fft = next_fast_len(len(signal))
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz)
-    (bandwidth,) = _occupancy(freqs, _weighted_power(signal.samples, n_fft), 0.95)
+    (bandwidth,) = _occupancy(*_spectrum(signal), 0.95)
     return bandwidth
 
 

@@ -3,8 +3,8 @@
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
-scipy module. The numerically relevant choices -- tap formulas, spectral bin
-weighting, window shapes -- are all explicit in this file.
+scipy module. Tap formulas and window shapes are all explicit in this file;
+the spectral bin weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ _LOW_QUALITY_TAPS = 31
 #: takes about 0.12 s (2-core VM).
 MAX_RESAMPLE_FACTOR = 1 << 16
 
-# Overlap-add FFT points per batch, over all tap rows: a few MB of scratch
-# whatever the signal or filter; larger batches fall out of cache and run slower.
-_OLA_SAMPLES = 1 << 17
+# FFT points per overlap-add batch (over all tap rows) and per segment of
+# ``analysis._spectrum``: a few MB of scratch whatever the signal; more falls out of cache.
+_FFT_POINTS = 1 << 17
 
 # Resampler output periods per matrix product, so that a product's input
 # rows (1.4 MB at 44.1 -> 48 kHz) stay in cache.
@@ -181,7 +181,7 @@ def _overlap_add(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     n_fft = next_fast_len(min(8 * m, max(2 * m, len(x) + m - 1)))
     step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
     n_blocks = -(-len(x) // step)
-    batch = max(1, _OLA_SAMPLES // (n_fft * math.prod(rows)))
+    batch = max(1, _FFT_POINTS // (n_fft * math.prod(rows)))
     spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
     # Row j holds output samples [j * step, (j + 1) * step): block j's head
     # plus block j - 1's tail. One spare row takes the last block's tail.

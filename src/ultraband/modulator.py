@@ -121,7 +121,7 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
 
     Steps: resample to the working rate, take the band [GUARD_HZ, cutoff]
     and its Hilbert transform with one analytic band-pass FIR (run by
-    ``apply_filter``'s overlap-add), mix both with the carrier so that
+    ``kernels._overlap_add`` directly), mix both with the carrier so that
     the lower sideband cancels, apply the Tukey taper, then normalize to the
     target. Every step before the last is linear, so that one normalization
     sets the output level. Output is at ``config.working_rate_hz``.

@@ -34,7 +34,9 @@ from ultraband import (
     write_wav,
 )
 from ultraband import analysis
-from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _weighted_power
+from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _spectrum, _weighted_power
+from ultraband.demodulator import recovered_bandwidth
+from ultraband.kernels import next_fast_len
 
 # --- stft ---
 
@@ -121,14 +123,66 @@ def test_partition_sums_to_total():
         st.floats(1.0, 23999.0, allow_nan=False), min_size=1, max_size=4, unique=True
     ),
     st.integers(0, 2**31 - 1),
+    # one transform, and two or four segments with a short last one
+    st.sampled_from([4096, 2**17 + 1, 3 * 2**17 + 17]),
 )
-def test_partition_property(cut_points, seed):
+def test_partition_property(cut_points, seed, n):
     rng = np.random.default_rng(seed)
-    sig = SampleBuffer(rng.standard_normal(4096), RATE)
+    x = rng.standard_normal(n)
+    sig = SampleBuffer(x, RATE)
     cuts = [0.0] + sorted(cut_points) + [RATE / 2.0]
     total = band_energy(sig, 0.0, RATE / 2.0)
+    assert total == pytest.approx(float(np.dot(x, x)), rel=1e-9)
     parts = sum(band_energy(sig, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     assert parts == pytest.approx(total, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4801, 48017, 2**17])
+def test_spectrum_up_to_2_17_is_one_padded_transform(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    freqs, energy = _spectrum(SampleBuffer(x, RATE))
+    assert np.array_equal(energy, _weighted_power(x, next_fast_len(n)))
+    assert np.array_equal(freqs, np.fft.rfftfreq(next_fast_len(n), d=1.0 / RATE))
+
+
+def _band_energy_exact_length(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
+    """``band_energy`` before the shared spectrum: one transform at the
+    signal's own length."""
+    freqs = np.fft.rfftfreq(len(signal), d=1.0 / signal.sample_rate_hz)
+    energy = _weighted_power(signal.samples)
+    return float(energy[_band_mask(freqs, lo_hz, hi_hz, signal.sample_rate_hz / 2.0)].sum())
+
+
+def test_band_energy_stays_near_exact_length(corpus, modulated_corpus):
+    # The padded grid samples the same transform more finely, so only the
+    # slivers at the band edges move. Worst seen: 2.5e-4 of the total
+    # (two_tone, 300-3400 Hz, 77777 samples). Shorter clips have wider bins
+    # and move more: about 1.5e-3 of the total per Hz of bin width.
+    for name, signal in [*corpus.items(), *modulated_corpus.items()]:
+        for n in (95999, 77777, 48017):  # 48017 is prime
+            cut = SampleBuffer(signal.samples[:n], RATE)
+            total = float(np.dot(cut.samples, cut.samples))
+            for band in ((0.0, 15500.0), (16000.0, 22000.0), (300.0, 3400.0)):
+                moved = abs(band_energy(cut, *band) - _band_energy_exact_length(cut, *band))
+                assert moved <= 5e-4 * total, (name, n, band, moved / total)
+
+
+def test_spectrum_memory_is_flat_in_signal_length():
+    # One transform of the whole signal peaked at 439.5 MiB at 10 min; the
+    # segments hold about 2 MiB at any length.
+    x = np.random.default_rng(240).standard_normal(240 * 48000)
+    for measure_it in (recovered_bandwidth, lambda sig: band_energy(sig, 300.0, 3400.0)):
+        peaks = []
+        for seconds in (60, 240):
+            sig = SampleBuffer._adopt(x[: seconds * 48000], 48000.0)
+            tracemalloc.start()
+            try:
+                measure_it(sig)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+        assert max(peaks) < 8 << 20, peaks
 
 
 @pytest.mark.parametrize("n, n_fft", [(4801, 4801), (4801, 4860), (4801, 4861), (70766, 72000)])

@@ -140,11 +140,23 @@ def test_analyze_checks_the_band_at_the_file_rate(tmp_path, capsys):
     write_wav(path, to_pcm(modulate(speech_like(seed=65), cfg)))
     band = ["--carrier", "20000", "--cutoff", "8000"]
     assert run(["analyze", str(path), *band]) == EXIT_OK
-    # modulate's own settings do not change what analyze reports
-    assert run(["analyze", str(path), *band, "--rate", "48000", "--taps", "31"]) == EXIT_OK
+    # modulate's own settings in a config file do not change what analyze reports
+    conf = tmp_path / "mod.conf"
+    conf.write_text("working_rate_hz = 48000\nfilter_taps = 31\nnormalize_target = 0.5\n")
+    assert run(["analyze", str(path), *band, "--config", str(conf)]) == EXIT_OK
     first, second = _json_lines(capsys)
     assert first == second
     assert first["leakage_below_carrier_db"] <= -40.0
+
+
+@pytest.mark.parametrize("flag, value", [("--taps", "4"), ("--target", "2"), ("--rate", "96000")])
+def test_analyze_takes_no_flag_it_does_not_read(modulated_wav, flag, value, capsys):
+    # measure reads the band and the taper only, so a value it would never
+    # use is a usage error, not a validation error (65)
+    assert run(["analyze", str(modulated_wav), flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_demodulate_subcommand(tmp_path, modulated_wav, capsys):
@@ -242,6 +254,8 @@ def test_help_lists_one_flag_per_field(command, source, extras, capsys):
     text = capsys.readouterr().out
     options = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE)
     labels = _flag_labels(source)
+    if command == "analyze":  # measure reads the band and the taper only
+        labels = [label for label in labels if label[0] in {"--carrier", "--cutoff", "--alpha"}]
     assert sorted(options) == sorted(["--help", *extras, *(flag for flag, _ in labels)])
     flat = " ".join(text.split())
     for _flag, label in labels:

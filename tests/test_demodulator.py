@@ -8,7 +8,7 @@ import pytest
 from conftest import FULLBAND_NAME, RATE, dft_magnitude, ncc, speech_like, tone
 from ultraband import demodulator
 from ultraband.analysis import _occupancy, _weighted_power
-from ultraband.kernels import BAND_HZ, CARRIER_HZ, FIR_TAPS
+from ultraband.kernels import BAND_HZ, CARRIER_HZ, FIR_TAPS, next_fast_len
 from ultraband import (
     ConfigInvalid,
     EmptySignal,
@@ -198,7 +198,11 @@ def test_phase_search_polarity_is_repeatable(default_config):
 
 
 def test_bandwidth_of_pure_tone():
-    assert recovered_bandwidth(tone(1000.0)) == pytest.approx(1000.0, abs=1.0)
+    # 2 s is one transform; 10 s is several segments with a short last one
+    for seconds in (2.0, 10.0):
+        for rate in (48000.0, 44100.0):
+            signal = tone(1000.0, duration_s=seconds, rate=rate)
+            assert recovered_bandwidth(signal) == pytest.approx(1000.0, abs=1.0), (seconds, rate)
 
 
 def test_bandwidth_of_silence_is_zero():
@@ -237,6 +241,24 @@ def _bandwidth_exact_length(signal: SampleBuffer) -> float:
     freqs = np.fft.rfftfreq(len(signal), d=1.0 / signal.sample_rate_hz)
     (bandwidth,) = _occupancy(freqs, _weighted_power(signal.samples), 0.95)
     return bandwidth
+
+
+def _bandwidth_padded(signal: SampleBuffer) -> float:
+    """``recovered_bandwidth`` before the segments: one transform of the
+    whole signal zero-padded to ``next_fast_len(n)``."""
+    n_fft = next_fast_len(len(signal))
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz)
+    (bandwidth,) = _occupancy(freqs, _weighted_power(signal.samples, n_fft), 0.95)
+    return bandwidth
+
+
+def test_bandwidth_up_to_2_17_samples_is_one_padded_transform():
+    rng = np.random.default_rng(2017)
+    lengths = [1, 2, 4801, 48017, 2**17 - 1, 2**17, *rng.integers(3, 2**17, 40)]
+    for i, n in enumerate(lengths):
+        x = rng.standard_normal(n) if i % 2 else speech_like(duration_s=n / RATE, seed=i).samples
+        signal = SampleBuffer(x, RATE)
+        assert recovered_bandwidth(signal) == _bandwidth_padded(signal), n
 
 
 def test_fast_length_bandwidth_stays_near_exact_length():

@@ -86,8 +86,7 @@ options:
 """,
     ('analyze',): """\
 usage: ultraband analyze [-h] [--config FILE] [--carrier CARRIER]
-                         [--cutoff CUTOFF] [--alpha ALPHA] [--taps TAPS]
-                         [--target TARGET] [--rate RATE]
+                         [--cutoff CUTOFF] [--alpha ALPHA]
                          input
 
 positional arguments:
@@ -99,9 +98,6 @@ options:
   --carrier CARRIER  carrier frequency, Hz (16000 [method default])
   --cutoff CUTOFF    baseband low-pass cutoff, Hz (6000 [method default])
   --alpha ALPHA      Tukey taper fraction (0.05 [tool default])
-  --taps TAPS        least SSB filter length, odd (255 [tool default])
-  --target TARGET    output peak level (1 [tool default])
-  --rate RATE        working sample rate, Hz (48000 [tool default])
 """,
     ('spectrogram',): """\
 usage: ultraband spectrogram [-h] [--frame FRAME] [--hop HOP]

@@ -33,7 +33,7 @@ from ultraband import (
     stft,
     tukey_window,
 )
-from ultraband.kernels import (_OLA_SAMPLES, MAX_RESAMPLE_FACTOR, _carrier, _mix, _overlap_add,
+from ultraband.kernels import (_FFT_POINTS, MAX_RESAMPLE_FACTOR, _carrier, _mix, _overlap_add,
                                _taper, check_positive, next_fast_len, resampled_length)
 
 
@@ -160,7 +160,7 @@ def _filter_cases():
     for taps in (3, 31, 255, 1023):
         n_fft = next_fast_len(8 * taps)
         step = n_fft - taps + 1
-        batches = {_OLA_SAMPLES // n_fft, _OLA_SAMPLES // (2 * n_fft)}
+        batches = {_FFT_POINTS // n_fft, _FFT_POINTS // (2 * n_fft)}
         for edge in sorted({step, 2 * step, 64 * step} | {b * step for b in batches}):
             cases += [pytest.param(taps, n, id=f"{taps}taps-{n}") for n in (edge - 1, edge, edge + 1)]
     return cases
