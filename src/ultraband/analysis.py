@@ -19,8 +19,6 @@ for ``detect`` also a ``WavFile`` read from disk block by block.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -29,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
-from .kernels import _FFT_POINTS, BAND_HZ, CARRIER_HZ, check_band, next_fast_len, tukey_window
+from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _in_two, check_band, next_fast_len,
+                      tukey_window)
 from .wavio import SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,9 +103,20 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndar
 def _spectrum(signal: SampleBuffer) -> tuple:
     """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
     of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
-    zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform."""
+    zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform.
+    Two segments at a time are transformed (``_in_two``) and summed in order."""
     n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
-    energy = sum(_weighted_power(block, n_fft) for block in signal.blocks(n_fft, 0))
+    segments = list(signal.blocks(n_fft, 0))
+    energy = 0
+    for i in range(0, len(segments), 2):
+        pair = segments[i : i + 2]
+
+        def transform(a, b):  # each segment's view becomes its power
+            for j in range(a, b):
+                pair[j] = _weighted_power(pair[j], n_fft)
+
+        _in_two(transform, len(pair))
+        energy = sum(pair, energy)
     return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
 
 
@@ -230,7 +240,7 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     blocks = _frame_blocks(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2), np.hanning(seg))
     energy = sum(_weighted_power(block).sum(axis=0) for block in blocks)
     framed = energy.sum()
-    energy *= float(np.dot(core, core)) / framed if framed > 0.0 else 0.0
+    energy *= float(np.einsum("i,i->", core, core)) / framed if framed > 0.0 else 0.0
     total = float(energy.sum())
     freqs = np.fft.rfftfreq(seg, d=1.0 / rate)
 
@@ -352,32 +362,6 @@ def detect(
         sustained_ms=float(sustained),
         frame_flags=flags,
     )
-
-
-def _cpu_count() -> int:  # the CPUs this process may run on
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _in_two(work, n: int) -> None:
-    """Run ``work(0, n)``. With two CPUs or more, a worker thread runs the
-    second half, ``work(n // 2, n)``, while this one runs the first; both
-    finish before an exception from either is raised here."""
-    if _cpu_count() < 2 or n < 2:
-        return work(0, n)
-    failed = []
-
-    def guarded(a, b):
-        try:
-            work(a, b)
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=guarded, args=(n // 2, n))
-    worker.start()
-    guarded(0, n // 2)
-    worker.join()
-    if failed:
-        raise failed[0]
 
 
 def true_runs(flags: np.ndarray) -> tuple:

@@ -34,6 +34,7 @@ EXIT_IO = 74
 #: glibc ``mallopt`` parameters (malloc.h) and the values ``run`` sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _TRIM_THRESHOLD_BYTES = 128 << 20
 _MMAP_THRESHOLD_BYTES = 32 << 20
 
@@ -111,9 +112,10 @@ def _flag_values(args, params: list) -> dict:
 
 
 def _mod_config(args, params=_MOD_PARAMS, **fixed) -> modulator.ModulationConfig:
-    """The config file, then the flags, then ``fixed``: each wins over the last."""
-    cfg = modulator.load_config(args.config) if args.config else modulator.ModulationConfig()
-    return replace(cfg, **{**_flag_values(args, params), **fixed})
+    """The config file's values of ``params``, then the flags, then ``fixed``: each wins."""
+    from_file = modulator.read_config(args.config) if args.config else {}
+    kept = {name: from_file[name] for name, *_ in params if name in from_file}
+    return modulator.ModulationConfig(**{**kept, **_flag_values(args, params), **fixed})
 
 
 def _add_mod_flags(p: argparse.ArgumentParser, params=_MOD_PARAMS) -> None:
@@ -370,7 +372,10 @@ def keep_freed_memory() -> bool:
     heap kept, a repeated operation takes almost no faults; freed blocks
     are reused first, so the peak RSS of those two workloads did not
     move. Blocks of 32 MB or more are still mapped and unmapped on their
-    own. Returns whether glibc accepted both settings; elsewhere nothing
+    own. One arena serves every thread: in an arena of its own, the scratch
+    of a worker thread (``kernels._in_two``) sat beside the main heap and
+    added about 4.5 MB to the peak RSS of the ``covert_roundtrip`` benchmark.
+    Returns whether glibc accepted all three settings; elsewhere nothing
     changes and the result is False.
     """
     if not sys.platform.startswith("linux"):
@@ -378,9 +383,11 @@ def keep_freed_memory() -> bool:
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return bool(
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
         and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        and mallopt(_M_ARENA_MAX, 1)
     )
 
 

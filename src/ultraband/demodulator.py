@@ -60,9 +60,9 @@ def demodulate(
     cos, sin = _carrier(carrier_hz, rate, len(signal))
 
     def mix_down(table: np.ndarray) -> SampleBuffer:
-        # 2 * x * c can overflow, so the constructor's finiteness check stays
-        mixed = SampleBuffer(_mix(signal.samples, 2.0 * table, np.empty(len(signal))), rate)
-        return apply_filter(lpf, mixed)
+        mixed = _mix(signal.samples, 2.0 * table, np.empty(len(signal)))
+        # 2 * x * c can overflow, so the finiteness check stays
+        return apply_filter(lpf, SampleBuffer._adopt_finite(mixed, rate))
 
     recovered = mix_down(cos)
     if phase_search:
@@ -74,9 +74,12 @@ def demodulate(
         q_arm = mix_down(sin).samples
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
-        ii, qq, iq = np.dot(i_arm, i_arm), np.dot(q_arm, q_arm), np.dot(i_arm, q_arm)
+        # numpy's own loop: OpenBLAS's threaded dot spins on the other core
+        ii = np.einsum("i,i->", i_arm, i_arm)
+        qq = np.einsum("i,i->", q_arm, q_arm)
+        iq = np.einsum("i,i->", i_arm, q_arm)
         k = int(np.argmax(c * c * ii + s * s * qq - 2.0 * s * c * iq))
-        recovered = SampleBuffer(c[k] * i_arm - s[k] * q_arm, rate)
+        recovered = SampleBuffer._adopt_finite(c[k] * i_arm - s[k] * q_arm, rate)
 
     in_peak = float(np.max(np.abs(signal.samples)))
     # Judge the recovered level away from the filter's zero-padding

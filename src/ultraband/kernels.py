@@ -3,7 +3,7 @@
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
-scipy module. Tap formulas and window shapes are all explicit in this file;
+scipy module. Long filters run on two CPUs if there are two (``_in_two``). Tap formulas and window shapes are all explicit in this file;
 the spectral bin weights are ``analysis._weighted_power``.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,32 +172,72 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    return SampleBuffer(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
+    return SampleBuffer._adopt_finite(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
 
 
 def _overlap_add(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """``apply_filter``'s convolution of ``x`` (nonempty) with each row of
     ``taps`` (shape (..., m), m odd): a view of shape (..., len(x)) into one
-    fresh array. Each block's ``rfft`` is shared by every row."""
+    fresh array. Each block's ``rfft`` is shared by every row. From two full
+    batches on, two halves of the blocks run in half-size batches (``_in_two``)
+    with the same bits: each output is zero plus a head plus a tail."""
     m, rows = taps.shape[-1], taps.shape[:-1]
     n_fft = next_fast_len(min(8 * m, max(2 * m, len(x) + m - 1)))
     step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
     n_blocks = -(-len(x) // step)
-    batch = max(1, _FFT_POINTS // (n_fft * math.prod(rows)))
+    points = n_fft * math.prod(rows)
+    split = _cpu_count() >= 2 and n_blocks * points >= 2 * _FFT_POINTS
+    batch = max(1, _FFT_POINTS // ((1 + split) * points))
     spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
     # Row j holds output samples [j * step, (j + 1) * step): block j's head
     # plus block j - 1's tail. One spare row takes the last block's tail.
     full = np.zeros(rows + (n_blocks + 1, step))
-    for first in range(0, n_blocks, batch):
-        chunk = x[first * step : (first + batch) * step]
-        k = -(-chunk.size // step)
-        blocks = np.zeros((k, step))
-        blocks.reshape(-1)[: chunk.size] = chunk
-        y = np.fft.irfft(np.fft.rfft(blocks, n_fft) * spectrum, n_fft)
-        full[..., first : first + k, :] += y[..., :step]
-        full[..., first + 1 : first + k + 1, : m - 1] += y[..., step:]
+    seams = []  # (row, tail): added once both halves are done
+
+    def run(a: int, b: int) -> None:
+        for first in range(a, b, batch):
+            chunk = x[first * step : min(first + batch, b) * step]
+            k = -(-chunk.size // step)
+            blocks = np.zeros((k, step))
+            blocks.reshape(-1)[: chunk.size] = chunk
+            y = np.fft.irfft(np.fft.rfft(blocks, n_fft) * spectrum, n_fft)
+            full[..., first : first + k, :] += y[..., :step]
+            seam = first + k == b < n_blocks  # block b - 1's tail is on the other half's row
+            full[..., first + 1 : first + k + 1 - seam, : m - 1] += y[..., : k - seam, step:]
+            if seam:
+                seams.append((b, y[..., -1, step:].copy()))
+
+    _in_two(run, n_blocks, split)
+    for row, tail in seams:
+        full[..., row, : m - 1] += tail
     d = (m - 1) // 2
     return full.reshape(rows + (-1,))[..., d : d + len(x)]
+
+
+def _cpu_count() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_two(work, n: int, split: bool = True) -> None:
+    """Run ``work(0, n)``. With ``split`` and two CPUs or more, a worker thread
+    runs the second half, ``work(n // 2, n)``, while this one runs the first;
+    both finish before an exception from either is raised here."""
+    if not split or _cpu_count() < 2 or n < 2:
+        return work(0, n)
+    failed = []
+
+    def guarded(a, b):
+        try:
+            work(a, b)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=guarded, args=(n // 2, n))
+    worker.start()
+    guarded(0, n // 2)
+    worker.join()
+    if failed:
+        raise failed[0]
 
 
 def hilbert(signal: SampleBuffer) -> SampleBuffer:
@@ -218,7 +260,7 @@ def hilbert(signal: SampleBuffer) -> SampleBuffer:
     spectrum[0] = 0.0
     if n % 2 == 0:
         spectrum[-1] = 0.0
-    return SampleBuffer(np.fft.irfft(spectrum, n), signal.sample_rate_hz)
+    return SampleBuffer._adopt_finite(np.fft.irfft(spectrum, n), signal.sample_rate_hz)
 
 
 def _tukey_ramps(length: int, alpha: float):
@@ -396,4 +438,4 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     up, down = _factors(signal.sample_rate_hz, new_rate_hz)
     if up == down or len(signal) == 0:  # the samples are frozen and finite already
         return SampleBuffer._adopt(signal.samples, new_rate_hz)
-    return SampleBuffer(_polyphase(signal.samples, up, down), new_rate_hz)
+    return SampleBuffer._adopt_finite(_polyphase(signal.samples, up, down), new_rate_hz)

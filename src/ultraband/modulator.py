@@ -80,6 +80,11 @@ def load_config(path) -> ModulationConfig:
     Blank lines and ``#`` comments are ignored. Keys must match config field
     names; values are numeric.
     """
+    return ModulationConfig(**read_config(path))
+
+
+def read_config(path) -> dict:
+    """The fields a ``load_config`` file sets, each one parsed but not yet validated."""
     overrides: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,7 +103,7 @@ def load_config(path) -> ModulationConfig:
             overrides[key] = parse_field(key, value)
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"{path}:{lineno}: {exc}") from exc
-    return ModulationConfig(**overrides)
+    return overrides
 
 
 def _ssb_taps(config: ModulationConfig) -> np.ndarray:
@@ -146,7 +151,8 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
 
     if len(mixed) >= 2:
         _taper(mixed, config.tukey_alpha)
-    return peak_normalize(SampleBuffer(mixed, config.working_rate_hz), config.normalize_target)
+    return peak_normalize(SampleBuffer._adopt_finite(mixed, config.working_rate_hz),
+                          config.normalize_target)
 
 
 def modulate_file(

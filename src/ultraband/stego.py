@@ -118,7 +118,7 @@ def embed(
 
     out = host.samples.copy()
     out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
-    return SampleBuffer(out, host.sample_rate_hz)
+    return SampleBuffer._adopt(out, host.sample_rate_hz)  # fresh, and clipped to finite values
 
 
 def embed_file(

@@ -152,6 +152,13 @@ class SampleBuffer:
         object.__setattr__(buf, "sample_rate_hz", float(sample_rate_hz))
         return buf
 
+    @classmethod
+    def _adopt_finite(cls, samples: np.ndarray, sample_rate_hz: float) -> "SampleBuffer":
+        """``_adopt``, but BadArgument unless the min and max (so every sample) are finite."""
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+            raise BadArgument("samples must be finite")
+        return cls._adopt(samples, sample_rate_hz)
+
     def __len__(self) -> int:
         return self.samples.size
 

@@ -22,7 +22,9 @@ from ultraband import (
     PcmClip,
     SampleBuffer,
     SignalTooShort,
+    apply_filter,
     band_energy,
+    design_lowpass,
     detect,
     measure,
     modulate,
@@ -33,7 +35,7 @@ from ultraband import (
     to_float,
     write_wav,
 )
-from ultraband import analysis
+from ultraband import analysis, kernels
 from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _spectrum, _weighted_power
 from ultraband.demodulator import recovered_bandwidth
 from ultraband.kernels import next_fast_len
@@ -143,6 +145,18 @@ def test_spectrum_up_to_2_17_is_one_padded_transform(n):
     freqs, energy = _spectrum(SampleBuffer(x, RATE))
     assert np.array_equal(energy, _weighted_power(x, next_fast_len(n)))
     assert np.array_equal(freqs, np.fft.rfftfreq(next_fast_len(n), d=1.0 / RATE))
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3, 4, 5])
+def test_spectrum_on_two_cpus_equals_one_segment_at_a_time(monkeypatch, segments):
+    # 2**17 * k - 1 ends on a short segment, which is padded like the rest
+    for n in (2**17 * segments - 1, 2**17 * segments, 2**17 * segments + 1):
+        sig = SampleBuffer(np.random.default_rng(n).standard_normal(n), RATE)
+        n_fft = min(2**17, next_fast_len(n))
+        serial = sum(_weighted_power(block, n_fft) for block in sig.blocks(n_fft, 0))
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+            assert np.array_equal(_spectrum(sig)[1], serial), (n, cpus)
 
 
 def _band_energy_exact_length(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
@@ -440,7 +454,7 @@ _DETECT_CASES = [
 
 @pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 7, 256, None]))
 def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames, cpus):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     for rate, kwargs, burst_hz in _DETECT_CASES:
         frame_len = int(round(FRAME_MS * rate / 1000.0))
         if block_frames is not None:
@@ -458,22 +472,23 @@ def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames, cpus):
 
 
 def _no_thread(self):
-    raise AssertionError("detect started a thread on one CPU")
+    raise AssertionError("a thread started on one CPU")
 
 
-def test_detect_threads_end_with_the_call(monkeypatch):
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 16 * 2400)  # 3 blocks at 48 kHz
-    clip = _straddling_bursts(RATE, 16)
+def _threads_end_with_the_call(monkeypatch, call_once):
+    """``call_once()`` (an array) starts no thread on one CPU, gives the same
+    array from four concurrent callers on two, and raises a worker's FFT error
+    only after the worker ended; no thread outlives a call."""
     before = threading.active_count()
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     with monkeypatch.context() as m:
         m.setattr(threading.Thread, "start", _no_thread)
-        expected = detect(clip)
+        expected = call_once()
 
     # more callers than cores, switching often: each call keeps to its own buffers
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
-    verdicts = []
-    callers = [threading.Thread(target=lambda: verdicts.append(detect(clip))) for _ in range(4)]
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    results = []
+    callers = [threading.Thread(target=lambda: results.append(call_once())) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -484,13 +499,12 @@ def test_detect_threads_end_with_the_call(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert len(verdicts) == 4
-    for verdict in verdicts:
-        assert np.array_equal(verdict.frame_flags, expected.frame_flags)
-        assert (verdict.score, verdict.sustained_ms) == (expected.score, expected.sustained_ms)
+    assert len(results) == 4
+    for result in results:
+        assert np.array_equal(result, expected)
     assert threading.active_count() == before
 
-    # the FFT fails on the worker's rows only: detect raises it once the worker ended
+    # the FFT fails on the worker's rows only: the call raises it once the worker ended
     rfft, caller_id, errors = np.fft.rfft, [], []
 
     def rfft_failing_off_the_caller(*args, **kwargs):
@@ -501,17 +515,33 @@ def test_detect_threads_end_with_the_call(monkeypatch):
     def call():
         caller_id.append(threading.get_ident())
         try:
-            detect(clip)
+            call_once()
         except MemoryError as exc:
             errors.append((str(exc), threading.active_count()))
 
-    monkeypatch.setattr(np.fft, "rfft", rfft_failing_off_the_caller)
-    runner = threading.Thread(target=call)
-    runner.start()
-    runner.join(timeout=60)
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft", rfft_failing_off_the_caller)
+        runner = threading.Thread(target=call)
+        runner.start()
+        runner.join(timeout=60)
     assert not runner.is_alive()
     assert errors == [("worker rows", before + 1)]  # the runner itself, no worker
     assert threading.active_count() == before
+
+
+def test_detect_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 16 * 2400)  # 3 blocks at 48 kHz
+    clip = _straddling_bursts(RATE, 16)
+
+    def verdict():
+        found = detect(clip)
+        return np.append(found.frame_flags, [found.score, found.sustained_ms])
+
+    _threads_end_with_the_call(monkeypatch, verdict)
+    # the overlap-add filter splits its blocks the same way past two batches
+    x = SampleBuffer(np.random.default_rng(7).uniform(-1.0, 1.0, 5 * 48000), RATE)
+    lowpass = design_lowpass(6000.0, RATE, 255)
+    _threads_end_with_the_call(monkeypatch, lambda: apply_filter(lowpass, x).samples)
 
 
 def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chunk: bool):
@@ -528,7 +558,7 @@ def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chun
 @pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 2, 7, None]))
 @pytest.mark.parametrize("rate", [44100, 48000])
 def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_frames, cpus):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = frame_len // 2
     if block_frames is not None:

@@ -3,10 +3,14 @@
 import csv
 import inspect
 import json
+import os
 import platform
 import re
 import resource
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,16 @@ def test_flag_beats_config_file(tmp_path, speech_wav, capsys):
     assert read_wav(out).sample_rate_hz == 48000
 
 
+def test_flag_replaces_an_invalid_config_value(tmp_path, speech_wav, capsys):
+    # only the merged settings are range-checked (this exited 65 before)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("carrier_hz = 30000\n")
+    out = tmp_path / "out.wav"
+    code = run(["modulate", str(speech_wav), str(out), "--config", str(conf), "--carrier", "16000"])
+    assert code == EXIT_OK
+    assert read_wav(out).sample_rate_hz == 48000
+
+
 def test_invalid_config_value_is_data_error(tmp_path, speech_wav, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("carrier_hz = 30000\n")  # band cannot fit under Nyquist
@@ -147,6 +161,38 @@ def test_analyze_checks_the_band_at_the_file_rate(tmp_path, capsys):
     first, second = _json_lines(capsys)
     assert first == second
     assert first["leakage_below_carrier_db"] <= -40.0
+
+
+@pytest.mark.parametrize("text, flags", [
+    # keys analyze does not read are parsed, then dropped: --taps 4 is a usage error
+    ("filter_taps = 4\nnormalize_target = 2\nworking_rate_hz = -1\n", []),
+    ("carrier_hz = 15000\ncutoff_hz = 7000\ntukey_alpha = 0.1\n",
+     ["--carrier", "15000", "--cutoff", "7000", "--alpha", "0.1"]),
+], ids=["unread-keys", "band-and-taper"])
+def test_analyze_config_file_sets_the_band_and_taper_only(modulated_wav, tmp_path, capsys,
+                                                          text, flags):
+    conf = tmp_path / "analyze.conf"
+    conf.write_text(text)
+    assert run(["analyze", str(modulated_wav), "--config", str(conf)]) == EXIT_OK
+    assert run(["analyze", str(modulated_wav), *flags]) == EXIT_OK
+    from_file, from_flags = _json_lines(capsys)
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("text, error", [
+    ("carrier_hz = 20000\n", "does not fit under Nyquist"),
+    ("tukey_alpha = 1.5\n", "tukey_alpha"),
+    ("filter_taps = four\n", "filter_taps: bad number 'four'"),
+    ("taps = 255\n", "unknown key 'taps'"),
+], ids=["band", "taper", "bad-number", "unknown-key"])
+def test_analyze_config_file_errors_are_data_errors(modulated_wav, tmp_path, capsys, text, error):
+    conf = tmp_path / "analyze.conf"
+    conf.write_text(text)
+    assert run(["analyze", str(modulated_wav), "--config", str(conf)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and error in line
 
 
 @pytest.mark.parametrize("flag, value", [("--taps", "4"), ("--target", "2"), ("--rate", "96000")])
@@ -678,6 +724,29 @@ _GLIBC = platform.libc_ver()[0] == "glibc"
 @pytest.mark.skipif(not _GLIBC, reason="the allocator setting is glibc's mallopt")
 def test_keep_freed_memory_is_accepted():
     assert keep_freed_memory() is True
+
+
+# Starts a thread that allocates after keep_freed_memory; malloc_stats then
+# prints one "Arena N:" line per arena to stderr.
+_ARENA_CHILD = """
+import ctypes, threading
+import numpy as np
+from ultraband.cli import keep_freed_memory
+assert keep_freed_memory()
+worker = threading.Thread(target=lambda: [np.ones(20000) for _ in range(50)])
+worker.start()
+worker.join()
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the allocator setting is glibc's mallopt")
+def test_keep_freed_memory_keeps_one_arena():
+    # without the arena setting the worker's blocks land in a second arena
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _ARENA_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert re.findall(r"^Arena \d+:", done.stderr, re.M) == ["Arena 0:"]
 
 
 @pytest.mark.skipif(not _GLIBC, reason="the allocator setting is glibc's mallopt")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import RATE, dft_magnitude, tone
+from ultraband import kernels
 from ultraband import (
     BadAlpha,
     BadArgument,
@@ -177,6 +178,64 @@ def test_filter_matches_direct_convolution(taps, n):
     # rows of taps share each block's FFT, in half the blocks per batch; each keeps its bits
     rows = _overlap_add(x, np.stack([filt.taps, 2.0 * filt.taps]))
     assert np.array_equal(rows, [out.samples, 2.0 * out.samples])
+
+
+def _split_cases():
+    """(taps, rows, n): for one and two tap rows, lengths of one block below,
+    at and one above the split threshold (two full batches of FFT points)."""
+    cases = []
+    for taps, rows in ((255, 1), (255, 2), (1023, 2)):
+        n_fft = next_fast_len(8 * taps)
+        step = n_fft - taps + 1
+        threshold = -(-2 * _FFT_POINTS // (n_fft * rows))  # blocks
+        cases += [pytest.param(taps, rows, b * step, id=f"{taps}taps-{rows}rows-{b}blocks")
+                  for b in (threshold - 1, threshold, threshold + 1)]
+    return cases
+
+
+def _on_cpus(monkeypatch, cpus, x, taps):
+    """``_overlap_add(x, taps)`` with ``cpus`` CPUs, and whether it split its blocks."""
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    calls = []
+    in_two = kernels._in_two
+    monkeypatch.setattr(kernels, "_in_two",
+                        lambda work, n, split: calls.append(split) or in_two(work, n, split))
+    return _overlap_add(x, taps), calls == [True]
+
+
+@pytest.mark.parametrize("taps, rows, n", _split_cases())
+def test_split_filter_equals_one_cpu_at_the_threshold(monkeypatch, taps, rows, n):
+    filt = design_lowpass(6000.0, RATE, taps)
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    stacked = np.stack([filt.taps, 2.0 * filt.taps])[:rows] if rows == 2 else filt.taps
+    one, split_one = _on_cpus(monkeypatch, 1, x, stacked)
+    two, split_two = _on_cpus(monkeypatch, 2, x, stacked)
+    n_fft = next_fast_len(8 * taps)
+    assert not split_one
+    assert split_two == (-(-n // (n_fft - taps + 1)) * n_fft * rows >= 2 * _FFT_POINTS)
+    assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("taps, n", _filter_cases())
+def test_filter_on_two_cpus_equals_one(monkeypatch, taps, n):
+    filt = design_lowpass(6000.0, RATE, taps)
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    for stacked in (filt.taps, np.stack([filt.taps, 2.0 * filt.taps])):
+        assert np.array_equal(_on_cpus(monkeypatch, 1, x, stacked)[0],
+                              _on_cpus(monkeypatch, 2, x, stacked)[0])
+        # batches of a few blocks: the halves' seam falls inside and at the end of a batch
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_FFT_POINTS", 3 * next_fast_len(8 * taps))
+            small = _on_cpus(m, 2, x, stacked)[0]
+        assert np.array_equal(small, _on_cpus(monkeypatch, 1, x, stacked)[0])
+
+
+def test_filter_overflow_is_bad_argument():
+    # the output is adopted without a copy, so its own finiteness check must stay
+    filt = design_lowpass(6000.0, RATE, 255)
+    x = np.full(4800, 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BadArgument, match="finite"):
+        apply_filter(filt, SampleBuffer(x, RATE))
 
 
 def test_filter_passes_low_tone_rejects_high_tone():
