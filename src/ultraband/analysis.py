@@ -14,7 +14,8 @@ overlap, summed and scaled so the bins add up to the measured samples'
 energy; a shorter signal is one Hann frame of its own length. ``measure``,
 ``detect`` and ``stft`` take their frames from one helper, a block of frames
 at a time, out of the source's ``blocks``: a ``SampleBuffer`` in memory, or
-for ``detect`` also a ``WavFile`` read from disk block by block.
+for ``detect`` also a ``WavFile`` read from disk block by block. ``measure``
+and ``detect`` fill one reused buffer per call, on two CPUs (``_in_two``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import kernels
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
 from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _in_two, check_band, next_fast_len,
@@ -87,13 +89,13 @@ class DetectionVerdict:
     frame_flags: np.ndarray
 
 
-def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None) -> np.ndarray:
+def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None, out=None) -> np.ndarray:
     """Per-bin energies of an rfft zero-padded to ``n_fft`` (default: the
-    signal length), such that their sum equals sum(x**2)."""
+    signal length), such that their sum equals sum(x**2); into ``out`` if given."""
     n_fft = samples.shape[-1] if n_fft is None else n_fft
     # One float array beside the transform, worked in place: |X|**2, then
     # twice every bin but DC and (for an even n_fft) Nyquist, then / n_fft.
-    power = np.abs(np.fft.rfft(samples, n=n_fft))
+    power = np.abs(np.fft.rfft(samples, n=n_fft), out=out)
     power **= 2
     power[..., 1 : power.shape[-1] - (n_fft % 2 == 0)] *= 2.0
     power /= n_fft
@@ -215,7 +217,10 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     overlap (a trailing remainder shorter than one hop is dropped), their
     per-bin energies summed and scaled so the bins add up to the region's
     energy. A region shorter than one segment is one Hann frame of its own
-    length.
+    length. ``np.hanning`` is zero at both ends, so the first and the last
+    framed sample get zero weight (an impulse there reads none). Frames are
+    transformed ``_FFT_POINTS`` samples at a time into one reused buffer, on
+    two CPUs from two such batches on: fixed scratch, the bits of one CPU.
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -236,9 +241,25 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, core.size)
+    window = np.hanning(seg)
+    power, energy = None, 0
     # a view of the frozen signal, so adopting it copies nothing
-    blocks = _frame_blocks(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2), np.hanning(seg))
-    energy = sum(_weighted_power(block).sum(axis=0) for block in blocks)
+    for frames in _frame_blocks(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2)):
+        split = kernels._cpu_count() >= 2 and len(frames) * seg >= 2 * _FFT_POINTS
+        batch = max(1, _FFT_POINTS // ((1 + split) * seg))
+        if len(frames) <= batch:  # one sub-batch: a buffer and its bookkeeping cost more
+            energy = energy + _weighted_power(frames * window).sum(axis=0)
+            continue
+        if power is None:  # one buffer, as long as the first (longest) block
+            power = np.empty((len(frames), seg // 2 + 1))
+
+        def fill(a, b, frames=frames):
+            for lo in range(a, b, batch):
+                rows = slice(lo, min(lo + batch, b))
+                _weighted_power(frames[rows] * window, out=power[rows])
+
+        _in_two(fill, len(frames), split)
+        energy = energy + power[: len(frames)].sum(axis=0)  # in block order, as one sum
     framed = energy.sum()
     energy *= float(np.einsum("i,i->", core, core)) / framed if framed > 0.0 else 0.0
     total = float(energy.sum())

@@ -81,14 +81,14 @@ def demodulate(
         k = int(np.argmax(c * c * ii + s * s * qq - 2.0 * s * c * iq))
         recovered = SampleBuffer._adopt_finite(c[k] * i_arm - s[k] * q_arm, rate)
 
-    in_peak = float(np.max(np.abs(signal.samples)))
+    in_peak = max(float(signal.samples.max()), -float(signal.samples.min()))
     # Judge the recovered level away from the filter's zero-padding
     # warm-up: the leading/trailing group-delay spans hold onset
     # transients that would trip the gate when there is nothing to
     # recover.
     d = lpf.group_delay
     core = recovered.samples[d:-d] if len(recovered) > 2 * d else recovered.samples
-    out_peak = float(np.max(np.abs(core))) if core.size else 0.0
+    out_peak = max(float(core.max()), -float(core.min())) if core.size else 0.0
     if out_peak > _RECOVERY_FLOOR * in_peak and out_peak > 0.0:
         return peak_normalize(recovered, 1.0)
     return recovered
@@ -123,9 +123,8 @@ def demodulate_file(
     check_positive(carrier_hz, ConfigInvalid, "carrier_hz")
     check_positive(recovery_cutoff_hz, ConfigInvalid, "recovery_cutoff_hz")
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
-    signal = to_float(read_wav(in_path), channel=0)
-    recovered = demodulate(signal, carrier_hz, recovery_cutoff_hz, filter_taps, phase_search)
-    pcm = to_pcm(recovered)
+    pcm = to_pcm(demodulate(to_float(read_wav(in_path), channel=0), carrier_hz,
+                            recovery_cutoff_hz, filter_taps, phase_search))
     write_wav(out_path, pcm)
     # write/read is byte-exact, so the in-memory clip is what the file holds
     return recovered_bandwidth(to_float(pcm, channel=0))

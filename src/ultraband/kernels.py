@@ -3,8 +3,9 @@
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
-scipy module. Long filters run on two CPUs if there are two (``_in_two``). Tap formulas and window shapes are all explicit in this file;
-the spectral bin weights are ``analysis._weighted_power``.
+scipy module. Long filters, ``analysis.measure``, ``detect`` and ``_spectrum``
+run on two CPUs if there are two (``_in_two``). Tap formulas and window
+shapes are explicit here; the bin weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def peak_normalize(signal: SampleBuffer, target: float = 1.0) -> SampleBuffer:
     check_fraction(target, BadArgument, "target")
     if len(signal) == 0:
         return signal
-    peak = float(np.max(np.abs(signal.samples)))
+    peak = max(float(signal.samples.max()), -float(signal.samples.min()))  # no |x| array
     if peak == 0.0:
         return signal
     scale = target / peak

@@ -164,8 +164,6 @@ def modulate_file(
     the float intermediate; write/read is byte-exact, so they are measured
     on the quantized clip in memory.
     """
-    clip = read_wav(in_path)
-    shifted = modulate(to_float(clip, channel=0), config)
-    pcm = to_pcm(shifted)
+    pcm = to_pcm(modulate(to_float(read_wav(in_path), channel=0), config))
     write_wav(out_path, pcm)
     return analysis.measure(to_float(pcm, channel=0), config)

@@ -49,6 +49,8 @@ READ_SCALE = 32768.0
 #: Scale used when converting floats back to integers (write direction).
 WRITE_SCALE = 32767.0
 
+_PCM_CHUNK = 1 << 15  # samples ``to_pcm`` quantizes at a time: 256 KB of float scratch
+
 
 def _real_array(samples) -> np.ndarray:
     """``samples`` as an array; BadArgument unless it holds real numbers."""
@@ -94,8 +96,8 @@ class PcmClip:
 
     @classmethod
     def _adopt(cls, samples: np.ndarray, sample_rate_hz: int, channels: int) -> "PcmClip":
-        """Take ownership of a fresh int16 array whose fields ``_parse_header``
-        has checked: no copy, no scan."""
+        """Take ownership of a fresh int16 array whose fields are checked
+        (by ``_parse_header`` or ``to_pcm``): no copy, no scan."""
         samples.flags.writeable = False
         clip = object.__new__(cls)
         object.__setattr__(clip, "samples", samples)
@@ -421,16 +423,15 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     A WAV stores a whole-number rate that fits its header, so any other
     rate raises BadRate.
     """
-    # one array: scale, abs, +0.5, floor, copysign, clip; scaling by a
-    # positive number keeps every sign, so the input's signs serve copysign
-    q = buf.samples * WRITE_SCALE
-    np.abs(q, out=q)
-    q += 0.5
-    np.floor(q, out=q)
-    np.copysign(q, buf.samples, out=q)
-    np.clip(q, -32768, 32767, out=q)
-    return PcmClip(
-        samples=q.astype(np.int16),
-        sample_rate_hz=buf.sample_rate_hz,
-        channels=1,
-    )
+    rate = check_count(buf.sample_rate_hz, BadRate, "sample_rate_hz", 1, 0xFFFFFFFF // 2)
+    out = np.empty(len(buf), dtype=np.int16)
+    for start in range(0, len(buf), _PCM_CHUNK):
+        # scale, abs, +0.5, floor, copysign (x keeps the signs of x * 32767), clip
+        x = buf.samples[start : start + _PCM_CHUNK]
+        q = x * WRITE_SCALE
+        np.abs(q, out=q)
+        q += 0.5
+        np.floor(q, out=q)
+        np.copysign(q, x, out=q)
+        out[start : start + x.size] = np.clip(q, -32768, 32767, out=q)
+    return PcmClip._adopt(out, rate, 1)

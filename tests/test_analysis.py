@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from ultraband import (
     write_wav,
 )
 from ultraband import analysis, kernels
-from ultraband.analysis import FRAME_MS, _band_mask, _longest_run_ms, _spectrum, _weighted_power
+from ultraband.analysis import (FRAME_MS, WELCH_SEGMENT, _band_mask, _frame_blocks, _longest_run_ms,
+                                _spectrum, _weighted_power)
 from ultraband.demodulator import recovered_bandwidth
 from ultraband.kernels import next_fast_len
 
@@ -181,22 +183,28 @@ def test_band_energy_stays_near_exact_length(corpus, modulated_corpus):
                 assert moved <= 5e-4 * total, (name, n, band, moved / total)
 
 
+def _assert_flat_peaks(measure_it):
+    """``measure_it`` of 60 s and of 240 s of noise at 48 kHz peak under 8 MiB
+    (tracemalloc), within 1 MiB of each other."""
+    x = np.random.default_rng(240).standard_normal(240 * 48000)
+    peaks = []
+    for seconds in (60, 240):
+        sig = SampleBuffer._adopt(x[: seconds * 48000], 48000.0)
+        tracemalloc.start()
+        try:
+            measure_it(sig)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    assert max(peaks) < 8 << 20, peaks
+
+
 def test_spectrum_memory_is_flat_in_signal_length():
     # One transform of the whole signal peaked at 439.5 MiB at 10 min; the
     # segments hold about 2 MiB at any length.
-    x = np.random.default_rng(240).standard_normal(240 * 48000)
     for measure_it in (recovered_bandwidth, lambda sig: band_energy(sig, 300.0, 3400.0)):
-        peaks = []
-        for seconds in (60, 240):
-            sig = SampleBuffer._adopt(x[: seconds * 48000], 48000.0)
-            tracemalloc.start()
-            try:
-                measure_it(sig)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
-        assert max(peaks) < 8 << 20, peaks
+        _assert_flat_peaks(measure_it)
 
 
 @pytest.mark.parametrize("n, n_fft", [(4801, 4801), (4801, 4860), (4801, 4861), (70766, 72000)])
@@ -303,6 +311,79 @@ def test_measure_rejects_a_band_above_nyquist(rate, default_config):
 )
 def test_measure_without_a_measurable_tone_pair(signal, config):
     assert measure(signal, config).sideband_suppression_db is None
+
+
+def _welch_block_at_a_time(x: np.ndarray) -> np.ndarray:
+    """``measure``'s scaled Welch energy of ``x`` (taper-free), each block of
+    frames windowed, transformed and squared whole and summed in block order."""
+    seg = min(WELCH_SEGMENT, x.size)
+    blocks = _frame_blocks(SampleBuffer._adopt(x, RATE), seg, max(1, seg // 2), np.hanning(seg))
+    energy = sum(_weighted_power(b).sum(axis=0) for b in blocks)
+    framed = energy.sum()
+    energy *= float(np.einsum("i,i->", x, x)) / framed if framed > 0.0 else 0.0
+    return energy
+
+
+def _measured_energy(monkeypatch, signal, config):
+    """(the metrics, the energy they were read from, the split of each block
+    that ``measure`` hands to ``_in_two``)."""
+    seen, splits = [], []
+    occupancy, in_two = analysis._occupancy, analysis._in_two
+    monkeypatch.setattr(analysis, "_occupancy",
+                        lambda f, e, *q: seen.append(e.copy()) or occupancy(f, e, *q))
+    monkeypatch.setattr(analysis, "_in_two",
+                        lambda work, n, split: splits.append(split) or in_two(work, n, split))
+    return measure(signal, config), seen[0], splits
+
+
+#: Frames per block in the blockwise ``measure`` cases, so that several blocks
+#: occur and the split (two sub-batches of 16 frames) falls inside a block.
+_MEASURE_BLOCK = 40
+
+
+def _measure_lengths():
+    """Lengths one sample below, at and above 1 frame, one sub-batch (16
+    frames), the split (32), a block (40) and three blocks (40 + 40 + 33)."""
+    at = [WELCH_SEGMENT + (f - 1) * (WELCH_SEGMENT // 2) for f in (1, 16, 32, 40, 113)]
+    return [16, 4801] + [n + d for n in at for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_measure_equals_the_block_at_a_time_sum(monkeypatch, cpus):
+    # the fields follow from the energy, so bit-equal energies give equal metrics
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", _MEASURE_BLOCK * WELCH_SEGMENT)
+    config = ModulationConfig(tukey_alpha=0.0)
+    for n in _measure_lengths():
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        metrics, energy, splits = _measured_energy(monkeypatch, SampleBuffer(x, RATE), config)
+        assert np.array_equal(energy, _welch_block_at_a_time(x)), n
+        frames = max(1, (n - WELCH_SEGMENT) // (WELCH_SEGMENT // 2) + 1)
+        blocks = [min(_MEASURE_BLOCK, frames - b) for b in range(0, frames, _MEASURE_BLOCK)]
+        # a block of one sub-batch (16 frames) is transformed whole, in this thread
+        assert splits == [cpus == 2 and f >= 32 for f in blocks if f > 16], n
+        if cpus == 2:
+            monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+            one = measure(SampleBuffer(x, RATE), config)
+            monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+            assert np.array_equal(astuple(metrics), astuple(one)), n
+
+
+def test_measure_memory_is_flat_in_signal_length(default_config):
+    # Whole blocks of 128 windowed and transformed frames peaked at 17.3 MiB
+    # at 10 s and 20.1 MiB at 18 s; one power buffer and sub-batches do not grow.
+    _assert_flat_peaks(lambda sig: measure(sig, default_config))
+
+
+def test_measure_threads_end_with_the_call(monkeypatch, default_config):
+    x = SampleBuffer(np.random.default_rng(8).uniform(-1.0, 1.0, 5 * 48000), RATE)
+
+    def metrics():
+        found = measure(x, default_config)
+        return np.array([found.inband_energy_db, found.leakage_below_carrier_db,
+                         found.occupancy_lo_hz, found.occupancy_hi_hz])
+
+    _threads_end_with_the_call(monkeypatch, metrics)
 
 
 # --- detect ---

@@ -28,7 +28,7 @@ from ultraband import (
     to_pcm,
     write_wav,
 )
-from ultraband.wavio import _data_chunk_bytes
+from ultraband.wavio import _PCM_CHUNK, _data_chunk_bytes
 
 RATE = 48000
 
@@ -558,14 +558,32 @@ def test_to_pcm_examples(value, expected):
     assert clip.samples[0] == expected
 
 
-def test_to_pcm_keeps_the_rounding_of_its_formula():
-    # ties and full scale against the formula's whole-array form
+def _rounding_ties() -> np.ndarray:
+    """Ties, full scale and their neighbours, both signs, zeros and subnormals."""
     ties = np.array([0.5, 16383.5, 32767.0, 32766.5, 32767.5, 40000.0, 1e9]) / 32767.0
     near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 2.0)])
-    x = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324]])
+    return np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324]])
+
+
+def _to_pcm_whole_array(x: np.ndarray) -> np.ndarray:
     scaled = x * 32767.0
     expected = np.clip(np.copysign(np.floor(np.abs(scaled) + 0.5), scaled), -32768, 32767)
-    assert np.array_equal(to_pcm(SampleBuffer(x, RATE)).samples, expected.astype(np.int16))
+    return expected.astype(np.int16)
+
+
+def test_to_pcm_keeps_the_rounding_of_its_formula():
+    # ties and full scale against the formula's whole-array form
+    x = _rounding_ties()
+    assert np.array_equal(to_pcm(SampleBuffer(x, RATE)).samples, _to_pcm_whole_array(x))
+
+
+@pytest.mark.parametrize("n", [_PCM_CHUNK - 1, _PCM_CHUNK, _PCM_CHUNK + 1])
+def test_to_pcm_in_chunks_equals_the_whole_array_formula(n):
+    x = np.resize(_rounding_ties(), n)
+    clip = to_pcm(SampleBuffer(x, RATE))
+    assert np.array_equal(clip.samples, _to_pcm_whole_array(x))
+    assert clip.samples.dtype == np.int16 and not clip.samples.flags.writeable
+    assert type(clip.sample_rate_hz) is int and (clip.sample_rate_hz, clip.channels) == (48000, 1)
 
 
 def test_float_round_trip_exact_in_symmetric_core():
