@@ -12,9 +12,9 @@ import numpy as np
 
 from .analysis import _occupancy, _spectrum
 from .errors import ConfigInvalid, EmptySignal, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _mix, apply_filter, check_band,
-                      check_taps, design_lowpass, peak_normalize)
-from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _lane, _normalize, _overlap_add,
+                      check_band, check_taps, design_lowpass)
+from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite, read_wav, to_float, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
 PHASE_CANDIDATES = 16
@@ -26,7 +26,7 @@ _RECOVERY_FLOOR = 0.01
 
 
 def demodulate(
-    signal: SampleBuffer,
+    signal: SampleBuffer | PcmClip,
     carrier_hz: float = CARRIER_HZ,
     recovery_cutoff_hz: float = BAND_HZ,
     filter_taps: int = FIR_TAPS,
@@ -47,31 +47,30 @@ def demodulate(
     a carrier that repeats within the signal does not drift over a long
     recording.
 
+    A ``PcmClip``'s channel 0 reads to the bit as ``to_float`` reads it. The
+    filter forms the product with the carrier block by block.
+
     ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
     signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
     """
-    if len(signal) == 0:
+    x = _lane(signal)
+    if x.size == 0:
         raise EmptySignal("cannot demodulate an empty signal")
-    rate = signal.sample_rate_hz
+    rate = float(signal.sample_rate_hz)
     check_band(carrier_hz, recovery_cutoff_hz, rate, ConfigInvalid, "recovery_cutoff_hz")
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
 
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
-    cos, sin = _carrier(carrier_hz, rate, len(signal))
-
-    def mix_down(table: np.ndarray) -> SampleBuffer:
-        mixed = _mix(signal.samples, 2.0 * table, np.empty(len(signal)))
-        # 2 * x * c can overflow, so the finiteness check stays
-        return apply_filter(lpf, SampleBuffer._adopt_finite(mixed, rate))
-
-    recovered = mix_down(cos)
+    tables = [2.0 * table for table in _carrier(carrier_hz, rate, x.size)[: 1 + phase_search]]
+    # 2 * x * c can overflow, so the finiteness check stays
+    arms = _finite(_overlap_add(x, lpf.taps, mix_in=tables))
+    recovered = arms[0]
     if phase_search:
         # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by
         # linearity, so the candidate energies follow from II, QQ and IQ.
         # Candidates k and k + 8 are negations with equal energy: score
         # k < 8 only and let argmax keep the lowest index on ties.
-        i_arm = recovered.samples
-        q_arm = mix_down(sin).samples
+        i_arm, q_arm = arms
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
         # numpy's own loop: OpenBLAS's threaded dot spins on the other core
@@ -79,19 +78,22 @@ def demodulate(
         qq = np.einsum("i,i->", q_arm, q_arm)
         iq = np.einsum("i,i->", i_arm, q_arm)
         k = int(np.argmax(c * c * ii + s * s * qq - 2.0 * s * c * iq))
-        recovered = SampleBuffer._adopt_finite(c[k] * i_arm - s[k] * q_arm, rate)
+        i_arm *= c[k]
+        q_arm *= s[k]
+        recovered = _finite(np.subtract(i_arm, q_arm, out=i_arm))
 
-    in_peak = max(float(signal.samples.max()), -float(signal.samples.min()))
+    # the float input's peak: 1 / READ_SCALE is a power of two
+    in_peak = max(float(x.max()), -float(x.min())) / (READ_SCALE if x.dtype == np.int16 else 1.0)
     # Judge the recovered level away from the filter's zero-padding
     # warm-up: the leading/trailing group-delay spans hold onset
     # transients that would trip the gate when there is nothing to
     # recover.
     d = lpf.group_delay
-    core = recovered.samples[d:-d] if len(recovered) > 2 * d else recovered.samples
+    core = recovered[d:-d] if recovered.size > 2 * d else recovered
     out_peak = max(float(core.max()), -float(core.min())) if core.size else 0.0
     if out_peak > _RECOVERY_FLOOR * in_peak and out_peak > 0.0:
-        return peak_normalize(recovered, 1.0)
-    return recovered
+        _normalize(recovered, 1.0, recovered)
+    return SampleBuffer._adopt(recovered, rate)
 
 
 def recovered_bandwidth(signal: SampleBuffer) -> float:
@@ -123,8 +125,8 @@ def demodulate_file(
     check_positive(carrier_hz, ConfigInvalid, "carrier_hz")
     check_positive(recovery_cutoff_hz, ConfigInvalid, "recovery_cutoff_hz")
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
-    pcm = to_pcm(demodulate(to_float(read_wav(in_path), channel=0), carrier_hz,
-                            recovery_cutoff_hz, filter_taps, phase_search))
+    pcm = to_pcm(demodulate(read_wav(in_path), carrier_hz, recovery_cutoff_hz, filter_taps,
+                            phase_search))
     write_wav(out_path, pcm)
     # write/read is byte-exact, so the in-memory clip is what the file holds
     return recovered_bandwidth(to_float(pcm, channel=0))

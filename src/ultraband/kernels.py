@@ -4,8 +4,10 @@ Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
 scipy module. Long filters, ``analysis.measure``, ``detect`` and ``_spectrum``
-run on two CPUs if there are two (``_in_two``). Tap formulas and window
-shapes are explicit here; the bin weights are ``analysis._weighted_power``.
+run on two CPUs if there are two (``_in_two``). The filter also mixes the
+carrier for ``modulate`` and ``demodulate`` block by block and reads a
+``PcmClip``'s int16 channel. Tap formulas and window shapes are explicit
+here; the bin weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
                      RateMismatch, check_count, check_fraction, check_positive)
-from .wavio import SampleBuffer
+from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite
 
 log = logging.getLogger(__name__)
 
@@ -176,43 +178,73 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     return SampleBuffer._adopt_finite(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
 
 
-def _overlap_add(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """``apply_filter``'s convolution of ``x`` (nonempty) with each row of
-    ``taps`` (shape (..., m), m odd): a view of shape (..., len(x)) into one
-    fresh array. Each block's ``rfft`` is shared by every row. From two full
-    batches on, two halves of the blocks run in half-size batches (``_in_two``)
-    with the same bits: each output is zero plus a head plus a tail."""
-    m, rows = taps.shape[-1], taps.shape[:-1]
-    n_fft = next_fast_len(min(8 * m, max(2 * m, len(x) + m - 1)))
+def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None) -> np.ndarray:
+    """``apply_filter``'s convolution of ``x`` (nonempty float64, or an int16 PCM
+    lane, scaled as ``to_float`` scales it) with each row of ``taps`` (m odd),
+    into one fresh array. Each block's ``rfft`` is shared by every row. Input
+    row i is x * mix_in[i] (tables read as ``_mix`` reads them); with
+    ``mix_out``, (cos, sin), tap rows b and h give one row b * cos - h * sin,
+    mixed once it holds its head and tail. From two full batches on, two halves
+    of the blocks run in half-size batches (``_in_two``) with the same bits:
+    each output is zero plus a head plus a tail."""
+    m, n = taps.shape[-1], len(x)
+    n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
     step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
-    n_blocks = -(-len(x) // step)
+    n_blocks = -(-n // step)
+    in_rows = () if mix_in is None else (len(mix_in),)
+    rows = np.broadcast_shapes(in_rows, taps.shape[:-1])
     points = n_fft * math.prod(rows)
     split = _cpu_count() >= 2 and n_blocks * points >= 2 * _FFT_POINTS
     batch = max(1, _FFT_POINTS // ((1 + split) * points))
     spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
-    # Row j holds output samples [j * step, (j + 1) * step): block j's head
-    # plus block j - 1's tail. One spare row takes the last block's tail.
-    full = np.zeros(rows + (n_blocks + 1, step))
-    seams = []  # (row, tail): added once both halves are done
+    out = np.empty((n,) if mix_out is not None else rows + (n,))
+    heads, tails = {}, {}  # rows that end a half, added and written once both are done
+
+    def fill(first: int, k: int) -> np.ndarray:  # blocks first, ..., first + k - 1
+        chunk = x[first * step : (first + k) * step]
+        blocks = np.zeros(in_rows + (k, step))
+        flat = blocks.reshape(-1, k * step)[:, : chunk.size]
+        if x.dtype == np.int16:  # to_float's formula, into row 0
+            chunk = np.divide(chunk, READ_SCALE, out=flat[0])
+        elif mix_in is None:
+            flat[0] = chunk
+        for i in reversed(range(0 if mix_in is None else len(mix_in))):  # row 0 may be chunk
+            _mix(chunk, mix_in[i], flat[i], first * step)
+        return blocks
+
+    def emit(done: np.ndarray, j: int) -> None:  # complete rows j, j + 1, ...
+        flat = done.reshape(rows + (-1,))
+        t = j * step - (m - 1) // 2  # flat's first sample, as an output index
+        lo, hi = max(0, t), min(n, t + flat.shape[-1])
+        if lo < hi and mix_out is None:
+            out[..., lo:hi] = flat[..., lo - t : hi - t]
+        elif lo < hi:
+            (base, quad), (cos, sin) = flat[..., lo - t : hi - t], mix_out
+            np.subtract(_mix(base, cos, base, lo), _mix(quad, sin, quad, lo), out=out[lo:hi])
 
     def run(a: int, b: int) -> None:
+        # row i: block first + i's head plus the tail before; row k carries over
+        ring = np.zeros(rows + (min(batch, b - a) + 1, step))
         for first in range(a, b, batch):
-            chunk = x[first * step : min(first + batch, b) * step]
-            k = -(-chunk.size // step)
-            blocks = np.zeros((k, step))
-            blocks.reshape(-1)[: chunk.size] = chunk
-            y = np.fft.irfft(np.fft.rfft(blocks, n_fft) * spectrum, n_fft)
-            full[..., first : first + k, :] += y[..., :step]
-            seam = first + k == b < n_blocks  # block b - 1's tail is on the other half's row
-            full[..., first + 1 : first + k + 1 - seam, : m - 1] += y[..., : k - seam, step:]
+            k = min(batch, b - first)
+            y = np.fft.irfft(np.fft.rfft(fill(first, k), n_fft) * spectrum, n_fft)
+            ring[..., :k, :] += y[..., :step]
+            ring[..., 1 : k + 1, : m - 1] += y[..., step:]
+            seam = first == a > 0  # row a lacks the tail of the other half's last block
             if seam:
-                seams.append((b, y[..., -1, step:].copy()))
+                heads[a] = ring[..., 0, :].copy()
+            emit(ring[..., seam:k, :], first + seam)
+            if first + k < b:
+                ring[..., 0, :] = ring[..., k, :]
+                ring[..., 1 : k + 1, :] = 0.0
+        tails[b] = ring[..., k, :]
 
     _in_two(run, n_blocks, split)
-    for row, tail in seams:
-        full[..., row, : m - 1] += tail
-    d = (m - 1) // 2
-    return full.reshape(rows + (-1,))[..., d : d + len(x)]
+    for j, tail in tails.items():  # the halves' seam row, and the last block's tail
+        if j in heads:
+            heads[j][..., : m - 1] += tail[..., : m - 1]
+        emit(heads.get(j, tail)[..., None, :], j)
+    return out
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
@@ -319,14 +351,26 @@ def peak_normalize(signal: SampleBuffer, target: float = 1.0) -> SampleBuffer:
     check_fraction(target, BadArgument, "target")
     if len(signal) == 0:
         return signal
-    peak = max(float(signal.samples.max()), -float(signal.samples.min()))  # no |x| array
+    scaled = _normalize(signal.samples, target, None)
+    return signal if scaled is signal.samples else SampleBuffer._adopt(scaled, signal.sample_rate_hz)
+
+
+def _normalize(x: np.ndarray, target: float, out) -> np.ndarray:
+    """``x`` (nonempty, finite) scaled to a peak |sample| of ``target`` into ``out``
+    (``x``, or None for a fresh array); ``x`` itself when all zero. No |x| array."""
+    peak = max(float(x.max()), -float(x.min()))
     if peak == 0.0:
-        return signal
+        return x
     scale = target / peak
-    # |sample| <= peak and target <= 1, so either product is fresh and finite
+    # |sample| <= peak and target <= 1, so either product is finite
     if math.isinf(scale):  # subnormal peak: 1 / peak overflows, so divide first
-        return SampleBuffer._adopt(signal.samples / peak * target, signal.sample_rate_hz)
-    return SampleBuffer._adopt(signal.samples * scale, signal.sample_rate_hz)
+        return np.multiply(np.divide(x, peak, out=out), target, out=out)
+    return np.multiply(x, scale, out=out)
+
+
+def _lane(signal) -> np.ndarray:
+    """A SampleBuffer's samples, or a PcmClip's channel 0 as a strided int16 view."""
+    return signal.samples[:: signal.channels] if isinstance(signal, PcmClip) else signal.samples
 
 
 def _carrier(freq_hz: float, rate_hz: float, n: int):
@@ -347,11 +391,13 @@ def _carrier(freq_hz: float, rate_hz: float, n: int):
     return np.cos(phase), np.sin(phase)
 
 
-def _mix(x: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write x[k] * table[k % len(table)] into the contiguous ``out``; return it."""
-    m = table.size
-    whole = x.size - x.size % m
-    np.multiply(x[:whole].reshape(-1, m), table, out=out[:whole].reshape(-1, m))
+def _mix(x: np.ndarray, table: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Write x[k] * table[(first + k) % len(table)] into the contiguous ``out``; return it."""
+    m, p = table.size, first % table.size
+    lead = min(x.size, -p % m)  # samples before the table's next period starts
+    np.multiply(x[:lead], table[p : p + lead], out=out[:lead])
+    whole = lead + (x.size - lead) // m * m
+    np.multiply(x[lead:whole].reshape(-1, m), table, out=out[lead:whole].reshape(-1, m))
     np.multiply(x[whole:], table[: x.size - whole], out=out[whole:])
     return out
 

@@ -9,9 +9,10 @@ image below the carrier:
     y[n] = xb[n] * cos(2*pi*fc*n/rate) - xh[n] * sin(2*pi*fc*n/rate)
 
 A short Tukey taper removes the on/off clicks, and the result is peak
-normalized. With the default carrier of 16 kHz and 6 kHz cutoff the output
-occupies 16-22 kHz, above typical adult hearing but inside what commodity
-microphones still capture.
+normalized. The filter and the mix run a block at a time in
+``kernels._overlap_add``, so xb and xh never exist whole. With the default
+carrier of 16 kHz and 6 kHz cutoff the output occupies 16-22 kHz, above
+typical adult hearing but inside what commodity microphones still capture.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _mix, _overlap_add, _taper,
-                      check_band, check_taps, peak_normalize, resample)
-from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _lane, _normalize,
+                      _overlap_add, _taper, check_band, check_taps, resample)
+from .wavio import PcmClip, SampleBuffer, _finite, read_wav, to_float, to_pcm, write_wav
 
 #: Lower edge of the single-sideband passband. Baseband content below it
 #: would land just under the carrier, so the filter drops it.
@@ -121,7 +122,8 @@ def _ssb_taps(config: ModulationConfig) -> np.ndarray:
     return np.stack([p * np.cos(phase), p * np.sin(phase)])
 
 
-def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
+def modulate(signal: SampleBuffer | PcmClip,
+             config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
     """Shift a baseband signal up into the near-ultrasound band.
 
     Steps: resample to the working rate, take the band [GUARD_HZ, cutoff]
@@ -133,26 +135,27 @@ def modulate(signal: SampleBuffer, config: ModulationConfig = ModulationConfig()
     Deterministic: equal input and config give bit-identical output.
     ConfigInvalid unless the cutoff lies above ``GUARD_HZ``.
 
+    A ``PcmClip``'s channel 0 reads to the bit as ``to_float`` reads it. The
+    mix runs in the filter's block loop; taper and normalization work in place.
     The carrier's cos and sin are read from tables of one or more whole
     periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
     it is scaled, so a carrier that repeats within the signal is exact to
     rounding at any length.
     """
-    if len(signal) == 0:
+    x = _lane(signal)
+    if x.size == 0:
         raise EmptySignal("cannot modulate an empty signal")
     if not config.cutoff_hz > GUARD_HZ:
         raise ConfigInvalid(f"cutoff_hz {config.cutoff_hz} must lie above {GUARD_HZ} Hz")
 
-    work = resample(signal, config.working_rate_hz)
-    base, quad = _overlap_add(work.samples, _ssb_taps(config))
-    cos, sin = _carrier(config.carrier_hz, config.working_rate_hz, len(work))
-    mixed = _mix(base, cos, base)
-    mixed -= _mix(quad, sin, quad)
-
-    if len(mixed) >= 2:
-        _taper(mixed, config.tukey_alpha)
-    return peak_normalize(SampleBuffer._adopt_finite(mixed, config.working_rate_hz),
-                          config.normalize_target)
+    rate = config.working_rate_hz
+    if _factors(signal.sample_rate_hz, rate) != (1, 1):  # a rate change resamples a float copy
+        x = resample(to_float(signal) if isinstance(signal, PcmClip) else signal, rate).samples
+    out = _overlap_add(x, _ssb_taps(config), mix_out=_carrier(config.carrier_hz, rate, x.size))
+    if out.size >= 2:
+        _taper(out, config.tukey_alpha)
+    _normalize(_finite(out), config.normalize_target, out)
+    return SampleBuffer._adopt(out, rate)
 
 
 def modulate_file(
@@ -164,6 +167,6 @@ def modulate_file(
     the float intermediate; write/read is byte-exact, so they are measured
     on the quantized clip in memory.
     """
-    pcm = to_pcm(modulate(to_float(read_wav(in_path), channel=0), config))
+    pcm = to_pcm(modulate(read_wav(in_path), config))
     write_wav(out_path, pcm)
     return analysis.measure(to_float(pcm, channel=0), config)

@@ -103,6 +103,11 @@ def embed(
     span is clamped to [-1, 1]. Raises RateTooLow when the host rate cannot
     represent the payload's band and NoRoom when no region is long enough.
     """
+    return _embed(host, payload, silence, gain)[0]
+
+
+def _embed(host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap, gain: float):
+    """``embed``'s result, and the [start, end) span that the payload fills."""
     if len(host) == 0 or len(payload) == 0:
         raise EmptySignal("host and payload must be nonempty")
     check_fraction(gain, BadArgument, "gain")
@@ -118,7 +123,7 @@ def embed(
 
     out = host.samples.copy()
     out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
-    return SampleBuffer._adopt(out, host.sample_rate_hz)  # fresh, and clipped to finite values
+    return SampleBuffer._adopt(out, host.sample_rate_hz), (start, end)  # fresh, clipped, finite
 
 
 def embed_file(
@@ -134,8 +139,7 @@ def embed_file(
     host = to_float(read_wav(host_path), channel=0)
     payload = to_float(read_wav(payload_path), channel=0)
     silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
-    mixed = embed(host, payload, silence, gain)
-    start, end = _span(host, payload, silence)
+    mixed, (start, end) = _embed(host, payload, silence, gain)
     write_wav(out_path, to_pcm(mixed))
 
     rate = host.sample_rate_hz

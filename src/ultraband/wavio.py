@@ -156,10 +156,8 @@ class SampleBuffer:
 
     @classmethod
     def _adopt_finite(cls, samples: np.ndarray, sample_rate_hz: float) -> "SampleBuffer":
-        """``_adopt``, but BadArgument unless the min and max (so every sample) are finite."""
-        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
-            raise BadArgument("samples must be finite")
-        return cls._adopt(samples, sample_rate_hz)
+        """``_adopt``, but BadArgument unless every sample is finite (``_finite``)."""
+        return cls._adopt(_finite(samples), sample_rate_hz)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -175,6 +173,13 @@ class SampleBuffer:
         ``overlap`` one in [0, size - 1]."""
         for start, stop in _spans(len(self), size, overlap):
             yield self.samples[start:stop]
+
+
+def _finite(samples: np.ndarray) -> np.ndarray:
+    """``samples``; BadArgument unless the min and max (so every sample) are finite."""
+    if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        raise BadArgument("samples must be finite")
+    return samples
 
 
 def _spans(n: int, size: int, overlap: int):

@@ -160,19 +160,21 @@ def test_phase_search_matches_brute_force_pick(make, default_config):
 
 
 def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
+    # one filter call whose input rows (x mixed with each carrier table) are the passes
     calls = []
+    overlap_add = demodulator._overlap_add
 
-    def counting(filt, signal):
-        calls.append(len(signal))
-        return apply_filter(filt, signal)
+    def counting(x, taps, mix_in):
+        calls.append((len(x), len(mix_in), taps.ndim))
+        return overlap_add(x, taps, mix_in=mix_in)
 
-    monkeypatch.setattr(demodulator, "apply_filter", counting)
+    monkeypatch.setattr(demodulator, "_overlap_add", counting)
     signal = _cropped_covert(default_config)
     demodulate(signal, phase_search=True)
-    assert calls == [len(signal)] * 2
+    assert calls == [(len(signal), 2, 1)]
     calls.clear()
     demodulate(signal)
-    assert calls == [len(signal)]
+    assert calls == [(len(signal), 1, 1)]
 
 
 def test_phase_search_memory_at_10_s():
