@@ -11,20 +11,19 @@ non-overlapping segments of at most 2**17 samples (M. S. Bartlett, Nature
 161, 1948). ``measure`` is Welch's averaged modified periodogram (P. D. Welch,
 IEEE Trans. Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50%
 overlap, summed and scaled so the bins add up to the measured samples'
-energy; a shorter signal is one Hann frame of its own length. ``measure``,
-``detect`` and ``stft`` take their frames from one helper, a block of frames
-at a time, out of the source's ``blocks``: a ``SampleBuffer`` in memory, or
-for ``detect`` also a ``WavFile`` read from disk block by block. ``measure``
-and ``detect`` fill one reused buffer per call, on two CPUs (``_in_two``).
+energy; a shorter signal is one Hann frame of its own length. These spectra,
+``detect`` and ``stft`` run through one loop, ``_framed``, which frames a
+source a block at a time and hands runs of frames to a reducer on two CPUs
+(``_in_two``); ``detect`` and ``stft`` also read a ``WavFile`` that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
@@ -106,39 +105,51 @@ def _spectrum(signal: SampleBuffer) -> tuple:
     """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
     of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
     zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform.
-    Two segments at a time are transformed (``_in_two``) and summed in order."""
+    Segments are ``_framed``'s frames, two (power rows) a block, summed in order."""
     n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
-    segments = list(signal.blocks(n_fft, 0))
-    energy = 0
-    for i in range(0, len(segments), 2):
-        pair = segments[i : i + 2]
-
-        def transform(a, b):  # each segment's view becomes its power
-            for j in range(a, b):
-                pair[j] = _weighted_power(pair[j], n_fft)
-
-        _in_two(transform, len(pair))
-        energy = sum(pair, energy)
+    energy = np.zeros(n_fft // 2 + 1)
+    for _, power in _framed(signal, n_fft, n_fft, partial(_weighted_power, n_fft=n_fft),
+                            n_fft // 2 + 1, pad=True, block=2):
+        for row in power:  # in place: a new sum per row cost 1 MB of RSS
+            energy += row
     return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
 
 
-def _frame_blocks(source: Union[SampleBuffer, WavFile], frame_len: int, hop: int, window=None):
-    """Yield the frames of ``source`` (``frame_len`` long, ``hop`` apart, a
-    trailing remainder shorter than a frame dropped), times ``window`` when
-    given, as consecutive (frames x frame_len) blocks of at most
-    ``_BLOCK_SAMPLES`` samples (at least one frame).
-
-    Each block of ``step`` frames is framed from one of ``source.blocks``,
-    which starts on a hop boundary and overlaps the next by ``frame_len -
-    hop``; so the frames, and their grouping into blocks, do not depend on
-    where the samples come from.
-    """
-    step = max(1, _BLOCK_SAMPLES // frame_len)
+def _framed(source, frame_len, hop, reduce, width, window=None, pad=False, block=None):
+    """Yield (first frame, its rows) per block of the frames of ``source``
+    (``frame_len`` long, ``hop`` apart, times ``window`` if given), once
+    ``reduce(frames, out=)`` has put each run's ``width`` results per frame in
+    ``out``, rows of one reused buffer. A trailing remainder shorter than a
+    frame is dropped, or with ``pad`` (and ``hop == frame_len``) is a last
+    frame that ``reduce`` zero-pads. A block, one of ``source.blocks`` (a
+    ``SampleBuffer``'s or a ``WavFile``'s), has ``block`` frames or at most
+    ``_BLOCK_SAMPLES`` framed samples, and splits in two by the filter's rule
+    (``kernels._splits``). The runs in flight hold about 2 * ``_FFT_POINTS``
+    floats of transforms and, under a window, as many of copies (half as many
+    made ``detect`` slower). The rows depend on neither the CPUs nor the source."""
+    step = block or max(1, _BLOCK_SAMPLES // frame_len)
+    rows, first = None, 0
     for chunk in source.blocks((step - 1) * hop + frame_len, frame_len - hop):
-        if chunk.size < frame_len:  # only the last chunk can hold no frame
+        n = max(0, (chunk.size - frame_len) // hop + 1)  # cheaper than sliding_window_view
+        whole = np.ndarray((n, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
+        tail = chunk[len(whole) * hop :] if pad else chunk[:0]
+        k = len(whole) + (tail.size > 0)
+        if k == 0:  # only the last chunk can hold no frame
             return
-        frames = sliding_window_view(chunk, frame_len)[::hop]
-        yield frames if window is None else frames * window
+        rows = np.empty((k, width)) if rows is None else rows  # the first block is the longest
+        split = kernels._splits(k * frame_len)
+        size = max(1, 2 * _FFT_POINTS // ((1 + split) * (1 + (window is not None)) * frame_len))
+
+        def run(a, b, whole=whole, tail=tail):
+            for lo in range(a, min(b, len(whole)), size):
+                part = whole[lo : min(lo + size, b)]
+                reduce(part if window is None else part * window, out=rows[lo : lo + len(part)])
+            if b > len(whole):  # the padded tail, the block's last frame
+                reduce(tail[None], out=rows[b - 1 : b])
+
+        _in_two(run, k, split)
+        yield first, rows[:k]
+        first += k
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
@@ -149,7 +160,7 @@ def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.nd
 
 
 def stft(
-    signal: SampleBuffer, frame_len: int = 2048, hop: int = 1024, alpha: float = 1.0
+    signal: Union[SampleBuffer, WavFile], frame_len: int = 2048, hop: int = 1024, alpha: float = 1.0
 ) -> Spectrogram:
     """Short-time spectrum in dB full scale, each frame under a Tukey window
     of taper fraction ``alpha`` (1 is a Hann window).
@@ -158,27 +169,29 @@ def stft(
     remainder shorter than one frame is dropped. A full-scale sine lands at
     about 0 dB in its bin; silence sits exactly on the -120 dB floor.
     ``frame_len`` is a whole number >= 16 and ``hop`` one in [1, frame_len]
-    (BadArgument).
+    (BadArgument). ``signal`` may be an open ``WavFile``, read a block at a
+    time; the result equals ``stft(to_float(read_wav(p)))``.
     """
     frame_len = check_count(frame_len, BadArgument, "frame_len", 16)
     hop = check_count(hop, BadArgument, "hop", 1, frame_len)
     if len(signal) < frame_len:
         raise SignalTooShort(f"{len(signal)} samples, need at least {frame_len}")
     w = tukey_window(frame_len, alpha)
-
-    spectra = np.concatenate(
-        [np.abs(np.fft.rfft(b, axis=1)) for b in _frame_blocks(signal, frame_len, hop, w)]
-    )
     full_scale = w.sum() / 2.0
     floor_mag = full_scale * 10.0 ** (DB_FLOOR / 20.0)
-    mags_db = 20.0 * np.log10(np.maximum(spectra, floor_mag) / full_scale)
-
-    starts = np.arange(spectra.shape[0]) * hop
+    mags_db = np.empty(((len(signal) - frame_len) // hop + 1, frame_len // 2 + 1))
+    for first, mags in _framed(signal, frame_len, hop, lambda frames, out: np.abs(
+            np.fft.rfft(frames), out=out), mags_db.shape[1], w):
+        db = np.maximum(mags, floor_mag, out=mags_db[first : first + len(mags)])
+        db /= full_scale
+        np.log10(db, out=db)
+        db *= 20.0
+    starts = np.arange(mags_db.shape[0]) * hop
     return Spectrogram(
         frame_times=(starts + frame_len / 2.0) / signal.sample_rate_hz,
         bin_freqs=np.fft.rfftfreq(frame_len, d=1.0 / signal.sample_rate_hz),
         magnitudes_db=mags_db,
-        sample_rate_hz=signal.sample_rate_hz,
+        sample_rate_hz=float(signal.sample_rate_hz),
     )
 
 
@@ -218,9 +231,8 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     per-bin energies summed and scaled so the bins add up to the region's
     energy. A region shorter than one segment is one Hann frame of its own
     length. ``np.hanning`` is zero at both ends, so the first and the last
-    framed sample get zero weight (an impulse there reads none). Frames are
-    transformed ``_FFT_POINTS`` samples at a time into one reused buffer, on
-    two CPUs from two such batches on: fixed scratch, the bits of one CPU.
+    framed sample get zero weight (an impulse there reads none). The frames
+    run through ``_framed``: fixed scratch, the bits of one CPU.
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -241,25 +253,11 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, core.size)
-    window = np.hanning(seg)
-    power, energy = None, 0
+    energy = 0
     # a view of the frozen signal, so adopting it copies nothing
-    for frames in _frame_blocks(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2)):
-        split = kernels._cpu_count() >= 2 and len(frames) * seg >= 2 * _FFT_POINTS
-        batch = max(1, _FFT_POINTS // ((1 + split) * seg))
-        if len(frames) <= batch:  # one sub-batch: a buffer and its bookkeeping cost more
-            energy = energy + _weighted_power(frames * window).sum(axis=0)
-            continue
-        if power is None:  # one buffer, as long as the first (longest) block
-            power = np.empty((len(frames), seg // 2 + 1))
-
-        def fill(a, b, frames=frames):
-            for lo in range(a, b, batch):
-                rows = slice(lo, min(lo + batch, b))
-                _weighted_power(frames[rows] * window, out=power[rows])
-
-        _in_two(fill, len(frames), split)
-        energy = energy + power[: len(frames)].sum(axis=0)  # in block order, as one sum
+    for _, power in _framed(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2),
+                            _weighted_power, seg // 2 + 1, np.hanning(seg)):
+        energy = energy + power.sum(axis=0)  # in block order, as one sum
     framed = energy.sum()
     energy *= float(np.einsum("i,i->", core, core)) / framed if framed > 0.0 else 0.0
     total = float(energy.sum())
@@ -339,9 +337,9 @@ def detect(
     fraction) is monotone in the embedded signal's gain.
 
     ``signal`` may be an open ``WavFile``; its channel 0 is then read a block
-    at a time. Memory is one block plus one spectrum buffer. Up to two CPUs
-    share each block, and the verdict is bit-identical to the one-CPU path
-    and to ``detect(to_float(read_wav(p)))``.
+    at a time. Memory is one block plus the transforms of a few runs of its
+    frames. Up to two CPUs share each block, and the verdict is bit-identical
+    to the one-CPU path and to ``detect(to_float(read_wav(p)))``.
     """
     check_positive(ratio_threshold, BadArgument, "ratio_threshold")
     check_positive(sustain_ms, BadArgument, "sustain_ms")
@@ -360,20 +358,15 @@ def detect(
     masks = [_band_mask(freqs, lo, min(hi, nyquist), nyquist)
              for lo, hi in ((carrier_hz, carrier_hz + band_hz), SPEECH_BAND)]
     bands = [slice(2 * np.argmax(m), 2 * (np.argmax(m) + np.sum(m))) for m in masks]
-    spectrum, parts = None, []
-    for frames in _frame_blocks(signal, frame_len, hop):
-        if spectrum is None:  # one buffer, as long as the first (longest) block
-            spectrum = np.empty((len(frames), frame_len // 2 + 1), dtype=complex)
-        parts.append(np.empty((2, len(frames))))  # attack, speech
 
-        def band_sums(a, b, frames=frames, out=parts[-1]):
-            view = np.fft.rfft(frames[a:b], axis=1, out=spectrum[a:b]).view(np.float64)
-            view[:, edges] *= np.sqrt(0.5)
-            for e, cols in zip(out, bands):
-                np.einsum("ij,ij->i", view[:, cols], view[:, cols], out=e[a:b])
+    def band_sums(frames, out):  # out: a row (attack, speech) per frame
+        view = np.fft.rfft(frames).view(np.float64)
+        view[:, edges] *= np.sqrt(0.5)
+        for e, cols in zip(out.T, bands):
+            np.einsum("ij,ij->i", view[:, cols], view[:, cols], out=e)
 
-        _in_two(band_sums, len(frames))
-    e_attack, e_speech = np.concatenate(parts, axis=1) * (2.0 / frame_len)
+    blocks = [block.copy() for _, block in _framed(signal, frame_len, hop, band_sums, 2)]
+    e_attack, e_speech = np.concatenate(blocks).T * (2.0 / frame_len)
     flags = e_attack > ratio_threshold * e_speech
 
     sustained = _longest_run_ms(flags, frame_len, hop, rate)
@@ -406,13 +399,15 @@ def render_spectrogram(spec: Spectrogram, out_path) -> None:
     the highest frequency at the top. dB values map linearly from
     [-120, 0] onto [0, 255].
     """
-    db = np.clip(spec.magnitudes_db, DB_FLOOR, 0.0)
-    img = np.flipud(db.T)
-    pixels = np.round((img - DB_FLOOR) / -DB_FLOOR * 255.0).astype(np.uint8)
+    scaled = np.clip(spec.magnitudes_db, DB_FLOOR, 0.0)  # the one copy, scaled in place
+    scaled -= DB_FLOOR
+    scaled /= -DB_FLOOR
+    scaled *= 255.0
+    pixels = np.flipud(np.round(scaled, out=scaled).T).astype(np.uint8, order="C")
     height, width = pixels.shape
     try:
         with open(out_path, "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(pixels.tobytes())
+            fh.write(pixels)
     except OSError as exc:
         raise IoFailure(f"cannot write {out_path}: {exc}") from exc

@@ -215,8 +215,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    signal = to_float(read_wav(args.input), channel=0)
-    spec = analysis.stft(signal, **_flag_values(args, _STFT_PARAMS))
+    with open_wav(args.input) as signal:  # read a block at a time
+        spec = analysis.stft(signal, **_flag_values(args, _STFT_PARAMS))
     analysis.render_spectrogram(spec, args.output)
     _emit(
         {

@@ -62,8 +62,8 @@ def demodulate(
 
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
     tables = [2.0 * table for table in _carrier(carrier_hz, rate, x.size)[: 1 + phase_search]]
-    # 2 * x * c can overflow, so the finiteness check stays
-    arms = _finite(_overlap_add(x, lpf.taps, mix_in=tables))
+    # 2 * x * c can overflow, so the finiteness check stays; each arm is its own array
+    arms = [_finite(arm) for arm in _overlap_add(x, lpf.taps, mix_in=tables)]
     recovered = arms[0]
     if phase_search:
         # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by

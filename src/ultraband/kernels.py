@@ -3,11 +3,11 @@
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
-scipy module. Long filters, ``analysis.measure``, ``detect`` and ``_spectrum``
-run on two CPUs if there are two (``_in_two``). The filter also mixes the
-carrier for ``modulate`` and ``demodulate`` block by block and reads a
-``PcmClip``'s int16 channel. Tap formulas and window shapes are explicit
-here; the bin weights are ``analysis._weighted_power``.
+scipy module. Long filters and ``analysis._framed`` (every framed spectrum)
+run on two CPUs by one rule (``_splits``, ``_in_two``). The filter also
+mixes the carrier for ``modulate`` and ``demodulate`` block by block and
+reads a ``PcmClip``'s int16 channel. Tap formulas and window shapes are
+explicit here; the bin weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -178,15 +178,15 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     return SampleBuffer._adopt_finite(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
 
 
-def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None) -> np.ndarray:
+def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None):
     """``apply_filter``'s convolution of ``x`` (nonempty float64, or an int16 PCM
     lane, scaled as ``to_float`` scales it) with each row of ``taps`` (m odd),
-    into one fresh array. Each block's ``rfft`` is shared by every row. Input
-    row i is x * mix_in[i] (tables read as ``_mix`` reads them); with
-    ``mix_out``, (cos, sin), tap rows b and h give one row b * cos - h * sin,
-    mixed once it holds its head and tail. From two full batches on, two halves
-    of the blocks run in half-size batches (``_in_two``) with the same bits:
-    each output is zero plus a head plus a tail."""
+    into a fresh array, or a list of one per output row. Each block's ``rfft``
+    is shared by every row. Input row i is x * mix_in[i] (read as ``_mix``
+    reads a table); with ``mix_out``, (cos, sin), tap rows b and h give one row
+    b * cos - h * sin, mixed once it holds its head and tail. From two full
+    batches on, two halves of the blocks run in half-size batches (``_in_two``)
+    with the same bits: each output is zero plus a head plus a tail."""
     m, n = taps.shape[-1], len(x)
     n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
     step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
@@ -194,10 +194,10 @@ def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None) -> 
     in_rows = () if mix_in is None else (len(mix_in),)
     rows = np.broadcast_shapes(in_rows, taps.shape[:-1])
     points = n_fft * math.prod(rows)
-    split = _cpu_count() >= 2 and n_blocks * points >= 2 * _FFT_POINTS
+    split = _splits(n_blocks * points)
     batch = max(1, _FFT_POINTS // ((1 + split) * points))
     spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
-    out = np.empty((n,) if mix_out is not None else rows + (n,))
+    out = [np.empty(n) for _ in range(1 if mix_out is not None else math.prod(rows))]
     heads, tails = {}, {}  # rows that end a half, added and written once both are done
 
     def fill(first: int, k: int) -> np.ndarray:  # blocks first, ..., first + k - 1
@@ -217,10 +217,11 @@ def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None) -> 
         t = j * step - (m - 1) // 2  # flat's first sample, as an output index
         lo, hi = max(0, t), min(n, t + flat.shape[-1])
         if lo < hi and mix_out is None:
-            out[..., lo:hi] = flat[..., lo - t : hi - t]
+            for row, done_row in zip(out, flat.reshape(len(out), -1)):
+                row[lo:hi] = done_row[lo - t : hi - t]
         elif lo < hi:
             (base, quad), (cos, sin) = flat[..., lo - t : hi - t], mix_out
-            np.subtract(_mix(base, cos, base, lo), _mix(quad, sin, quad, lo), out=out[lo:hi])
+            np.subtract(_mix(base, cos, base, lo), _mix(quad, sin, quad, lo), out=out[0][lo:hi])
 
     def run(a: int, b: int) -> None:
         # row i: block first + i's head plus the tail before; row k carries over
@@ -244,18 +245,22 @@ def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None) -> 
         if j in heads:
             heads[j][..., : m - 1] += tail[..., : m - 1]
         emit(heads.get(j, tail)[..., None, :], j)
-    return out
+    return out if rows and mix_out is None else out[0]
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _in_two(work, n: int, split: bool = True) -> None:
-    """Run ``work(0, n)``. With ``split`` and two CPUs or more, a worker thread
-    runs the second half, ``work(n // 2, n)``, while this one runs the first;
+def _splits(points: int) -> bool:  # run in two halves: two CPUs, two batches of FFT points
+    return _cpu_count() >= 2 and points >= 2 * _FFT_POINTS
+
+
+def _in_two(work, n: int, split: bool) -> None:
+    """Run ``work(0, n)``. With ``split`` (``_splits``), a worker thread runs
+    the second half, ``work(n // 2, n)``, while this one runs the first;
     both finish before an exception from either is raised here."""
-    if not split or _cpu_count() < 2 or n < 2:
+    if not split or n < 2:
         return work(0, n)
     failed = []
 

@@ -293,7 +293,7 @@ class WavFile:
 
     ``len`` is the frame count. ``blocks`` reads channel 0 a block at a time,
     as float64 scaled by 1/32768 exactly as ``to_float`` scales it, so
-    ``detect`` of a ``WavFile`` equals ``detect`` of ``to_float(read_wav(p))``
+    ``detect`` or ``stft`` of a ``WavFile`` equals that of ``to_float(read_wav(p))``
     while holding one block, not the file. Close it, or use it in a ``with``.
     """
 

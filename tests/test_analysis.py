@@ -37,10 +37,10 @@ from ultraband import (
     write_wav,
 )
 from ultraband import analysis, kernels
-from ultraband.analysis import (FRAME_MS, WELCH_SEGMENT, _band_mask, _frame_blocks, _longest_run_ms,
-                                _spectrum, _weighted_power)
+from ultraband.analysis import (FRAME_MS, WELCH_SEGMENT, _band_mask, _longest_run_ms, _spectrum,
+                                _weighted_power)
 from ultraband.demodulator import recovered_bandwidth
-from ultraband.kernels import next_fast_len
+from ultraband.kernels import _FFT_POINTS, next_fast_len
 
 # --- stft ---
 
@@ -317,8 +317,10 @@ def _welch_block_at_a_time(x: np.ndarray) -> np.ndarray:
     """``measure``'s scaled Welch energy of ``x`` (taper-free), each block of
     frames windowed, transformed and squared whole and summed in block order."""
     seg = min(WELCH_SEGMENT, x.size)
-    blocks = _frame_blocks(SampleBuffer._adopt(x, RATE), seg, max(1, seg // 2), np.hanning(seg))
-    energy = sum(_weighted_power(b).sum(axis=0) for b in blocks)
+    frames = sliding_window_view(x, seg)[:: max(1, seg // 2)]
+    step = max(1, analysis._BLOCK_SAMPLES // seg)
+    energy = sum(_weighted_power(frames[b : b + step] * np.hanning(seg)).sum(axis=0)
+                 for b in range(0, len(frames), step))
     framed = energy.sum()
     energy *= float(np.einsum("i,i->", x, x)) / framed if framed > 0.0 else 0.0
     return energy
@@ -358,10 +360,11 @@ def test_measure_equals_the_block_at_a_time_sum(monkeypatch, cpus):
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         metrics, energy, splits = _measured_energy(monkeypatch, SampleBuffer(x, RATE), config)
         assert np.array_equal(energy, _welch_block_at_a_time(x)), n
-        frames = max(1, (n - WELCH_SEGMENT) // (WELCH_SEGMENT // 2) + 1)
+        seg = min(WELCH_SEGMENT, n)
+        frames = max(1, (n - seg) // max(1, seg // 2) + 1)
         blocks = [min(_MEASURE_BLOCK, frames - b) for b in range(0, frames, _MEASURE_BLOCK)]
-        # a block of one sub-batch (16 frames) is transformed whole, in this thread
-        assert splits == [cpus == 2 and f >= 32 for f in blocks if f > 16], n
+        # every block splits by the filter's rule: two CPUs and two batches of FFT points
+        assert splits == [cpus == 2 and f * seg >= 2 * _FFT_POINTS for f in blocks], n
         if cpus == 2:
             monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
             one = measure(SampleBuffer(x, RATE), config)
@@ -611,8 +614,9 @@ def _threads_end_with_the_call(monkeypatch, call_once):
 
 
 def test_detect_threads_end_with_the_call(monkeypatch):
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 16 * 2400)  # 3 blocks at 48 kHz
-    clip = _straddling_bursts(RATE, 16)
+    # 3 blocks at 48 kHz, of 128 frames: enough FFT points to split
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 128 * 2400)
+    clip = _straddling_bursts(RATE, 128)
 
     def verdict():
         found = detect(clip)
@@ -670,6 +674,47 @@ def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_fr
             assert (streamed.score, streamed.sustained_ms) == (score, sustained), name
         if name in ("bursts", "stereo_list"):
             assert streamed.flagged and not streamed.frame_flags.all(), name
+
+
+@pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 7, 130, None]))
+def test_streamed_stft_equals_whole_file(tmp_path, monkeypatch, block_frames, cpus):
+    # 130 frames of 2048 are enough FFT points to split a block; 512 (the
+    # default) also spreads each half over several runs
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    frame_len, hop, rate = 2048, 1024, 48000
+    if block_frames is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
+    step = max(1, analysis._BLOCK_SAMPLES // frame_len)
+    first_end = (step - 1) * hop + frame_len  # the first block's samples
+    lengths = {frame_len - 1, frame_len}
+    for edge in (first_end, first_end + step * hop):  # where blocks 1 and 2 end
+        lengths |= {edge - 1, edge, edge + 1}
+    noise = np.random.default_rng(block_frames).integers(-20000, 20000, max(lengths) + hop)
+    cases = [(f"n{n}", noise[:n], 1, False) for n in sorted(lengths)]
+    # channel 1 is a loud 17 kHz tone, which would show if it were read
+    loud = np.round(30000 * np.sin(2 * np.pi * 17000 * np.arange(noise.size) / rate))
+    cases.append(("stereo_list", np.stack([noise, loud], axis=1).ravel(), 2, True))
+    for name, interleaved, channels, list_chunk in cases:
+        path = tmp_path / f"{name}.wav"
+        _wav_file(path, interleaved, rate, channels, list_chunk)
+        whole = to_float(read_wav(path))
+        if len(whole) < frame_len:
+            with open_wav(path) as wav, pytest.raises(SignalTooShort):
+                stft(wav)
+            continue
+        with open_wav(path) as wav:
+            streamed = stft(wav)
+        expected = stft(whole)
+        assert isinstance(streamed.sample_rate_hz, float), name
+        for field, value in zip(astuple(streamed), astuple(expected)):
+            assert np.array_equal(field, value), name
+        assert streamed.magnitudes_db.shape[0] == (len(whole) - frame_len) // hop + 1, name
+
+
+def test_stft_threads_end_with_the_call(monkeypatch):
+    # 5 s is one block of 233 frames, which splits on two CPUs
+    x = SampleBuffer(np.random.default_rng(12).uniform(-1.0, 1.0, 5 * 48000), RATE)
+    _threads_end_with_the_call(monkeypatch, lambda: stft(x).magnitudes_db)
 
 
 def test_streamed_detect_memory_is_flat_in_file_length(tmp_path):

@@ -19,6 +19,7 @@ from conftest import RATE, speech_like, tone
 from ultraband import (
     BandMetrics,
     ModulationConfig,
+    PcmClip,
     SampleBuffer,
     analysis,
     cli,
@@ -28,6 +29,7 @@ from ultraband import (
     modulator,
     read_wav,
     stego,
+    to_float,
     to_pcm,
     write_wav,
 )
@@ -387,6 +389,23 @@ def test_spectrogram_subcommand(tmp_path, modulated_wav, capsys):
     assert header[0] == b"P5"
     width, height = map(int, header[1].split())
     assert (width, height) == (payload["frames"], payload["bins"])
+
+
+def test_spectrogram_renders_channel_zero(tmp_path, capsys):
+    # channel 1 is a loud 17 kHz tone; channel 0 is speech-like audio
+    speech = to_pcm(speech_like(seed=62)).samples
+    loud = np.round(30000 * np.sin(2 * np.pi * 17000 * np.arange(speech.size) / RATE))
+    path = tmp_path / "stereo.wav"
+    write_wav(path, PcmClip(np.stack([speech, loud.astype(np.int16)], axis=1).ravel(), int(RATE), 2))
+    out = tmp_path / "spec.pgm"
+    assert run(["spectrogram", str(path), str(out)]) == EXIT_OK
+    payload = _json_lines(capsys)[0]
+    for channel in (0, 1):
+        spec = analysis.stft(to_float(read_wav(path), channel=channel))
+        analysis.render_spectrogram(spec, tmp_path / f"ch{channel}.pgm")
+        assert (payload["frames"], payload["bins"]) == spec.magnitudes_db.shape
+    assert out.read_bytes() == (tmp_path / "ch0.pgm").read_bytes()
+    assert out.read_bytes() != (tmp_path / "ch1.pgm").read_bytes()
 
 
 # --- detect ---

@@ -189,6 +189,21 @@ def test_phase_search_memory_at_10_s():
     assert peak <= 18 << 20, peak
 
 
+@pytest.mark.parametrize("phase_search", [False, True])
+def test_kept_result_holds_only_its_own_samples(phase_search):
+    # a result that is a view of the filter's two-row output keeps both rows
+    # alive: 2.0 times its own bytes
+    high = SampleBuffer(np.random.default_rng(5).uniform(-1.0, 1.0, 10 * int(RATE)), RATE)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = demodulate(high, phase_search=phase_search)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.1 * result.samples.nbytes, kept / result.samples.nbytes
+
+
 def test_phase_search_polarity_is_repeatable(default_config):
     signal = _misaligned_dc_heavy(default_config)
     first = demodulate(signal, phase_search=True)
