@@ -12,8 +12,8 @@ non-overlapping segments of at most 2**17 samples (M. S. Bartlett, Nature
 IEEE Trans. Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50%
 overlap, summed and scaled so the bins add up to the measured samples'
 energy; a shorter signal is one Hann frame of its own length. These spectra,
-``detect`` and ``stft`` run through one loop, ``_framed``, which frames a
-source a block at a time and hands runs of frames to a reducer on two CPUs
+``detect``, ``stft`` and ``find_silence`` run through ``_framed``, which frames
+a source a block at a time and hands runs of frames to a reducer on two CPUs
 (``_in_two``); ``detect`` and ``stft`` also read a ``WavFile`` that way.
 """
 
@@ -119,37 +119,35 @@ def _framed(source, frame_len, hop, reduce, width, window=None, pad=False, block
     """Yield (first frame, its rows) per block of the frames of ``source``
     (``frame_len`` long, ``hop`` apart, times ``window`` if given), once
     ``reduce(frames, out=)`` has put each run's ``width`` results per frame in
-    ``out``, rows of one reused buffer. A trailing remainder shorter than a
-    frame is dropped, or with ``pad`` (and ``hop == frame_len``) is a last
-    frame that ``reduce`` zero-pads. A block, one of ``source.blocks`` (a
-    ``SampleBuffer``'s or a ``WavFile``'s), has ``block`` frames or at most
-    ``_BLOCK_SAMPLES`` framed samples, and splits in two by the filter's rule
-    (``kernels._splits``). The runs in flight hold about 2 * ``_FFT_POINTS``
-    floats of transforms and, under a window, as many of copies (half as many
-    made ``detect`` slower). The rows depend on neither the CPUs nor the source."""
+    ``out``, rows of one buffer reused for every block. A trailing remainder
+    shorter than a frame is dropped, or with ``pad`` (and ``hop == frame_len``)
+    is a short last frame. A block, ``source._read`` of its span, has ``block``
+    frames or at most ``_BLOCK_SAMPLES`` framed samples, and splits in two by
+    the filter's rule (``kernels._splits``). The runs in flight hold about
+    2 * ``_FFT_POINTS`` floats of transforms and, under a window, as many of
+    copies (half as many made ``detect`` slower). The rows depend on neither
+    the CPUs nor the source."""
+    n = len(source)
+    frames = -(-n // hop) if pad else max(0, (n - frame_len) // hop + 1)
     step = block or max(1, _BLOCK_SAMPLES // frame_len)
-    rows, first = None, 0
-    for chunk in source.blocks((step - 1) * hop + frame_len, frame_len - hop):
-        n = max(0, (chunk.size - frame_len) // hop + 1)  # cheaper than sliding_window_view
-        whole = np.ndarray((n, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
-        tail = chunk[len(whole) * hop :] if pad else chunk[:0]
-        k = len(whole) + (tail.size > 0)
-        if k == 0:  # only the last chunk can hold no frame
-            return
-        rows = np.empty((k, width)) if rows is None else rows  # the first block is the longest
+    rows = np.empty((min(step, frames), width))
+    for first in range(0, frames, step):
+        k = min(step, frames - first)
+        chunk = source._read(first * hop, min(n, (first + k - 1) * hop + frame_len))
+        whole = (chunk.size - frame_len) // hop + 1  # k, or k - 1 before a padded tail
+        view = np.ndarray((whole, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
         split = kernels._splits(k * frame_len)
         size = max(1, 2 * _FFT_POINTS // ((1 + split) * (1 + (window is not None)) * frame_len))
 
-        def run(a, b, whole=whole, tail=tail):
-            for lo in range(a, min(b, len(whole)), size):
-                part = whole[lo : min(lo + size, b)]
+        def run(a, b):  # called and joined before the next block
+            for lo in range(a, min(b, whole), size):
+                part = view[lo : min(lo + size, b)]
                 reduce(part if window is None else part * window, out=rows[lo : lo + len(part)])
-            if b > len(whole):  # the padded tail, the block's last frame
-                reduce(tail[None], out=rows[b - 1 : b])
+            if b > whole:  # the padded tail, the block's last frame
+                reduce(chunk[None, whole * hop :], out=rows[b - 1 : b])
 
         _in_two(run, k, split)
         yield first, rows[:k]
-        first += k
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
@@ -365,8 +363,10 @@ def detect(
         for e, cols in zip(out.T, bands):
             np.einsum("ij,ij->i", view[:, cols], view[:, cols], out=e)
 
-    blocks = [block.copy() for _, block in _framed(signal, frame_len, hop, band_sums, 2)]
-    e_attack, e_speech = np.concatenate(blocks).T * (2.0 / frame_len)
+    sums = np.empty(((len(signal) - frame_len) // hop + 1, 2))
+    for first, rows in _framed(signal, frame_len, hop, band_sums, 2):
+        sums[first : first + len(rows)] = rows  # rows is reused for the next block
+    e_attack, e_speech = sums.T * (2.0 / frame_len)
     flags = e_attack > ratio_threshold * e_speech
 
     sustained = _longest_run_ms(flags, frame_len, hop, rate)

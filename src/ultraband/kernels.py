@@ -332,10 +332,7 @@ def tukey_window(length: int, alpha: float) -> np.ndarray:
     check_fraction(alpha, BadAlpha, "alpha", zero_ok=True)
     length = check_count(length, BadArgument, "window length", 2)
     w = np.ones(length)
-    if alpha > 0.0:
-        rise, fall = _tukey_ramps(length, alpha)
-        w[: rise.size] = rise
-        w[length - fall.size :] = fall
+    _taper(w, alpha)  # 1.0 * ramp == ramp
     return w
 
 

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .analysis import true_runs
+from .analysis import _framed, true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
 from .kernels import resample, resampled_length
@@ -64,14 +64,13 @@ def find_silence(
     n = len(host)
     frame_len = max(1, int(round(min(frame_ms * rate / 1000.0, n))))
 
-    # Per-block mean square; the full blocks as rows so each row sums the
-    # way np.mean sums a lone block, then the trailing partial block.
-    power = host.samples**2
-    full = n // frame_len
-    mean_sq = np.mean(power[: full * frame_len].reshape(full, frame_len), axis=1)
-    if n % frame_len:
-        mean_sq = np.append(mean_sq, np.mean(power[full * frame_len :]))
-    starts, ends = true_runs(np.sqrt(mean_sq) < rms_threshold)
+    # Per-block mean square, each row summed as np.mean sums a lone block;
+    # the trailing partial block is _framed's short last frame.
+    mean_sq = np.empty((-(-n // frame_len), 1))
+    for first, rows in _framed(host, frame_len, frame_len, lambda frames, out: np.mean(
+            frames**2, axis=1, keepdims=True, out=out), 1, pad=True):
+        mean_sq[first : first + len(rows)] = rows  # rows is reused for the next block
+    starts, ends = true_runs(np.sqrt(mean_sq[:, 0]) < rms_threshold)
     regions = zip((starts * frame_len).tolist(), np.minimum(ends * frame_len, n).tolist())
 
     min_samples = min_region_ms * rate / 1000.0

@@ -12,7 +12,7 @@ Three types travel through the rest of the package:
 * :class:`PcmClip` -- integer samples exactly as stored on disk.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
-  blocks, as a :class:`SampleBuffer` does.
+  spans of frames, as a :class:`SampleBuffer`'s samples do.
 """
 
 from __future__ import annotations
@@ -166,13 +166,9 @@ class SampleBuffer:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
-    def blocks(self, size: int, overlap: int):
-        """Views of consecutive blocks of ``size`` samples, each overlapping
-        the next by ``overlap``; the last is shorter when it reaches the end
-        of the signal. BadArgument unless ``size`` is a whole number >= 1 and
-        ``overlap`` one in [0, size - 1]."""
-        for start, stop in _spans(len(self), size, overlap):
-            yield self.samples[start:stop]
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """Samples ``start`` to ``stop``, a view, as ``WavFile._read`` reads them."""
+        return self.samples[start:stop]
 
 
 def _finite(samples: np.ndarray) -> np.ndarray:
@@ -180,21 +176,6 @@ def _finite(samples: np.ndarray) -> np.ndarray:
     if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         raise BadArgument("samples must be finite")
     return samples
-
-
-def _spans(n: int, size: int, overlap: int):
-    """(start, stop) of the blocks of both ``blocks`` methods over ``n``
-    samples: each ``size - overlap`` after the one before, until one
-    reaches ``n``; none when ``n`` is 0."""
-    size = check_count(size, BadArgument, "size", 1)
-    overlap = check_count(overlap, BadArgument, "overlap", 0, size - 1)
-    start = 0
-    while start < n:
-        stop = min(start + size, n)
-        yield start, stop
-        if stop == n:
-            return
-        start += size - overlap
 
 
 def _sniff_mp3(head: bytes) -> bool:
@@ -291,10 +272,11 @@ class WavFile:
     """A 16-bit PCM WAV file held open, its header checked by the parser
     that ``read_wav`` uses; made by :func:`open_wav`.
 
-    ``len`` is the frame count. ``blocks`` reads channel 0 a block at a time,
-    as float64 scaled by 1/32768 exactly as ``to_float`` scales it, so
-    ``detect`` or ``stft`` of a ``WavFile`` equals that of ``to_float(read_wav(p))``
-    while holding one block, not the file. Close it, or use it in a ``with``.
+    ``len`` is the frame count. ``detect`` and ``stft`` read channel 0 a block
+    at a time, as float64 scaled by 1/32768 exactly as ``to_float`` scales it,
+    so either equals its result on ``to_float(read_wav(p))`` while holding one
+    block, not the file. Close it, or use it in a ``with``; a closed file
+    raises IoFailure.
     """
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
@@ -323,22 +305,17 @@ class WavFile:
         try:
             self._fh.seek(self._offset + start * 2 * self.channels)
             got = self._fh.readinto(out.view(np.uint8))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: the file was closed
             raise IoFailure(f"cannot read {self._path}: {exc}") from exc
         if got != out.nbytes:  # the file shrank after it was opened
             raise TruncatedFile(f"{self._path}: data chunk ends early")
         return out
 
-    def blocks(self, size: int, overlap: int):
-        """Channel 0 as float64 blocks, framed as ``SampleBuffer.blocks``
-        frames its samples: ``size`` frames each, overlapping the next by
-        ``overlap``. One int16 buffer is reused; each float block is new."""
-        buf = None
-        for start, stop in _spans(self._frames, size, overlap):
-            if buf is None:  # the first block is the longest
-                buf = np.empty((stop - start) * self.channels, dtype="<i2")
-            pcm = self._read_into(start, buf[: (stop - start) * self.channels])
-            yield pcm[:: self.channels] / READ_SCALE
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """Channel 0 of frames ``start`` to ``stop`` as float64, scaled as
+        ``to_float`` scales it."""
+        pcm = self._read_into(start, np.empty((stop - start) * self.channels, dtype="<i2"))
+        return pcm[:: self.channels] / READ_SCALE
 
 
 def open_wav(path) -> WavFile:

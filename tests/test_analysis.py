@@ -155,7 +155,7 @@ def test_spectrum_on_two_cpus_equals_one_segment_at_a_time(monkeypatch, segments
     for n in (2**17 * segments - 1, 2**17 * segments, 2**17 * segments + 1):
         sig = SampleBuffer(np.random.default_rng(n).standard_normal(n), RATE)
         n_fft = min(2**17, next_fast_len(n))
-        serial = sum(_weighted_power(block, n_fft) for block in sig.blocks(n_fft, 0))
+        serial = sum(_weighted_power(sig._read(s, s + n_fft), n_fft) for s in range(0, n, n_fft))
         for cpus in (1, 2):
             monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
             assert np.array_equal(_spectrum(sig)[1], serial), (n, cpus)
@@ -559,10 +559,11 @@ def _no_thread(self):
     raise AssertionError("a thread started on one CPU")
 
 
-def _threads_end_with_the_call(monkeypatch, call_once):
+def _threads_end_with_the_call(monkeypatch, call_once, module=np.fft, name="rfft"):
     """``call_once()`` (an array) starts no thread on one CPU, gives the same
-    array from four concurrent callers on two, and raises a worker's FFT error
-    only after the worker ended; no thread outlives a call."""
+    array from four concurrent callers on two, and raises a worker's error
+    from ``module.name`` (the FFT) only after the worker ended; no thread
+    outlives a call."""
     before = threading.active_count()
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     with monkeypatch.context() as m:
@@ -589,12 +590,12 @@ def _threads_end_with_the_call(monkeypatch, call_once):
     assert threading.active_count() == before
 
     # the FFT fails on the worker's rows only: the call raises it once the worker ended
-    rfft, caller_id, errors = np.fft.rfft, [], []
+    work, caller_id, errors = getattr(module, name), [], []
 
-    def rfft_failing_off_the_caller(*args, **kwargs):
+    def failing_off_the_caller(*args, **kwargs):
         if threading.get_ident() != caller_id[0]:
             raise MemoryError("worker rows")
-        return rfft(*args, **kwargs)
+        return work(*args, **kwargs)
 
     def call():
         caller_id.append(threading.get_ident())
@@ -604,7 +605,7 @@ def _threads_end_with_the_call(monkeypatch, call_once):
             errors.append((str(exc), threading.active_count()))
 
     with monkeypatch.context() as m:
-        m.setattr(np.fft, "rfft", rfft_failing_off_the_caller)
+        m.setattr(module, name, failing_off_the_caller)
         runner = threading.Thread(target=call)
         runner.start()
         runner.join(timeout=60)

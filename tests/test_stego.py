@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import RATE, build_corpus, ncc, speech_like
-from ultraband import stego
+from test_analysis import _threads_end_with_the_call
+from ultraband import analysis, kernels, stego
 from ultraband import (
     BadArgument,
     EmptySignal,
@@ -27,6 +28,7 @@ from ultraband import (
     to_pcm,
     write_wav,
 )
+from ultraband.analysis import true_runs
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,66 @@ def test_find_silence_matches_block_loop():
         got = find_silence(host, 0.01, frame_ms, min_region_ms).regions
         assert got == expected
         assert all(type(v) is int for span in got for v in span)
+
+
+def _find_silence_reshape(host, rms_threshold=0.01, frame_ms=20.0, min_region_ms=500.0):
+    """Reference: the whole-host reshape find_silence replaced, kept to pin its
+    mean squares: full blocks as rows of one mean, then the partial block."""
+    rate, n = host.sample_rate_hz, len(host)
+    frame_len = max(1, int(round(min(frame_ms * rate / 1000.0, n))))
+    power = host.samples**2
+    full = n // frame_len
+    mean_sq = np.mean(power[: full * frame_len].reshape(full, frame_len), axis=1)
+    if n % frame_len:
+        mean_sq = np.append(mean_sq, np.mean(power[full * frame_len :]))
+    starts, ends = true_runs(np.sqrt(mean_sq) < rms_threshold)
+    regions = zip((starts * frame_len).tolist(), np.minimum(ends * frame_len, n).tolist())
+    return tuple(r for r in regions if r[1] - r[0] >= min_region_ms * rate / 1000.0)
+
+
+def _threshold_host(n, seed):
+    """Runs of noise and of +/- constants at and around the 0.01 threshold,
+    where a block's mean square decides by its last bits."""
+    rng = np.random.default_rng(seed)
+    parts, size = [], 0
+    while size < n:
+        length = int(rng.integers(100, 5000))
+        level = float(rng.choice([0.0, 0.0099, 0.01, 0.01, 0.0101, 0.3]))
+        if rng.random() < 0.3:
+            parts.append(level * rng.standard_normal(length))
+        else:
+            parts.append(level * rng.choice([-1.0, 1.0], length))
+        size += length
+    return np.concatenate(parts)[:n]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_find_silence_equals_the_reshape_over_blocks(monkeypatch, cpus):
+    # 280 blocks of 20 ms at 48 kHz: a block splits on two CPUs (2 * 2**17
+    # samples), and the longest host spans more than three blocks
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    frame_len, rate = 960, 48000.0
+    block = 280 * frame_len
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block)
+    samples = _threshold_host(3 * block + 2 * frame_len, seed=cpus)
+    lengths = {1, frame_len - 1, frame_len, frame_len + 1}
+    for edge in (block, 2 * block, 3 * block):  # where blocks end
+        lengths |= {edge - frame_len, edge - 1, edge, edge + 1, edge + frame_len + 1}
+    for n in sorted(lengths):
+        host = SampleBuffer(samples[:n], rate)
+        for frame_ms, min_region_ms in ((20.0, 1e-3), (20.0, 500.0), (7.3, 1e-3)):
+            expected = _find_silence_reshape(host, 0.01, frame_ms, min_region_ms)
+            assert find_silence(host, 0.01, frame_ms, min_region_ms).regions == expected, n
+    # regions in the last block survive the reuse of the earlier blocks' rows
+    regions = find_silence(SampleBuffer(samples, rate), 0.01, 20.0, 1e-3).regions
+    assert len(regions) > 50 and regions[-1][0] > 2 * block
+
+
+def test_find_silence_threads_end_with_the_call(monkeypatch):
+    # 6 s at 48 kHz is one block of 300 frames, which splits on two CPUs
+    host = SampleBuffer(_threshold_host(6 * 48000, seed=3), 48000.0)
+    _threads_end_with_the_call(
+        monkeypatch, lambda: np.array(find_silence(host, min_region_ms=1e-3).regions), np, "mean")
 
 
 def test_longest_prefers_earliest_on_tie():

@@ -24,6 +24,7 @@ from ultraband import (
     detect,
     open_wav,
     read_wav,
+    stft,
     to_float,
     to_pcm,
     write_wav,
@@ -335,7 +336,7 @@ def test_extensible_fmt_chunk_under_40_bytes_is_truncated(tmp_path, fmt_size):
         detect(open_wav(path))
 
 
-# --- read_wav keeps one copy; open_wav reads blocks ---
+# --- read_wav keeps one copy; open_wav reads spans ---
 
 
 def test_read_wav_holds_the_pcm_once(tmp_path):
@@ -362,30 +363,25 @@ def test_open_wav_blocks_equal_to_float_views(tmp_path):
     buf = to_float(read_wav(path))
     with open_wav(path) as wav:
         assert (len(wav), wav.sample_rate_hz, wav.channels) == (1001, 44100, 3)
-        for size, overlap in [(1, 0), (7, 3), (100, 99), (1000, 10), (1001, 0), (5000, 4000)]:
-            ours, views = list(wav.blocks(size, overlap)), list(buf.blocks(size, overlap))
-            assert len(ours) == len(views)
-            assert all(np.array_equal(a, b) for a, b in zip(ours, views))
-            assert all(np.shares_memory(v, buf.samples) for v in views)
-            starts = np.cumsum([0] + [v.size - overlap for v in views[:-1]])
-            assert all(np.array_equal(v, buf.samples[s : s + v.size]) for s, v in zip(starts, views))
-            assert starts[-1] + views[-1].size == 1001
-    assert list(SampleBuffer(np.zeros(0), RATE).blocks(4, 1)) == []
-
-
-@pytest.mark.parametrize("size,overlap", [(0, 0), (4, 4), (4, -1), (2.5, 0), (4, 1.5)])
-def test_blocks_reject_bad_sizes(size, overlap):
-    with pytest.raises(BadArgument):
-        next(SampleBuffer(np.zeros(8), RATE).blocks(size, overlap))
+        for start, stop in [(0, 1), (3, 10), (0, 1000), (500, 1001), (0, 1001), (1000, 1001)]:
+            ours, view = wav._read(start, stop), buf._read(start, stop)
+            assert ours.dtype == np.float64 and ours.shape == (stop - start,)
+            assert np.array_equal(ours, buf.samples[start:stop])
+            assert np.array_equal(view, buf.samples[start:stop])
+            assert np.shares_memory(view, buf.samples) and not np.shares_memory(ours, buf.samples)
+        assert wav._read(7, 7).size == 0
+    assert SampleBuffer(np.zeros(0), RATE)._read(0, 0).size == 0
 
 
 def test_open_wav_closes_its_file(tmp_path):
+    # a read of the closed file raised a bare ValueError from seek
     path = tmp_path / "c.wav"
-    write_wav(path, PcmClip(np.zeros(8, dtype=np.int16), RATE))
+    write_wav(path, PcmClip(np.zeros(RATE // 2, dtype=np.int16), RATE))
     with open_wav(path) as wav:
-        pass
-    with pytest.raises(ValueError):
-        next(wav.blocks(4, 0))
+        assert not detect(wav).flagged and stft(wav).magnitudes_db.size
+    for read in (lambda: wav._read(0, 4), lambda: detect(wav), lambda: stft(wav)):
+        with pytest.raises(IoFailure, match="closed file"):
+            read()
 
 
 # --- value types ---
@@ -692,5 +688,5 @@ def test_open_wav_agrees_with_read_wav(fuzz_path, fields, edits, length):
     with open_wav(fuzz_path) as wav:
         assert (wav.sample_rate_hz, wav.channels, len(wav)) == (
             clip.sample_rate_hz, clip.channels, clip.frames)
-        lane = np.concatenate([np.zeros(0), *wav.blocks(max(1, len(wav)), 0)])
+        lane = wav._read(0, len(wav))
         assert np.array_equal(lane, to_float(clip).samples)
