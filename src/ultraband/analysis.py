@@ -13,12 +13,15 @@ IEEE Trans. Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50%
 overlap, summed and scaled so the bins add up to the measured samples'
 energy; a shorter signal is one Hann frame of its own length. These spectra,
 ``detect``, ``stft`` and ``find_silence`` run through ``_framed``, which frames
-a source a block at a time and hands runs of frames to a reducer on two CPUs
-(``_in_two``); ``detect`` and ``stft`` also read a ``WavFile`` that way.
+a source a block at a time and hands each block's frames to a reducer; on two
+CPUs one worker thread per call takes every other block. ``detect`` and
+``stft`` also read a ``WavFile`` that way.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
@@ -28,8 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
-from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _in_two, check_band, next_fast_len,
-                      tukey_window)
+from .kernels import _FFT_POINTS, BAND_HZ, CARRIER_HZ, check_band, next_fast_len, tukey_window
 from .wavio import SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,8 +48,13 @@ FRAME_MS = 50.0
 #: Welch segment of ``measure``; segments overlap by half.
 WELCH_SEGMENT = 8192
 
-#: Samples framed per block: bounds the (frames x bins) arrays held at once.
-_BLOCK_SAMPLES = 1 << 20
+#: Samples framed per block (a window's copies count twice): one run of
+#: transforms, whose (frames x bins) arrays are the scratch each thread holds.
+_BLOCK_SAMPLES = _FFT_POINTS
+
+#: Welch frames per partial sum in ``measure``: rows add in order within a
+#: group, and the groups in order (the grouping of 2**20-sample blocks).
+_WELCH_GROUP = 128
 
 _EPS = 1e-30
 
@@ -105,49 +112,78 @@ def _spectrum(signal: SampleBuffer) -> tuple:
     """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
     of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
     zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform.
-    Segments are ``_framed``'s frames, two (power rows) a block, summed in order."""
+    Segments are ``_framed``'s frames, a block each at 2**17, summed in order."""
     n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
     energy = np.zeros(n_fft // 2 + 1)
     for _, power in _framed(signal, n_fft, n_fft, partial(_weighted_power, n_fft=n_fft),
-                            n_fft // 2 + 1, pad=True, block=2):
+                            n_fft // 2 + 1, pad=True):
         for row in power:  # in place: a new sum per row cost 1 MB of RSS
             energy += row
     return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
 
 
-def _framed(source, frame_len, hop, reduce, width, window=None, pad=False, block=None):
+def _framed(source, frame_len, hop, reduce, width, window=None, pad=False):
     """Yield (first frame, its rows) per block of the frames of ``source``
-    (``frame_len`` long, ``hop`` apart, times ``window`` if given), once
-    ``reduce(frames, out=)`` has put each run's ``width`` results per frame in
-    ``out``, rows of one buffer reused for every block. A trailing remainder
-    shorter than a frame is dropped, or with ``pad`` (and ``hop == frame_len``)
-    is a short last frame. A block, ``source._read`` of its span, has ``block``
-    frames or at most ``_BLOCK_SAMPLES`` framed samples, and splits in two by
-    the filter's rule (``kernels._splits``). The runs in flight hold about
-    2 * ``_FFT_POINTS`` floats of transforms and, under a window, as many of
-    copies (half as many made ``detect`` slower). The rows depend on neither
-    the CPUs nor the source."""
+    (``frame_len`` long, ``hop`` apart, times ``window`` if given), in block
+    order, once ``reduce(frames, out=)`` has put the block's ``width`` results
+    per frame in ``out``. A trailing remainder shorter than a frame is dropped,
+    or with ``pad`` (and ``hop == frame_len``) is a short last frame. A block,
+    ``source._read`` of its span, is one run of ``_BLOCK_SAMPLES // frame_len``
+    frames, half as many under a window (whose copies are as large): about
+    ``_FFT_POINTS`` floats of transforms. When the filter's rule holds for all
+    the framed samples (``kernels._splits``) and there are two blocks or more,
+    one worker thread takes every other block for the whole call. Each thread
+    reads, windows and reduces its blocks into rows of its own buffer, reused
+    once the consumer has moved past them; the worker is joined before the
+    generator ends, raises or is closed. The rows depend on neither the CPUs
+    nor the source."""
     n = len(source)
     frames = -(-n // hop) if pad else max(0, (n - frame_len) // hop + 1)
-    step = block or max(1, _BLOCK_SAMPLES // frame_len)
-    rows = np.empty((min(step, frames), width))
-    for first in range(0, frames, step):
+    step = max(1, _BLOCK_SAMPLES // ((1 + (window is not None)) * frame_len))
+    firsts = range(0, frames, step)
+
+    def fill(first, rows):
         k = min(step, frames - first)
         chunk = source._read(first * hop, min(n, (first + k - 1) * hop + frame_len))
         whole = (chunk.size - frame_len) // hop + 1  # k, or k - 1 before a padded tail
-        view = np.ndarray((whole, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
-        split = kernels._splits(k * frame_len)
-        size = max(1, 2 * _FFT_POINTS // ((1 + split) * (1 + (window is not None)) * frame_len))
+        if whole:
+            view = np.ndarray((whole, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
+            reduce(view if window is None else view * window, out=rows[:whole])
+        if k > whole:  # the padded tail, the block's last frame
+            reduce(chunk[None, whole * hop :], out=rows[whole:k])
+        return rows[:k]
 
-        def run(a, b):  # called and joined before the next block
-            for lo in range(a, min(b, whole), size):
-                part = view[lo : min(lo + size, b)]
-                reduce(part if window is None else part * window, out=rows[lo : lo + len(part)])
-            if b > whole:  # the padded tail, the block's last frame
-                reduce(chunk[None, whole * hop :], out=rows[b - 1 : b])
+    worker = None
+    if len(firsts) >= 2 and kernels._splits(frames * frame_len):
+        done, free = queue.SimpleQueue(), queue.SimpleQueue()
 
-        _in_two(run, k, split)
-        yield first, rows[:k]
+        def work():  # blocks 1, 3, 5, ...; False from ``free`` stops it early
+            try:
+                rows = np.empty((step, width))
+                for first in firsts[1::2]:
+                    done.put(fill(first, rows))
+                    if not free.get():
+                        return
+            except BaseException as exc:
+                done.put(exc)
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+    rows = np.empty((min(step, frames), width))
+    try:
+        for i, first in enumerate(firsts):
+            if worker is None or i % 2 == 0:
+                yield first, fill(first, rows)
+                continue
+            got = done.get()
+            if isinstance(got, BaseException):
+                raise got
+            yield first, got
+            free.put(True)
+    finally:
+        if worker is not None:
+            free.put(False)
+            worker.join()
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
@@ -230,7 +266,8 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     energy. A region shorter than one segment is one Hann frame of its own
     length. ``np.hanning`` is zero at both ends, so the first and the last
     framed sample get zero weight (an impulse there reads none). The frames
-    run through ``_framed``: fixed scratch, the bits of one CPU.
+    run through ``_framed`` in fixed scratch, and their rows are summed in
+    groups of ``_WELCH_GROUP``, so one CPU and two give the same bits.
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -251,11 +288,16 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, core.size)
-    energy = 0
+    energy, group = np.zeros((2, seg // 2 + 1))
     # a view of the frozen signal, so adopting it copies nothing
-    for _, power in _framed(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2),
-                            _weighted_power, seg // 2 + 1, np.hanning(seg)):
-        energy = energy + power.sum(axis=0)  # in block order, as one sum
+    for first, power in _framed(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2),
+                                _weighted_power, seg // 2 + 1, np.hanning(seg)):
+        for i, row in enumerate(power, first):  # as sum(axis=0) adds a group's rows
+            if i % _WELCH_GROUP == 0 and i:
+                energy += group
+                group[:] = 0.0
+            group += row
+    energy += group
     framed = energy.sum()
     energy *= float(np.einsum("i,i->", core, core)) / framed if framed > 0.0 else 0.0
     total = float(energy.sum())
@@ -335,8 +377,8 @@ def detect(
     fraction) is monotone in the embedded signal's gain.
 
     ``signal`` may be an open ``WavFile``; its channel 0 is then read a block
-    at a time. Memory is one block plus the transforms of a few runs of its
-    frames. Up to two CPUs share each block, and the verdict is bit-identical
+    at a time. Memory is a block and its transforms per thread. On two CPUs
+    a worker thread takes every other block, and the verdict is bit-identical
     to the one-CPU path and to ``detect(to_float(read_wav(p)))``.
     """
     check_positive(ratio_threshold, BadArgument, "ratio_threshold")

@@ -14,7 +14,7 @@ from .analysis import _occupancy, _spectrum
 from .errors import ConfigInvalid, EmptySignal, check_positive
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _lane, _normalize, _overlap_add,
                       check_band, check_taps, design_lowpass)
-from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite, read_wav, to_float, to_pcm, write_wav
+from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite, read_wav, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
 PHASE_CANDIDATES = 16
@@ -96,12 +96,14 @@ def demodulate(
     return SampleBuffer._adopt(recovered, rate)
 
 
-def recovered_bandwidth(signal: SampleBuffer) -> float:
+def recovered_bandwidth(signal: SampleBuffer | PcmClip) -> float:
     """Smallest frequency below which 95% of the signal's energy lies, in the
     segmented spectrum that ``band_energy`` sums (``analysis._spectrum``).
 
     Useful as a one-number judgment of how much of the original band
-    survived a modulate/transmit/demodulate trip.
+    survived a modulate/transmit/demodulate trip. A ``PcmClip``'s channel 0
+    is read a block at a time, with the bits of ``to_float``'s samples and
+    no float copy of the clip.
     """
     if len(signal) == 0:
         raise EmptySignal("no bandwidth for an empty signal")
@@ -129,4 +131,4 @@ def demodulate_file(
                             phase_search))
     write_wav(out_path, pcm)
     # write/read is byte-exact, so the in-memory clip is what the file holds
-    return recovered_bandwidth(to_float(pcm, channel=0))
+    return recovered_bandwidth(pcm)

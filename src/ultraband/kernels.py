@@ -4,10 +4,12 @@ Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
 scipy module. Long filters and ``analysis._framed`` (every framed spectrum)
-run on two CPUs by one rule (``_splits``, ``_in_two``). The filter also
-mixes the carrier for ``modulate`` and ``demodulate`` block by block and
-reads a ``PcmClip``'s int16 channel. Tap formulas and window shapes are
-explicit here; the bin weights are ``analysis._weighted_power``.
+run on two CPUs by one rule (``_splits``): the filter splits its blocks in
+two halves (``_in_two``), ``_framed`` hands every other block to one worker
+thread per call. The filter also mixes the carrier for ``modulate`` and
+``demodulate`` block by block and reads a ``PcmClip``'s int16 channel. Tap
+formulas and window shapes are explicit here; the bin weights are
+``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ _LOW_QUALITY_TAPS = 31
 #: takes about 0.12 s (2-core VM).
 MAX_RESAMPLE_FACTOR = 1 << 16
 
-# FFT points per overlap-add batch (over all tap rows) and per segment of
-# ``analysis._spectrum``: a few MB of scratch whatever the signal; more falls out of cache.
+# FFT points per overlap-add batch (over all tap rows), per segment of
+# ``analysis._spectrum`` and per block of ``analysis._framed``: a few MB of
+# scratch whatever the signal; more falls out of cache.
 _FFT_POINTS = 1 << 17
 
 # Resampler output periods per matrix product, so that a product's input

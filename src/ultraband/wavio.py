@@ -9,7 +9,8 @@ file open and reads it a block at a time.
 
 Three types travel through the rest of the package:
 
-* :class:`PcmClip` -- integer samples exactly as stored on disk.
+* :class:`PcmClip` -- integer samples exactly as stored on disk; ``len`` is
+  its frame count, and ``recovered_bandwidth`` reads its channel 0 in spans.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
   spans of frames, as a :class:`SampleBuffer`'s samples do.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +119,13 @@ class PcmClip:
     @property
     def frames(self) -> int:
         return self.samples.size // self.channels
+
+    def __len__(self) -> int:
+        return self.frames
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """Channel 0 of frames ``start`` to ``stop`` as float64, as ``to_float`` scales it."""
+        return self.samples[start * self.channels : stop * self.channels : self.channels] / READ_SCALE
 
     @property
     def duration_s(self) -> float:
@@ -281,6 +290,7 @@ class WavFile:
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
         self._fh = fh
+        self._lock = threading.Lock()  # a span's seek and read, from either thread of ``_framed``
         self._offset = offset
         self._frames = frames
         self._path = path
@@ -303,8 +313,9 @@ class WavFile:
         """Fill ``out`` (little-endian int16) with the interleaved samples of
         the frames from ``start`` on."""
         try:
-            self._fh.seek(self._offset + start * 2 * self.channels)
-            got = self._fh.readinto(out.view(np.uint8))
+            with self._lock:
+                self._fh.seek(self._offset + start * 2 * self.channels)
+                got = self._fh.readinto(out.view(np.uint8))
         except (OSError, ValueError) as exc:  # ValueError: the file was closed
             raise IoFailure(f"cannot read {self._path}: {exc}") from exc
         if got != out.nbytes:  # the file shrank after it was opened

@@ -314,11 +314,12 @@ def test_measure_without_a_measurable_tone_pair(signal, config):
 
 
 def _welch_block_at_a_time(x: np.ndarray) -> np.ndarray:
-    """``measure``'s scaled Welch energy of ``x`` (taper-free), each block of
-    frames windowed, transformed and squared whole and summed in block order."""
+    """``measure``'s scaled Welch energy of ``x`` (taper-free), each group of
+    ``_WELCH_GROUP`` frames windowed, transformed and squared whole and summed
+    as one sum, the groups summed in order."""
     seg = min(WELCH_SEGMENT, x.size)
     frames = sliding_window_view(x, seg)[:: max(1, seg // 2)]
-    step = max(1, analysis._BLOCK_SAMPLES // seg)
+    step = analysis._WELCH_GROUP
     energy = sum(_weighted_power(frames[b : b + step] * np.hanning(seg)).sum(axis=0)
                  for b in range(0, len(frames), step))
     framed = energy.sum()
@@ -327,44 +328,45 @@ def _welch_block_at_a_time(x: np.ndarray) -> np.ndarray:
 
 
 def _measured_energy(monkeypatch, signal, config):
-    """(the metrics, the energy they were read from, the split of each block
-    that ``measure`` hands to ``_in_two``)."""
-    seen, splits = [], []
-    occupancy, in_two = analysis._occupancy, analysis._in_two
-    monkeypatch.setattr(analysis, "_occupancy",
-                        lambda f, e, *q: seen.append(e.copy()) or occupancy(f, e, *q))
-    monkeypatch.setattr(analysis, "_in_two",
-                        lambda work, n, split: splits.append(split) or in_two(work, n, split))
-    return measure(signal, config), seen[0], splits
+    """(the metrics, the energy they were read from, the threads the call started)."""
+    seen, started = [], []
+    occupancy, start = analysis._occupancy, threading.Thread.start
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_occupancy", lambda f, e, *q: seen.append(e.copy()) or occupancy(f, e, *q))
+        m.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        return measure(signal, config), seen[0], len(started)
 
 
-#: Frames per block in the blockwise ``measure`` cases, so that several blocks
-#: occur and the split (two sub-batches of 16 frames) falls inside a block.
-_MEASURE_BLOCK = 40
+#: Frames per summed group and per block in the blockwise ``measure`` cases,
+#: so that several groups occur and blocks straddle their edges.
+_MEASURE_GROUP, _MEASURE_BLOCK = 40, 15
 
 
 def _measure_lengths():
-    """Lengths one sample below, at and above 1 frame, one sub-batch (16
-    frames), the split (32), a block (40) and three blocks (40 + 40 + 33)."""
-    at = [WELCH_SEGMENT + (f - 1) * (WELCH_SEGMENT // 2) for f in (1, 16, 32, 40, 113)]
+    """Lengths one sample below, at and above 1 frame, a block (15 frames),
+    the worker's rule (32), a group (40) and three groups (40 + 40 + 33)."""
+    at = [WELCH_SEGMENT + (f - 1) * (WELCH_SEGMENT // 2) for f in (1, 15, 32, 40, 113)]
     return [16, 4801] + [n + d for n in at for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_measure_equals_the_block_at_a_time_sum(monkeypatch, cpus):
     # the fields follow from the energy, so bit-equal energies give equal metrics
+    assert analysis._WELCH_GROUP * WELCH_SEGMENT == 1 << 20  # the parent's blocks, summed
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", _MEASURE_BLOCK * WELCH_SEGMENT)
+    monkeypatch.setattr(analysis, "_WELCH_GROUP", _MEASURE_GROUP)
+    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 2 * _MEASURE_BLOCK * WELCH_SEGMENT)
     config = ModulationConfig(tukey_alpha=0.0)
     for n in _measure_lengths():
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        metrics, energy, splits = _measured_energy(monkeypatch, SampleBuffer(x, RATE), config)
+        metrics, energy, started = _measured_energy(monkeypatch, SampleBuffer(x, RATE), config)
         assert np.array_equal(energy, _welch_block_at_a_time(x)), n
         seg = min(WELCH_SEGMENT, n)
         frames = max(1, (n - seg) // max(1, seg // 2) + 1)
-        blocks = [min(_MEASURE_BLOCK, frames - b) for b in range(0, frames, _MEASURE_BLOCK)]
-        # every block splits by the filter's rule: two CPUs and two batches of FFT points
-        assert splits == [cpus == 2 and f * seg >= 2 * _FFT_POINTS for f in blocks], n
+        # one worker, only by the filter's rule (two CPUs, two batches of FFT
+        # points) and for two blocks or more; no thread on one CPU
+        assert started == (cpus == 2 and frames * seg >= 2 * _FFT_POINTS
+                           and frames > _MEASURE_BLOCK), n
         if cpus == 2:
             monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
             one = measure(SampleBuffer(x, RATE), config)
@@ -615,7 +617,7 @@ def _threads_end_with_the_call(monkeypatch, call_once, module=np.fft, name="rfft
 
 
 def test_detect_threads_end_with_the_call(monkeypatch):
-    # 3 blocks at 48 kHz, of 128 frames: enough FFT points to split
+    # 3 blocks at 48 kHz, of 128 frames: enough FFT points for the worker
     monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 128 * 2400)
     clip = _straddling_bursts(RATE, 128)
 
@@ -628,6 +630,41 @@ def test_detect_threads_end_with_the_call(monkeypatch):
     x = SampleBuffer(np.random.default_rng(7).uniform(-1.0, 1.0, 5 * 48000), RATE)
     lowpass = design_lowpass(6000.0, RATE, 255)
     _threads_end_with_the_call(monkeypatch, lambda: apply_filter(lowpass, x).samples)
+
+
+@pytest.mark.parametrize("stop_at", [0, 1])
+@pytest.mark.parametrize("how", ["break", "raise", "close"])
+def test_framed_worker_is_joined_when_the_consumer_stops(monkeypatch, how, stop_at):
+    # stopping after the caller's block leaves the worker filling its first
+    # block, after the worker's block it waits for its rows to be free
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    x = SampleBuffer(np.random.default_rng(14).standard_normal(10 * 48000), RATE)
+    before = threading.active_count()
+
+    def sums(frames, out):
+        np.sum(frames, axis=1, keepdims=True, out=out)
+
+    blocks = analysis._framed(x, 2400, 1200, sums, 1)
+    if how == "close":
+        for _ in range(stop_at + 1):
+            next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+    else:
+        def consume():
+            for i, (first, rows) in enumerate(analysis._framed(x, 2400, 1200, sums, 1)):
+                assert threading.active_count() == before + 1
+                if i == stop_at and how == "break":
+                    break
+                if i == stop_at:
+                    raise KeyError("consumer")
+
+        if how == "raise":
+            with pytest.raises(KeyError, match="consumer"):
+                consume()
+        else:
+            consume()
+    assert threading.active_count() == before
 
 
 def _wav_file(path, interleaved: np.ndarray, rate: int, channels: int, list_chunk: bool):
@@ -679,13 +716,13 @@ def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_fr
 
 @pytest.mark.parametrize("block_frames, cpus", _on_one_and_two_cpus([1, 7, 130, None]))
 def test_streamed_stft_equals_whole_file(tmp_path, monkeypatch, block_frames, cpus):
-    # 130 frames of 2048 are enough FFT points to split a block; 512 (the
-    # default) also spreads each half over several runs
+    # under the window a block holds half the frames of _BLOCK_SAMPLES: 130
+    # makes blocks of 65, the default 32; either has the worker on two CPUs
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     frame_len, hop, rate = 2048, 1024, 48000
     if block_frames is not None:
         monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
-    step = max(1, analysis._BLOCK_SAMPLES // frame_len)
+    step = max(1, analysis._BLOCK_SAMPLES // (2 * frame_len))
     first_end = (step - 1) * hop + frame_len  # the first block's samples
     lengths = {frame_len - 1, frame_len}
     for edge in (first_end, first_end + step * hop):  # where blocks 1 and 2 end
@@ -713,7 +750,7 @@ def test_streamed_stft_equals_whole_file(tmp_path, monkeypatch, block_frames, cp
 
 
 def test_stft_threads_end_with_the_call(monkeypatch):
-    # 5 s is one block of 233 frames, which splits on two CPUs
+    # 5 s is 233 frames, blocks of 32 under the window: the worker's rule holds
     x = SampleBuffer(np.random.default_rng(12).uniform(-1.0, 1.0, 5 * 48000), RATE)
     _threads_end_with_the_call(monkeypatch, lambda: stft(x).magnitudes_db)
 

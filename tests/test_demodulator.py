@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import FULLBAND_NAME, RATE, dft_magnitude, ncc, speech_like, tone
-from ultraband import demodulator
-from ultraband.analysis import _occupancy, _weighted_power
+from ultraband import demodulator, kernels
+from ultraband.analysis import _occupancy, _spectrum, _weighted_power
 from ultraband.kernels import BAND_HZ, CARRIER_HZ, FIR_TAPS, next_fast_len
 from ultraband import (
     ConfigInvalid,
     EmptySignal,
+    PcmClip,
     SampleBuffer,
     apply_filter,
     demodulate,
@@ -19,6 +20,7 @@ from ultraband import (
     design_lowpass,
     modulate,
     recovered_bandwidth,
+    to_float,
     to_pcm,
     tukey_window,
     write_wav,
@@ -302,6 +304,30 @@ def test_fast_length_bandwidth_stays_near_exact_length():
         signal = SampleBuffer(x, RATE)
         moved = abs(recovered_bandwidth(signal) - _bandwidth_exact_length(signal))
         assert moved <= 8 * RATE / n, (i, n, moved / (RATE / n))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bandwidth_of_a_clip_reads_channel_zero_a_block_at_a_time(monkeypatch, cpus):
+    # demodulate_file measures the clip it wrote: its spans have to_float's bits
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    rng = np.random.default_rng(31)
+    for n in (1, 4801, 2**17, 2**17 + 1, 3 * 2**17 - 1, 3 * 2**17 + 7):
+        pcm = PcmClip(rng.integers(-32768, 32768, 2 * n).astype(np.int16), 48000, channels=2)
+        assert len(pcm) == n
+        for got, expected in zip(_spectrum(pcm), _spectrum(to_float(pcm))):
+            assert np.array_equal(got, expected), n
+        assert recovered_bandwidth(pcm) == recovered_bandwidth(to_float(pcm)), n
+    with pytest.raises(EmptySignal):
+        recovered_bandwidth(PcmClip(np.zeros(0, dtype=np.int16), 48000))
+    # 60 s of stereo holds no float copy of the clip (22 MiB), only blocks
+    pcm = PcmClip(rng.integers(-32768, 32768, 2 * 60 * 48000).astype(np.int16), 48000, channels=2)
+    tracemalloc.start()
+    try:
+        recovered_bandwidth(pcm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_demodulate_file_reports_bandwidth(tmp_path, modulated_corpus):

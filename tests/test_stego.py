@@ -190,8 +190,8 @@ def _threshold_host(n, seed):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_find_silence_equals_the_reshape_over_blocks(monkeypatch, cpus):
-    # 280 blocks of 20 ms at 48 kHz: a block splits on two CPUs (2 * 2**17
-    # samples), and the longest host spans more than three blocks
+    # blocks of 280 frames of 20 ms at 48 kHz: a host of two blocks or more
+    # has the worker on two CPUs, and the longest host spans more than three
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     frame_len, rate = 960, 48000.0
     block = 280 * frame_len
@@ -211,7 +211,7 @@ def test_find_silence_equals_the_reshape_over_blocks(monkeypatch, cpus):
 
 
 def test_find_silence_threads_end_with_the_call(monkeypatch):
-    # 6 s at 48 kHz is one block of 300 frames, which splits on two CPUs
+    # 6 s at 48 kHz is 300 frames, three blocks of 136: the worker's rule holds
     host = SampleBuffer(_threshold_host(6 * 48000, seed=3), 48000.0)
     _threads_end_with_the_call(
         monkeypatch, lambda: np.array(find_silence(host, min_region_ms=1e-3).regions), np, "mean")

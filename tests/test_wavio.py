@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -371,6 +373,40 @@ def test_open_wav_blocks_equal_to_float_views(tmp_path):
             assert np.shares_memory(view, buf.samples) and not np.shares_memory(ours, buf.samples)
         assert wav._read(7, 7).size == 0
     assert SampleBuffer(np.zeros(0), RATE)._read(0, 0).size == 0
+
+
+def test_open_wav_spans_read_from_two_threads(tmp_path):
+    # two threads share one file object: each span's seek and read must be one step
+    rng = np.random.default_rng(13)
+    interleaved = rng.integers(-32768, 32768, 3 * 60000, dtype=np.int64).astype(np.int16)
+    path = tmp_path / "shared.wav"
+    write_wav(path, PcmClip(interleaved, RATE, channels=3))
+    expected = to_float(read_wav(path)).samples
+    spans = [(start, min(start + 997, 60000)) for start in range(0, 60000, 500)]
+    with open_wav(path) as wav:
+        got = {}
+
+        def read(mine):
+            for _ in range(20):
+                for start, stop in mine:
+                    got.setdefault((start, stop), []).append(wav._read(start, stop))
+
+        readers = [threading.Thread(target=read, args=(spans[i::2],)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert sorted(got) == spans
+    for (start, stop), reads in got.items():
+        assert len(reads) == 20
+        for samples in reads:
+            assert np.array_equal(samples, expected[start:stop]), (start, stop)
 
 
 def test_open_wav_closes_its_file(tmp_path):
