@@ -12,26 +12,25 @@ non-overlapping segments of at most 2**17 samples (M. S. Bartlett, Nature
 IEEE Trans. Audio Electroacoust. 15(2), 1967): 8192-point Hann segments, 50%
 overlap, summed and scaled so the bins add up to the measured samples'
 energy; a shorter signal is one Hann frame of its own length. These spectra,
-``detect``, ``stft`` and ``find_silence`` run through ``_framed``, which frames
-a source a block at a time and hands each block's frames to a reducer; on two
-CPUs one worker thread per call takes every other block. ``detect`` and
-``stft`` also read a ``WavFile`` that way.
+``detect``, ``stft`` and ``find_silence`` run through ``kernels._framed``, the
+block loop of the overlap-add filter too: it frames a source a block at a
+time and hands each block's frames to a reducer; on two CPUs one worker
+thread per call takes every other block. ``detect`` and ``stft`` also read a
+``WavFile`` that way.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from . import kernels
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
-from .kernels import _FFT_POINTS, BAND_HZ, CARRIER_HZ, check_band, next_fast_len, tukey_window
+from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _framed, check_band, next_fast_len,
+                      tukey_window)
 from .wavio import SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,10 +46,6 @@ FRAME_MS = 50.0
 
 #: Welch segment of ``measure``; segments overlap by half.
 WELCH_SEGMENT = 8192
-
-#: Samples framed per block (a window's copies count twice): one run of
-#: transforms, whose (frames x bins) arrays are the scratch each thread holds.
-_BLOCK_SAMPLES = _FFT_POINTS
 
 #: Welch frames per partial sum in ``measure``: rows add in order within a
 #: group, and the groups in order (the grouping of 2**20-sample blocks).
@@ -120,70 +115,6 @@ def _spectrum(signal: SampleBuffer) -> tuple:
         for row in power:  # in place: a new sum per row cost 1 MB of RSS
             energy += row
     return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
-
-
-def _framed(source, frame_len, hop, reduce, width, window=None, pad=False):
-    """Yield (first frame, its rows) per block of the frames of ``source``
-    (``frame_len`` long, ``hop`` apart, times ``window`` if given), in block
-    order, once ``reduce(frames, out=)`` has put the block's ``width`` results
-    per frame in ``out``. A trailing remainder shorter than a frame is dropped,
-    or with ``pad`` (and ``hop == frame_len``) is a short last frame. A block,
-    ``source._read`` of its span, is one run of ``_BLOCK_SAMPLES // frame_len``
-    frames, half as many under a window (whose copies are as large): about
-    ``_FFT_POINTS`` floats of transforms. When the filter's rule holds for all
-    the framed samples (``kernels._splits``) and there are two blocks or more,
-    one worker thread takes every other block for the whole call. Each thread
-    reads, windows and reduces its blocks into rows of its own buffer, reused
-    once the consumer has moved past them; the worker is joined before the
-    generator ends, raises or is closed. The rows depend on neither the CPUs
-    nor the source."""
-    n = len(source)
-    frames = -(-n // hop) if pad else max(0, (n - frame_len) // hop + 1)
-    step = max(1, _BLOCK_SAMPLES // ((1 + (window is not None)) * frame_len))
-    firsts = range(0, frames, step)
-
-    def fill(first, rows):
-        k = min(step, frames - first)
-        chunk = source._read(first * hop, min(n, (first + k - 1) * hop + frame_len))
-        whole = (chunk.size - frame_len) // hop + 1  # k, or k - 1 before a padded tail
-        if whole:
-            view = np.ndarray((whole, frame_len), chunk.dtype, chunk, 0, (hop * chunk.itemsize, chunk.itemsize))
-            reduce(view if window is None else view * window, out=rows[:whole])
-        if k > whole:  # the padded tail, the block's last frame
-            reduce(chunk[None, whole * hop :], out=rows[whole:k])
-        return rows[:k]
-
-    worker = None
-    if len(firsts) >= 2 and kernels._splits(frames * frame_len):
-        done, free = queue.SimpleQueue(), queue.SimpleQueue()
-
-        def work():  # blocks 1, 3, 5, ...; False from ``free`` stops it early
-            try:
-                rows = np.empty((step, width))
-                for first in firsts[1::2]:
-                    done.put(fill(first, rows))
-                    if not free.get():
-                        return
-            except BaseException as exc:
-                done.put(exc)
-
-        worker = threading.Thread(target=work, daemon=True)
-        worker.start()
-    rows = np.empty((min(step, frames), width))
-    try:
-        for i, first in enumerate(firsts):
-            if worker is None or i % 2 == 0:
-                yield first, fill(first, rows)
-                continue
-            got = done.get()
-            if isinstance(got, BaseException):
-                raise got
-            yield first, got
-            free.put(True)
-    finally:
-        if worker is not None:
-            free.put(False)
-            worker.join()
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:

@@ -373,7 +373,7 @@ def keep_freed_memory() -> bool:
     are reused first, so the peak RSS of those two workloads did not
     move. Blocks of 32 MB or more are still mapped and unmapped on their
     own. One arena serves every thread: in an arena of its own, the scratch
-    of a worker thread (``kernels._in_two``) sat beside the main heap and
+    of a worker thread (``kernels._framed``'s) sat beside the main heap and
     added about 4.5 MB to the peak RSS of the ``covert_roundtrip`` benchmark.
     Returns whether glibc accepted all three settings; elsewhere nothing
     changes and the result is False.

@@ -47,8 +47,9 @@ def demodulate(
     a carrier that repeats within the signal does not drift over a long
     recording.
 
-    A ``PcmClip``'s channel 0 reads to the bit as ``to_float`` reads it. The
-    filter forms the product with the carrier block by block.
+    A ``PcmClip``'s channel 0 is read a span at a time, to the bit as
+    ``to_float`` reads it. The filter forms the product with the carrier
+    block by block, one row per carrier table.
 
     ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
     signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
@@ -63,7 +64,7 @@ def demodulate(
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
     tables = [2.0 * table for table in _carrier(carrier_hz, rate, x.size)[: 1 + phase_search]]
     # 2 * x * c can overflow, so the finiteness check stays; each arm is its own array
-    arms = [_finite(arm) for arm in _overlap_add(x, lpf.taps, mix_in=tables)]
+    arms = [_finite(arm) for arm in _overlap_add(signal, lpf.taps, mix_in=tables)]
     recovered = arms[0]
     if phase_search:
         # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by

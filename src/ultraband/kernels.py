@@ -3,13 +3,12 @@
 Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
 values, written in numpy alone: FFTs come from ``numpy.fft`` and the
 polyphase resampler is a strided matrix product, so the package loads no
-scipy module. Long filters and ``analysis._framed`` (every framed spectrum)
-run on two CPUs by one rule (``_splits``): the filter splits its blocks in
-two halves (``_in_two``), ``_framed`` hands every other block to one worker
-thread per call. The filter also mixes the carrier for ``modulate`` and
-``demodulate`` block by block and reads a ``PcmClip``'s int16 channel. Tap
-formulas and window shapes are explicit here; the bin weights are
-``analysis._weighted_power``.
+scipy module. One block loop, ``_framed``, runs the overlap-add filter and
+every framed spectrum: it reads a source a span at a time, and on two CPUs
+(``_splits``) one worker thread per call takes every other block. The filter
+also mixes the carrier for ``modulate`` and ``demodulate`` block by block,
+and reads a ``PcmClip`` in spans. Tap formulas and window shapes are
+explicit here; the bin weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
                      RateMismatch, check_count, check_fraction, check_positive)
-from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite
+from .wavio import PcmClip, SampleBuffer
 
 log = logging.getLogger(__name__)
 
@@ -48,10 +48,15 @@ _LOW_QUALITY_TAPS = 31
 #: takes about 0.12 s (2-core VM).
 MAX_RESAMPLE_FACTOR = 1 << 16
 
-# FFT points per overlap-add batch (over all tap rows), per segment of
-# ``analysis._spectrum`` and per block of ``analysis._framed``: a few MB of
-# scratch whatever the signal; more falls out of cache.
+# FFT points per segment of ``analysis._spectrum``, and half of what
+# ``_splits`` asks for: a few MB of scratch whatever the signal; more falls
+# out of cache.
 _FFT_POINTS = 1 << 17
+
+#: Samples framed per block of ``_framed`` (a window's copies, or results
+#: beside their transform, count twice): one run of transforms, whose arrays
+#: are the scratch each thread holds.
+_BLOCK_SAMPLES = _FFT_POINTS
 
 # Resampler output periods per matrix product, so that a product's input
 # rows (1.4 MB at 44.1 -> 48 kHz) stay in cache.
@@ -167,10 +172,11 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     a 5-smooth length near 8x the tap count, or just long enough for a
     short input to fit in one block (at least 2x the taps). It costs
     O(n log taps) rather than one transform of the whole signal, and
-    scratch memory does not grow with the input: the blocks are transformed
-    about 2**17 FFT points at a time. Edges are computed against implicit
-    zero padding; output length equals input length. Raises RateMismatch if
-    the signal's rate is not the rate the filter was designed for.
+    scratch memory does not grow with the input: each thread transforms
+    blocks of about 2**16 FFT points at a time. Edges are computed against
+    implicit zero padding; output length equals input length. Raises
+    RateMismatch if the signal's rate is not the rate the filter was
+    designed for.
     """
     if not math.isclose(signal.sample_rate_hz, filt.design_rate_hz, rel_tol=1e-9):
         raise RateMismatch(
@@ -178,107 +184,157 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    return SampleBuffer._adopt_finite(_overlap_add(signal.samples, filt.taps), signal.sample_rate_hz)
+    return SampleBuffer._adopt_finite(_overlap_add(signal, filt.taps), signal.sample_rate_hz)
 
 
-def _overlap_add(x: np.ndarray, taps: np.ndarray, mix_in=None, mix_out=None):
-    """``apply_filter``'s convolution of ``x`` (nonempty float64, or an int16 PCM
-    lane, scaled as ``to_float`` scales it) with each row of ``taps`` (m odd),
-    into a fresh array, or a list of one per output row. Each block's ``rfft``
-    is shared by every row. Input row i is x * mix_in[i] (read as ``_mix``
-    reads a table); with ``mix_out``, (cos, sin), tap rows b and h give one row
-    b * cos - h * sin, mixed once it holds its head and tail. From two full
-    batches on, two halves of the blocks run in half-size batches (``_in_two``)
-    with the same bits: each output is zero plus a head plus a tail."""
-    m, n = taps.shape[-1], len(x)
+def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None):
+    """``apply_filter``'s convolution of ``source`` (nonempty, read by ``_read``:
+    a ``PcmClip``'s channel 0 as ``to_float`` scales it) with each row of
+    ``taps`` (m odd), into a fresh array, or a list of one per output row.
+    Input row i is the source times mix_in[i] (read as ``_mix`` reads a
+    table); with ``mix_out``, (cos, sin), tap rows b and h give one row
+    b * cos - h * sin. ``_framed``'s frames are ``step`` input samples (the
+    last zero-padded), each transformed once for every row. A frame's last
+    m - 1 outputs (its tail) add onto the next frame's first, and each
+    block's finished span is mixed and written into the output rows in order."""
+    m, n = taps.shape[-1], len(source)
     n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
-    step = n_fft - m + 1  # input samples per block; each block's tail is m - 1 < step
-    n_blocks = -(-n // step)
-    in_rows = () if mix_in is None else (len(mix_in),)
-    rows = np.broadcast_shapes(in_rows, taps.shape[:-1])
-    points = n_fft * math.prod(rows)
-    split = _splits(n_blocks * points)
-    batch = max(1, _FFT_POINTS // ((1 + split) * points))
-    spectrum = np.fft.rfft(taps, n_fft)[..., None, :]
-    out = [np.empty(n) for _ in range(1 if mix_out is not None else math.prod(rows))]
-    heads, tails = {}, {}  # rows that end a half, added and written once both are done
+    step = n_fft - m + 1  # input samples per frame; each frame's tail is m - 1 < step
+    n_frames = -(-n // step)
+    shape = np.broadcast_shapes(() if mix_in is None else (len(mix_in),), taps.shape[:-1])
+    rows = math.prod(shape)
+    spectrum = np.fft.rfft(np.atleast_2d(taps), n_fft)[:, None, :]
+    # a row holds every frame's span and the last tail; output i is convolution i + skip
+    skip = (m - 1) // 2
+    full = [np.empty(n_frames * step + m - 1) for _ in range(1 if mix_out is not None else rows)]
 
-    def fill(first: int, k: int) -> np.ndarray:  # blocks first, ..., first + k - 1
-        chunk = x[first * step : (first + k) * step]
-        blocks = np.zeros(in_rows + (k, step))
-        flat = blocks.reshape(-1, k * step)[:, : chunk.size]
-        if x.dtype == np.int16:  # to_float's formula, into row 0
-            chunk = np.divide(chunk, READ_SCALE, out=flat[0])
-        elif mix_in is None:
-            flat[0] = chunk
-        for i in reversed(range(0 if mix_in is None else len(mix_in))):  # row 0 may be chunk
-            _mix(chunk, mix_in[i], flat[i], first * step)
-        return blocks
+    def by_row(block):  # a block's results, frame by frame, as (rows, frames, n_fft)
+        return block.reshape(len(block), rows, n_fft).transpose(1, 0, 2)
 
-    def emit(done: np.ndarray, j: int) -> None:  # complete rows j, j + 1, ...
-        flat = done.reshape(rows + (-1,))
-        t = j * step - (m - 1) // 2  # flat's first sample, as an output index
-        lo, hi = max(0, t), min(n, t + flat.shape[-1])
-        if lo < hi and mix_out is None:
-            for row, done_row in zip(out, flat.reshape(len(out), -1)):
-                row[lo:hi] = done_row[lo - t : hi - t]
-        elif lo < hi:
-            (base, quad), (cos, sin) = flat[..., lo - t : hi - t], mix_out
-            np.subtract(_mix(base, cos, base, lo), _mix(quad, sin, quad, lo), out=out[0][lo:hi])
+    def transform(frames, out):  # then each frame's tail onto the next frame's head
+        y = np.fft.irfft(np.fft.rfft(frames, n_fft) * spectrum, n_fft, out=by_row(out))
+        y[:, 1:, : m - 1] += y[:, :-1, step:]
 
-    def run(a: int, b: int) -> None:
-        # row i: block first + i's head plus the tail before; row k carries over
-        ring = np.zeros(rows + (min(batch, b - a) + 1, step))
-        for first in range(a, b, batch):
-            k = min(batch, b - first)
-            y = np.fft.irfft(np.fft.rfft(fill(first, k), n_fft) * spectrum, n_fft)
-            ring[..., :k, :] += y[..., :step]
-            ring[..., 1 : k + 1, : m - 1] += y[..., step:]
-            seam = first == a > 0  # row a lacks the tail of the other half's last block
-            if seam:
-                heads[a] = ring[..., 0, :].copy()
-            emit(ring[..., seam:k, :], first + seam)
-            if first + k < b:
-                ring[..., 0, :] = ring[..., k, :]
-                ring[..., 1 : k + 1, :] = 0.0
-        tails[b] = ring[..., k, :]
+    def emit(done, c):  # done: (rows, k, w), convolution samples c, c + 1, ...
+        k, w = done.shape[1:]
+        spans = [row[c : c + k * w] for row in full]
+        if mix_out is None:
+            for span, part in zip(spans, done):
+                span.reshape(k, w)[...] = part
+            return
+        (cos, sin), base, quad = mix_out, spans[0], np.empty(k * w)  # contiguous, for _mix
+        base.reshape(k, w)[...] = done[0]
+        quad.reshape(k, w)[...] = done[1]
+        np.subtract(_mix(base, cos, base, c - skip), _mix(quad, sin, quad, c - skip), out=base)
 
-    _in_two(run, n_blocks, split)
-    for j, tail in tails.items():  # the halves' seam row, and the last block's tail
-        if j in heads:
-            heads[j][..., : m - 1] += tail[..., : m - 1]
-        emit(heads.get(j, tail)[..., None, :], j)
-    return out if rows and mix_out is None else out[0]
+    tail = np.zeros((rows, m - 1))  # the last frame's so far, not yet added
+    padded = _Rows(source, mix_in, n_frames * step)
+    for first, block in _framed(padded, step, step, transform, rows * n_fft):
+        y = by_row(block)
+        y[:, 0, : m - 1] += tail
+        tail[...] = y[:, -1, step:]
+        emit(y[:, :, :step], first * step)
+    emit(tail[:, None, :], n_frames * step)
+    out = [row[skip : skip + n] for row in full]
+    return out if shape and mix_out is None else out[0]
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The filter's input, read by ``_read``: ``source`` times each of
+    ``tables``, a row each (``_mix`` from the span's first index), or as it
+    is without tables; zeros after its end, up to ``length`` samples."""
+
+    source: object
+    tables: list | None
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        x = self.source._read(start, min(stop, len(self.source)))
+        if self.tables is None:
+            return x if x.size == stop - start else np.concatenate((x, np.zeros(stop - start - x.size)))
+        out = np.empty((len(self.tables), stop - start))
+        out[:, x.size :] = 0.0
+        for row, table in zip(out, self.tables):
+            _mix(x, table, row[: x.size], start)
+        return out
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _splits(points: int) -> bool:  # run in two halves: two CPUs, two batches of FFT points
+def _splits(points: int) -> bool:  # a worker takes every other block: two CPUs, 2 * _FFT_POINTS
     return _cpu_count() >= 2 and points >= 2 * _FFT_POINTS
 
 
-def _in_two(work, n: int, split: bool) -> None:
-    """Run ``work(0, n)``. With ``split`` (``_splits``), a worker thread runs
-    the second half, ``work(n // 2, n)``, while this one runs the first;
-    both finish before an exception from either is raised here."""
-    if not split or n < 2:
-        return work(0, n)
-    failed = []
+def _framed(source, frame_len, hop, reduce, width, window=None, pad=False):
+    """Yield (first frame, its rows) per block of the frames of ``source``
+    (``frame_len`` long, ``hop`` apart along the last axis of what ``_read``
+    returns, times ``window`` if given), in block order, once
+    ``reduce(frames, out=)`` has put the block's ``width`` results per frame
+    in ``out``. A trailing remainder shorter than a frame is dropped, or with
+    ``pad`` (and ``hop == frame_len``) is a short last frame. A block,
+    ``source._read`` of its span, is one run of ``_BLOCK_SAMPLES // max(2 *
+    width, frame_len)`` frames, or ``// max(2 * width, 2 * frame_len)`` under
+    a window (whose copies are as large). When ``_splits`` holds for all the
+    frames' samples or results, whichever are more, and there are two blocks
+    or more, one worker thread takes every other block for the whole call.
+    Each thread reads, windows and reduces its blocks into rows of its own
+    buffer, reused once the consumer has moved past them; the worker is
+    joined before the generator ends, raises or is closed. The rows depend
+    on neither the CPUs nor the source."""
+    n = len(source)
+    frames = -(-n // hop) if pad else max(0, (n - frame_len) // hop + 1)
+    step = max(1, _BLOCK_SAMPLES // max(2 * width, (1 + (window is not None)) * frame_len))
+    firsts = range(0, frames, step)
 
-    def guarded(a, b):
-        try:
-            work(a, b)
-        except BaseException as exc:
-            failed.append(exc)
+    def fill(first, rows):
+        k = min(step, frames - first)
+        chunk = source._read(first * hop, min(n, (first + k - 1) * hop + frame_len))
+        whole = (chunk.shape[-1] - frame_len) // hop + 1  # k, or k - 1 before a padded tail
+        if whole:
+            view = np.ndarray(chunk.shape[:-1] + (whole, frame_len), chunk.dtype, chunk, 0,
+                              chunk.strides[:-1] + (hop * chunk.itemsize, chunk.itemsize))
+            reduce(view if window is None else view * window, out=rows[:whole])
+        if k > whole:  # the padded tail, the block's last frame
+            reduce(chunk[..., None, whole * hop :], out=rows[whole:k])
+        return rows[:k]
 
-    worker = threading.Thread(target=guarded, args=(n // 2, n))
-    worker.start()
-    guarded(0, n // 2)
-    worker.join()
-    if failed:
-        raise failed[0]
+    worker = None
+    if len(firsts) >= 2 and _splits(frames * max(width, frame_len)):
+        done, free = queue.SimpleQueue(), queue.SimpleQueue()
+
+        def work():  # blocks 1, 3, 5, ...; False from ``free`` stops it early
+            try:
+                rows = np.empty((step, width))
+                for first in firsts[1::2]:
+                    done.put(fill(first, rows))
+                    if not free.get():
+                        return
+            except BaseException as exc:
+                done.put(exc)
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+    rows = np.empty((min(step, frames), width))
+    try:
+        for i, first in enumerate(firsts):
+            if worker is None or i % 2 == 0:
+                yield first, fill(first, rows)
+                continue
+            got = done.get()
+            if isinstance(got, BaseException):
+                raise got
+            yield first, got
+            free.put(True)
+    finally:
+        if worker is not None:
+            free.put(False)
+            worker.join()
 
 
 def hilbert(signal: SampleBuffer) -> SampleBuffer:

@@ -10,7 +10,8 @@ image below the carrier:
 
 A short Tukey taper removes the on/off clicks, and the result is peak
 normalized. The filter and the mix run a block at a time in
-``kernels._overlap_add``, so xb and xh never exist whole. With the default
+``kernels._overlap_add``, on the block loop ``kernels._framed``, so xb and
+xh never exist whole. With the default
 carrier of 16 kHz and 6 kHz cutoff the output occupies 16-22 kHz, above
 typical adult hearing but inside what commodity microphones still capture.
 """
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _lane, _normalize,
-                      _overlap_add, _taper, check_band, check_taps, resample)
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _normalize, _overlap_add,
+                      _taper, check_band, check_taps, resample)
 from .wavio import PcmClip, SampleBuffer, _finite, read_wav, to_float, to_pcm, write_wav
 
 #: Lower edge of the single-sideband passband. Baseband content below it
@@ -127,31 +128,33 @@ def modulate(signal: SampleBuffer | PcmClip,
     """Shift a baseband signal up into the near-ultrasound band.
 
     Steps: resample to the working rate, take the band [GUARD_HZ, cutoff]
-    and its Hilbert transform with one analytic band-pass FIR (run by
-    ``kernels._overlap_add`` directly), mix both with the carrier so that
+    and its Hilbert transform with one analytic band-pass FIR (two tap rows,
+    so ``kernels._overlap_add`` runs it, not ``apply_filter``), mix both with
+    the carrier so that
     the lower sideband cancels, apply the Tukey taper, then normalize to the
     target. Every step before the last is linear, so that one normalization
     sets the output level. Output is at ``config.working_rate_hz``.
     Deterministic: equal input and config give bit-identical output.
     ConfigInvalid unless the cutoff lies above ``GUARD_HZ``.
 
-    A ``PcmClip``'s channel 0 reads to the bit as ``to_float`` reads it. The
-    mix runs in the filter's block loop; taper and normalization work in place.
+    A ``PcmClip``'s channel 0 is read a span at a time, to the bit as
+    ``to_float`` reads it. The mix runs in the filter's block loop; taper and
+    normalization work in place.
     The carrier's cos and sin are read from tables of one or more whole
     periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
     it is scaled, so a carrier that repeats within the signal is exact to
     rounding at any length.
     """
-    x = _lane(signal)
-    if x.size == 0:
+    if len(signal) == 0:
         raise EmptySignal("cannot modulate an empty signal")
     if not config.cutoff_hz > GUARD_HZ:
         raise ConfigInvalid(f"cutoff_hz {config.cutoff_hz} must lie above {GUARD_HZ} Hz")
 
     rate = config.working_rate_hz
     if _factors(signal.sample_rate_hz, rate) != (1, 1):  # a rate change resamples a float copy
-        x = resample(to_float(signal) if isinstance(signal, PcmClip) else signal, rate).samples
-    out = _overlap_add(x, _ssb_taps(config), mix_out=_carrier(config.carrier_hz, rate, x.size))
+        signal = resample(to_float(signal) if isinstance(signal, PcmClip) else signal, rate)
+    out = _overlap_add(signal, _ssb_taps(config),
+                       mix_out=_carrier(config.carrier_hz, rate, len(signal)))
     if out.size >= 2:
         _taper(out, config.tukey_alpha)
     _normalize(_finite(out), config.normalize_target, out)

@@ -13,10 +13,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .analysis import _framed, true_runs
+from .analysis import true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
-from .kernels import resample, resampled_length
+from .kernels import _framed, resample, resampled_length
 from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,

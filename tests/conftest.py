@@ -7,6 +7,8 @@ FFT routine, so spectral claims are checked against a second code path.
 the package's kernels, for comparing variants of the pipeline.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,13 @@ def default_config() -> ModulationConfig:
 @pytest.fixture(scope="session")
 def modulated_corpus(corpus, default_config) -> dict:
     return {name: modulate(sig, default_config) for name, sig in corpus.items()}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread it started alive, such as a worker of
+    ``kernels._framed`` that was not joined."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left alive: {left}"

@@ -355,7 +355,7 @@ def test_measure_equals_the_block_at_a_time_sum(monkeypatch, cpus):
     assert analysis._WELCH_GROUP * WELCH_SEGMENT == 1 << 20  # the parent's blocks, summed
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(analysis, "_WELCH_GROUP", _MEASURE_GROUP)
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 2 * _MEASURE_BLOCK * WELCH_SEGMENT)
+    monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", 2 * _MEASURE_BLOCK * WELCH_SEGMENT)
     config = ModulationConfig(tukey_alpha=0.0)
     for n in _measure_lengths():
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
@@ -544,8 +544,8 @@ def test_blockwise_detect_equals_whole_batch(monkeypatch, block_frames, cpus):
     for rate, kwargs, burst_hz in _DETECT_CASES:
         frame_len = int(round(FRAME_MS * rate / 1000.0))
         if block_frames is not None:
-            monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
-        per_block = max(1, analysis._BLOCK_SAMPLES // frame_len)
+            monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", block_frames * frame_len)
+        per_block = max(1, kernels._BLOCK_SAMPLES // frame_len)
         short = speech_like(duration_s=0.4, seed=4, rate=rate)
         for clip in (_straddling_bursts(rate, per_block, burst_hz), _rising_tone(rate, burst_hz),
                      short):
@@ -618,7 +618,7 @@ def _threads_end_with_the_call(monkeypatch, call_once, module=np.fft, name="rfft
 
 def test_detect_threads_end_with_the_call(monkeypatch):
     # 3 blocks at 48 kHz, of 128 frames: enough FFT points for the worker
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", 128 * 2400)
+    monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", 128 * 2400)
     clip = _straddling_bursts(RATE, 128)
 
     def verdict():
@@ -644,7 +644,7 @@ def test_framed_worker_is_joined_when_the_consumer_stops(monkeypatch, how, stop_
     def sums(frames, out):
         np.sum(frames, axis=1, keepdims=True, out=out)
 
-    blocks = analysis._framed(x, 2400, 1200, sums, 1)
+    blocks = kernels._framed(x, 2400, 1200, sums, 1)
     if how == "close":
         for _ in range(stop_at + 1):
             next(blocks)
@@ -652,7 +652,7 @@ def test_framed_worker_is_joined_when_the_consumer_stops(monkeypatch, how, stop_
         blocks.close()
     else:
         def consume():
-            for i, (first, rows) in enumerate(analysis._framed(x, 2400, 1200, sums, 1)):
+            for i, (first, rows) in enumerate(kernels._framed(x, 2400, 1200, sums, 1)):
                 assert threading.active_count() == before + 1
                 if i == stop_at and how == "break":
                     break
@@ -685,8 +685,8 @@ def test_streamed_detect_equals_whole_file(tmp_path, monkeypatch, rate, block_fr
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = frame_len // 2
     if block_frames is not None:
-        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
-    step = max(1, analysis._BLOCK_SAMPLES // frame_len)
+        monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", block_frames * frame_len)
+    step = max(1, kernels._BLOCK_SAMPLES // frame_len)
     # 17 kHz bursts across the first block edges, long enough for every prefix
     bursts = np.round(_straddling_bursts(float(rate), step).samples * 32767).astype(np.int16)
     first_end = (step - 1) * hop + frame_len  # the first block's samples
@@ -721,8 +721,8 @@ def test_streamed_stft_equals_whole_file(tmp_path, monkeypatch, block_frames, cp
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     frame_len, hop, rate = 2048, 1024, 48000
     if block_frames is not None:
-        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_frames * frame_len)
-    step = max(1, analysis._BLOCK_SAMPLES // (2 * frame_len))
+        monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", block_frames * frame_len)
+    step = max(1, kernels._BLOCK_SAMPLES // (2 * frame_len))
     first_end = (step - 1) * hop + frame_len  # the first block's samples
     lengths = {frame_len - 1, frame_len}
     for edge in (first_end, first_end + step * hop):  # where blocks 1 and 2 end

@@ -2,8 +2,9 @@
 
 numpy hands ``dot``, ``inner``, ``vdot``, ``matmul`` and the ``@`` operator
 to OpenBLAS, whose threaded kernels keep a pool thread spinning on the
-second core after the call. That core is where ``kernels._in_two`` runs the
-other half of the overlap-add filter, the segmented spectrum and ``detect``.
+second core after the call. That core is where ``kernels._framed``'s worker
+thread runs every other block of the overlap-add filter, the segmented
+spectrum and ``detect``.
 A 10 s ``demodulate --phase-search`` took 130-142 ms of CPU for 67-76 ms of
 wall time while its three energy sums were ``np.dot``; they are
 ``np.einsum`` now, numpy's own loop. The one exemption is the tap matrix

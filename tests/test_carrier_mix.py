@@ -1,7 +1,7 @@
 """The carrier mix inside the overlap-add keeps every bit of the whole-signal mix.
 
 ``modulate`` and ``demodulate`` mix the carrier block by block inside
-``kernels._overlap_add`` and may read a ``PcmClip``'s int16 lane directly.
+``kernels._overlap_add`` and read a ``PcmClip`` a span at a time.
 The references below are the whole-signal forms they replace: the two-row
 filter output mixed with ``_mix`` and subtracted for ``modulate``, and for
 each arm of ``demodulate`` the whole product ``_mix`` then ``apply_filter``.
@@ -12,21 +12,20 @@ import numpy as np
 import pytest
 
 from test_analysis import _threads_end_with_the_call
-from test_kernels import _CARRIERS
+from test_kernels import _CARRIERS, _block_edges
 from ultraband import (BadArgument, ModulationConfig, PcmClip, SampleBuffer, apply_filter,
                        demodulate, demodulate_file, design_lowpass, kernels, modulate,
                        modulate_file, peak_normalize, read_wav, resample, to_float, to_pcm,
                        write_wav)
 from ultraband.demodulator import PHASE_CANDIDATES, _RECOVERY_FLOOR
-from ultraband.kernels import (_FFT_POINTS, FIR_TAPS, _carrier, _mix, _overlap_add, _taper,
-                               next_fast_len)
+from ultraband.kernels import FIR_TAPS, _carrier, _mix, _overlap_add, _taper, next_fast_len
 from ultraband.modulator import _ssb_taps
 
 
 def _modulate_whole(signal: SampleBuffer, config: ModulationConfig) -> np.ndarray:
     """``modulate`` with the mix over the whole two-row filter output."""
     work = resample(signal, config.working_rate_hz)
-    base, quad = _overlap_add(work.samples, _ssb_taps(config))
+    base, quad = _overlap_add(work, _ssb_taps(config))
     cos, sin = _carrier(config.carrier_hz, config.working_rate_hz, len(work))
     mixed = _mix(base, cos, base)
     mixed -= _mix(quad, sin, quad)
@@ -61,14 +60,11 @@ def _demodulate_whole(signal: SampleBuffer, carrier_hz, cutoff_hz, taps, phase_s
 
 
 def _edges(taps: int, rows: int):
-    """Lengths one sample below, at and above one block, one batch and the
-    split threshold (two full batches) of ``_overlap_add`` at ``taps`` taps
-    and ``rows`` filter rows, as ``test_kernels._split_cases`` counts them."""
-    n_fft = next_fast_len(8 * taps)
-    step = n_fft - taps + 1
-    batch = _FFT_POINTS // (n_fft * rows)
-    threshold = -(-2 * _FFT_POINTS // (n_fft * rows))
-    return [b * step + e for b in (1, batch, threshold) for e in (-1, 0, 1)]
+    """Lengths one sample below, at and above one frame, one and two
+    ``_framed`` blocks and the split threshold of ``_overlap_add`` at ``taps``
+    taps and ``rows`` filter rows, as ``test_kernels._block_edges`` counts them."""
+    step = next_fast_len(8 * taps) - taps + 1
+    return [b * step + e for b in (1, *_block_edges(taps, rows)) for e in (-1, 0, 1)]
 
 
 def _band(freq: float, rate: float) -> float:
@@ -153,6 +149,17 @@ def test_demodulate_threads_end_with_the_call(monkeypatch, phase_search):
 def test_modulate_threads_end_with_the_call(monkeypatch):
     clip, _ = _noise(3 * 48000, 48000.0, 3)  # past the split threshold at 1023 taps, two rows
     _threads_end_with_the_call(monkeypatch, lambda: modulate(clip).samples)
+
+
+@pytest.mark.parametrize("call, module, name", [
+    (lambda clip: modulate(clip).samples, PcmClip, "_read"),
+    (lambda clip: demodulate(clip, phase_search=True).samples, kernels, "_mix"),
+], ids=["modulate-clip-read", "phase_search-mixed-read"])
+def test_a_read_that_fails_on_the_worker_ends_with_the_call(monkeypatch, call, module, name):
+    # the worker reads its own spans: the clip's channel 0 under the mix_out
+    # path, and a row per carrier table under the phase search
+    clip, _ = _noise(5 * 48000, 48000.0, 7)
+    _threads_end_with_the_call(monkeypatch, lambda: call(clip), module, name)
 
 
 @pytest.mark.parametrize("call", [modulate, demodulate,

@@ -166,9 +166,9 @@ def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
     calls = []
     overlap_add = demodulator._overlap_add
 
-    def counting(x, taps, mix_in):
-        calls.append((len(x), len(mix_in), taps.ndim))
-        return overlap_add(x, taps, mix_in=mix_in)
+    def counting(source, taps, mix_in):
+        calls.append((len(source), len(mix_in), taps.ndim))
+        return overlap_add(source, taps, mix_in=mix_in)
 
     monkeypatch.setattr(demodulator, "_overlap_add", counting)
     signal = _cropped_covert(default_config)

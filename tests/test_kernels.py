@@ -1,6 +1,7 @@
 """DSP primitive tests with independent frequency-domain oracles."""
 
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -152,17 +153,27 @@ def test_filter_preserves_length_and_alignment():
     assert int(np.argmax(np.abs(out.samples))) == 2000
 
 
+def _block_edges(taps: int, rows: int) -> tuple:
+    """Frames in one and in two ``_framed`` blocks of the filter at ``taps``
+    taps and ``rows`` tap rows, and at its split threshold (``_splits``: two
+    runs of ``_FFT_POINTS`` FFT points)."""
+    points = next_fast_len(8 * taps) * rows
+    per_block = max(1, kernels._BLOCK_SAMPLES // (2 * points))
+    return per_block, 2 * per_block, -(-2 * _FFT_POINTS // points)
+
+
 def _filter_cases():
     """(taps, n): the first four at 255 taps, then for each tap count the
-    lengths one below, at and one above the first two overlap-add block
-    edges, the edge of 64 blocks (one batch at 255 taps) and the edges of
-    the first batch of blocks for one row of taps and for two."""
+    lengths one below, at and one above the first two frame edges, the edge
+    of 64 frames, of the frames in ``_FFT_POINTS`` points (half the split
+    threshold at one row), and of one block, two blocks and the split
+    threshold for one row of taps and for two."""
     cases = [pytest.param(255, n, id=str(n)) for n in (1, 254, 4097, 48000)]
     for taps in (3, 31, 255, 1023):
         n_fft = next_fast_len(8 * taps)
         step = n_fft - taps + 1
-        batches = {_FFT_POINTS // n_fft, _FFT_POINTS // (2 * n_fft)}
-        for edge in sorted({step, 2 * step, 64 * step} | {b * step for b in batches}):
+        frames = {1, 2, 64, _FFT_POINTS // n_fft} | {*_block_edges(taps, 1), *_block_edges(taps, 2)}
+        for edge in sorted(f * step for f in frames):
             cases += [pytest.param(taps, n, id=f"{taps}taps-{n}") for n in (edge - 1, edge, edge + 1)]
     return cases
 
@@ -175,32 +186,31 @@ def test_filter_matches_direct_convolution(taps, n):
     direct = np.convolve(x, filt.taps)[filt.group_delay : filt.group_delay + n]
     out = apply_filter(filt, SampleBuffer(x, RATE))
     assert np.max(np.abs(out.samples - direct)) <= 1e-13
-    # rows of taps share each block's FFT, in half the blocks per batch; each keeps its bits
-    rows = _overlap_add(x, np.stack([filt.taps, 2.0 * filt.taps]))
+    # rows of taps share each frame's FFT, in blocks of half the frames; each keeps its bits
+    rows = _overlap_add(SampleBuffer(x, RATE), np.stack([filt.taps, 2.0 * filt.taps]))
     assert np.array_equal(rows, [out.samples, 2.0 * out.samples])
 
 
 def _split_cases():
-    """(taps, rows, n): for one and two tap rows, lengths of one block below,
-    at and one above the split threshold (two full batches of FFT points)."""
+    """(taps, rows, n): for one and two tap rows, lengths of one frame below,
+    at and one above the split threshold (two runs of ``_FFT_POINTS`` points)."""
     cases = []
     for taps, rows in ((255, 1), (255, 2), (1023, 2)):
-        n_fft = next_fast_len(8 * taps)
-        step = n_fft - taps + 1
-        threshold = -(-2 * _FFT_POINTS // (n_fft * rows))  # blocks
+        step = next_fast_len(8 * taps) - taps + 1
+        threshold = _block_edges(taps, rows)[2]
         cases += [pytest.param(taps, rows, b * step, id=f"{taps}taps-{rows}rows-{b}blocks")
                   for b in (threshold - 1, threshold, threshold + 1)]
     return cases
 
 
 def _on_cpus(monkeypatch, cpus, x, taps):
-    """``_overlap_add(x, taps)`` with ``cpus`` CPUs, and whether it split its blocks."""
+    """``_overlap_add`` of the samples ``x`` with ``taps`` on ``cpus`` CPUs,
+    and the number of threads the call started."""
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    calls = []
-    in_two = kernels._in_two
-    monkeypatch.setattr(kernels, "_in_two",
-                        lambda work, n, split: calls.append(split) or in_two(work, n, split))
-    return _overlap_add(x, taps), calls == [True]
+    started, start = [], threading.Thread.start
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        return _overlap_add(SampleBuffer(x, RATE), taps), len(started)
 
 
 @pytest.mark.parametrize("taps, rows, n", _split_cases())
@@ -208,11 +218,12 @@ def test_split_filter_equals_one_cpu_at_the_threshold(monkeypatch, taps, rows, n
     filt = design_lowpass(6000.0, RATE, taps)
     x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
     stacked = np.stack([filt.taps, 2.0 * filt.taps])[:rows] if rows == 2 else filt.taps
-    one, split_one = _on_cpus(monkeypatch, 1, x, stacked)
-    two, split_two = _on_cpus(monkeypatch, 2, x, stacked)
+    one, started_one = _on_cpus(monkeypatch, 1, x, stacked)
+    two, started_two = _on_cpus(monkeypatch, 2, x, stacked)
     n_fft = next_fast_len(8 * taps)
-    assert not split_one
-    assert split_two == (-(-n // (n_fft - taps + 1)) * n_fft * rows >= 2 * _FFT_POINTS)
+    assert started_one == 0
+    # one worker at most, and only from the threshold on
+    assert started_two == (-(-n // (n_fft - taps + 1)) * n_fft * rows >= 2 * _FFT_POINTS)
     assert np.array_equal(one, two)
 
 
@@ -220,14 +231,20 @@ def test_split_filter_equals_one_cpu_at_the_threshold(monkeypatch, taps, rows, n
 def test_filter_on_two_cpus_equals_one(monkeypatch, taps, n):
     filt = design_lowpass(6000.0, RATE, taps)
     x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    n_fft = next_fast_len(8 * taps)
+    frames = -(-n // (n_fft - taps + 1))
     for stacked in (filt.taps, np.stack([filt.taps, 2.0 * filt.taps])):
-        assert np.array_equal(_on_cpus(monkeypatch, 1, x, stacked)[0],
-                              _on_cpus(monkeypatch, 2, x, stacked)[0])
-        # batches of a few blocks: the halves' seam falls inside and at the end of a batch
+        one = _on_cpus(monkeypatch, 1, x, stacked)[0]
+        assert np.array_equal(one, _on_cpus(monkeypatch, 2, x, stacked)[0])
+        # blocks of three frames, and the worker from two blocks on: it takes
+        # every other block, and each block's first frame adds the carried tail
         with monkeypatch.context() as m:
-            m.setattr(kernels, "_FFT_POINTS", 3 * next_fast_len(8 * taps))
-            small = _on_cpus(m, 2, x, stacked)[0]
-        assert np.array_equal(small, _on_cpus(monkeypatch, 1, x, stacked)[0])
+            points = n_fft * len(np.atleast_2d(stacked))
+            m.setattr(kernels, "_BLOCK_SAMPLES", 6 * points)
+            m.setattr(kernels, "_FFT_POINTS", 3 * points)
+            small, started = _on_cpus(m, 2, x, stacked)
+        assert np.array_equal(small, one)
+        assert started == (frames >= 6)
 
 
 def test_filter_overflow_is_bad_argument():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import RATE, build_corpus, ncc, speech_like
 from test_analysis import _threads_end_with_the_call
-from ultraband import analysis, kernels, stego
+from ultraband import kernels, stego
 from ultraband import (
     BadArgument,
     EmptySignal,
@@ -195,7 +195,7 @@ def test_find_silence_equals_the_reshape_over_blocks(monkeypatch, cpus):
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
     frame_len, rate = 960, 48000.0
     block = 280 * frame_len
-    monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block)
+    monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", block)
     samples = _threshold_host(3 * block + 2 * frame_len, seed=cpus)
     lengths = {1, frame_len - 1, frame_len, frame_len + 1}
     for edge in (block, 2 * block, 3 * block):  # where blocks end
