@@ -15,8 +15,8 @@ energy; a shorter signal is one Hann frame of its own length. These spectra,
 ``detect``, ``stft`` and ``find_silence`` run through ``kernels._framed``, the
 block loop of the overlap-add filter too: it frames a source a block at a
 time and hands each block's frames to a reducer; on two CPUs one worker
-thread per call takes every other block. ``detect`` and ``stft`` also read a
-``WavFile`` that way.
+thread per call takes every other block. ``detect``, ``stft`` and
+``measure`` also read a ``PcmClip`` or an open ``WavFile`` that way.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
+from . import kernels
 from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
                      check_positive)
-from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _framed, check_band, next_fast_len,
+from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _framed, _Rows, check_band, next_fast_len,
                       tukey_window)
-from .wavio import SampleBuffer, WavFile
+from .wavio import PcmClip, SampleBuffer, WavFile
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modulator import ModulationConfig
@@ -186,7 +187,7 @@ def _occupancy(freqs: np.ndarray, energy: np.ndarray, *quantiles: float) -> tupl
     )
 
 
-def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
+def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig") -> BandMetrics:
     """Summarize how well a signal stays inside its intended high band.
 
     Metrics are computed over the central taper-free region (the Tukey
@@ -196,9 +197,10 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
     per-bin energies summed and scaled so the bins add up to the region's
     energy. A region shorter than one segment is one Hann frame of its own
     length. ``np.hanning`` is zero at both ends, so the first and the last
-    framed sample get zero weight (an impulse there reads none). The frames
-    run through ``_framed`` in fixed scratch, and their rows are summed in
-    groups of ``_WELCH_GROUP``, so one CPU and two give the same bits.
+    framed sample get zero weight (an impulse there reads none). Rows sum in
+    groups of ``_WELCH_GROUP``, the energy in ``kernels._BLOCK_SAMPLES`` spans,
+    in order: one CPU or two, and a ``PcmClip``, its ``WavFile`` or its
+    ``to_float``, give equal bits (16-bit squares sum exactly to 2**23 samples).
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -214,23 +216,26 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
 
     n = len(signal)
     edge = int(round(n * config.tukey_alpha / 2.0))
-    core = signal.samples[edge : n - edge] if n - 2 * edge >= 16 else signal.samples
+    core = _Rows(signal, None, n - 2 * edge, edge) if n - 2 * edge >= 16 else signal
     rate = signal.sample_rate_hz
     nyquist = rate / 2.0
 
-    seg = min(WELCH_SEGMENT, core.size)
+    seg = min(WELCH_SEGMENT, len(core))
     energy, group = np.zeros((2, seg // 2 + 1))
-    # a view of the frozen signal, so adopting it copies nothing
-    for first, power in _framed(SampleBuffer._adopt(core, rate), seg, max(1, seg // 2),
-                                _weighted_power, seg // 2 + 1, np.hanning(seg)):
+    for first, power in _framed(core, seg, max(1, seg // 2), _weighted_power, seg // 2 + 1,
+                                np.hanning(seg)):
         for i, row in enumerate(power, first):  # as sum(axis=0) adds a group's rows
             if i % _WELCH_GROUP == 0 and i:
                 energy += group
                 group[:] = 0.0
             group += row
     energy += group
+    scale, span = 0.0, kernels._BLOCK_SAMPLES
+    for i in range(0, len(core), span):  # in order; exact for PCM under 2**23 samples
+        x = core._read(i, min(i + span, len(core)))
+        scale += float(np.einsum("i,i->", x, x))
     framed = energy.sum()
-    energy *= float(np.einsum("i,i->", core, core)) / framed if framed > 0.0 else 0.0
+    energy *= scale / framed if framed > 0.0 else 0.0
     total = float(energy.sum())
     freqs = np.fft.rfftfreq(seg, d=1.0 / rate)
 
@@ -246,13 +251,7 @@ def measure(signal: SampleBuffer, config: "ModulationConfig") -> BandMetrics:
 
     suppression_db = _tone_pair_suppression(freqs, energy, total, carrier, band_top)
 
-    return BandMetrics(
-        inband_energy_db=float(inband_db),
-        leakage_below_carrier_db=float(leakage_db),
-        sideband_suppression_db=suppression_db,
-        occupancy_lo_hz=occ_lo,
-        occupancy_hi_hz=occ_hi,
-    )
+    return BandMetrics(float(inband_db), float(leakage_db), suppression_db, occ_lo, occ_hi)
 
 
 def _tone_pair_suppression(

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields, replace
 
 from . import analysis, catalog, demodulator, modulator, stego
 from .errors import IoFailure, UltrabandError
-from .wavio import open_wav, read_wav, to_float
+from .wavio import open_wav
 
 EXIT_OK = 0
 EXIT_DETECTED = 2
@@ -207,10 +207,10 @@ def _cmd_demodulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    signal = to_float(read_wav(args.input), channel=0)
-    # the band is checked against the file's rate, not modulate's working rate
-    config = _mod_config(args, _ANALYZE_PARAMS, working_rate_hz=signal.sample_rate_hz)
-    _emit({"input": args.input, **asdict(analysis.measure(signal, config))})
+    with open_wav(args.input) as signal:  # read a block at a time
+        # the band is checked against the file's rate, not modulate's working rate
+        config = _mod_config(args, _ANALYZE_PARAMS, working_rate_hz=signal.sample_rate_hz)
+        _emit({"input": args.input, **asdict(analysis.measure(signal, config))})
     return EXIT_OK
 
 

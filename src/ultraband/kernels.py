@@ -241,19 +241,20 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None):
 
 @dataclass(frozen=True)
 class _Rows:
-    """The filter's input, read by ``_read``: ``source`` times each of
-    ``tables``, a row each (``_mix`` from the span's first index), or as it
-    is without tables; zeros after its end, up to ``length`` samples."""
+    """The filter's input, and ``measure``'s core: ``source`` from ``offset`` on,
+    read by ``_read``, times each of ``tables``, a row each (``_mix`` from the
+    span's first index), or as it is; zeros after its end, to ``length`` samples."""
 
     source: object
     tables: list | None
     length: int
+    offset: int = 0
 
     def __len__(self) -> int:
         return self.length
 
     def _read(self, start: int, stop: int) -> np.ndarray:
-        x = self.source._read(start, min(stop, len(self.source)))
+        x = self.source._read(self.offset + start, min(self.offset + stop, len(self.source)))
         if self.tables is None:
             return x if x.size == stop - start else np.concatenate((x, np.zeros(stop - start - x.size)))
         out = np.empty((len(self.tables), stop - start))

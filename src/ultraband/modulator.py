@@ -27,7 +27,7 @@ from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _normalize, _overlap_add,
                       _taper, check_band, check_taps, resample)
-from .wavio import PcmClip, SampleBuffer, _finite, read_wav, to_float, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, _finite, read_wav, to_pcm, write_wav
 
 #: Lower edge of the single-sideband passband. Baseband content below it
 #: would land just under the carrier, so the filter drops it.
@@ -137,9 +137,9 @@ def modulate(signal: SampleBuffer | PcmClip,
     Deterministic: equal input and config give bit-identical output.
     ConfigInvalid unless the cutoff lies above ``GUARD_HZ``.
 
-    A ``PcmClip``'s channel 0 is read a span at a time, to the bit as
-    ``to_float`` reads it. The mix runs in the filter's block loop; taper and
-    normalization work in place.
+    A ``PcmClip``'s channel 0 is read through ``_read``, to the bit as
+    ``to_float`` reads it: a span at a time, or whole to be resampled. The mix
+    runs in the filter's block loop; taper and normalization work in place.
     The carrier's cos and sin are read from tables of one or more whole
     periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
     it is scaled, so a carrier that repeats within the signal is exact to
@@ -151,8 +151,9 @@ def modulate(signal: SampleBuffer | PcmClip,
         raise ConfigInvalid(f"cutoff_hz {config.cutoff_hz} must lie above {GUARD_HZ} Hz")
 
     rate = config.working_rate_hz
-    if _factors(signal.sample_rate_hz, rate) != (1, 1):  # a rate change resamples a float copy
-        signal = resample(to_float(signal) if isinstance(signal, PcmClip) else signal, rate)
+    if _factors(signal.sample_rate_hz, rate) != (1, 1):  # resample a float copy, freed after
+        signal = resample(SampleBuffer._adopt(signal._read(0, len(signal)), signal.sample_rate_hz),
+                          rate)
     out = _overlap_add(signal, _ssb_taps(config),
                        mix_out=_carrier(config.carrier_hz, rate, len(signal)))
     if out.size >= 2:
@@ -166,10 +167,9 @@ def modulate_file(
 ) -> "analysis.BandMetrics":
     """Modulate channel 0 of a WAV file and write the high-band result.
 
-    The returned metrics describe the 16-bit samples written to disk, not
-    the float intermediate; write/read is byte-exact, so they are measured
-    on the quantized clip in memory.
+    The metrics describe the 16-bit clip written to disk (write/read is
+    byte-exact): ``measure`` reads the ``PcmClip`` in spans, with no float copy.
     """
     pcm = to_pcm(modulate(read_wav(in_path), config))
     write_wav(out_path, pcm)
-    return analysis.measure(to_float(pcm, channel=0), config)
+    return analysis.measure(pcm, config)

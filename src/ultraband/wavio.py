@@ -10,7 +10,7 @@ file open and reads it a block at a time.
 Three types travel through the rest of the package:
 
 * :class:`PcmClip` -- integer samples exactly as stored on disk; ``len`` is
-  its frame count, and ``recovered_bandwidth`` reads its channel 0 in spans.
+  its frame count, and each span reader (``_read``) takes its channel 0.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
   spans of frames, as a :class:`SampleBuffer`'s samples do.
@@ -281,11 +281,11 @@ class WavFile:
     """A 16-bit PCM WAV file held open, its header checked by the parser
     that ``read_wav`` uses; made by :func:`open_wav`.
 
-    ``len`` is the frame count. ``detect`` and ``stft`` read channel 0 a block
-    at a time, as float64 scaled by 1/32768 exactly as ``to_float`` scales it,
-    so either equals its result on ``to_float(read_wav(p))`` while holding one
-    block, not the file. Close it, or use it in a ``with``; a closed file
-    raises IoFailure.
+    ``len`` is the frame count. ``detect``, ``stft`` and ``measure`` read
+    channel 0 a block at a time, as float64 scaled by 1/32768 as ``to_float``
+    scales it, so each equals its result on ``to_float(read_wav(p))`` while
+    holding one block, not the file. Close it, or use it in a ``with``; a
+    closed file raises IoFailure.
     """
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):

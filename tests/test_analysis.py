@@ -313,17 +313,27 @@ def test_measure_without_a_measurable_tone_pair(signal, config):
     assert measure(signal, config).sideband_suppression_db is None
 
 
-def _welch_block_at_a_time(x: np.ndarray) -> np.ndarray:
-    """``measure``'s scaled Welch energy of ``x`` (taper-free), each group of
+def _span_energy(x: np.ndarray) -> float:
+    """sum(x**2) as ``measure`` scales by it: one sum per ``_BLOCK_SAMPLES``
+    span, the spans added in order."""
+    span, total = kernels._BLOCK_SAMPLES, 0.0
+    for i in range(0, x.size, span):  # one addition at a time, as ``sum`` need not
+        total += float(np.einsum("i,i->", x[i : i + span], x[i : i + span]))
+    return total
+
+
+def _welch_block_at_a_time(x: np.ndarray, total=None) -> np.ndarray:
+    """``measure``'s Welch energy of ``x`` (taper-free), each group of
     ``_WELCH_GROUP`` frames windowed, transformed and squared whole and summed
-    as one sum, the groups summed in order."""
+    as one sum, the groups summed in order; scaled to sum to ``total``, by
+    default ``_span_energy(x)``."""
     seg = min(WELCH_SEGMENT, x.size)
     frames = sliding_window_view(x, seg)[:: max(1, seg // 2)]
     step = analysis._WELCH_GROUP
     energy = sum(_weighted_power(frames[b : b + step] * np.hanning(seg)).sum(axis=0)
                  for b in range(0, len(frames), step))
     framed = energy.sum()
-    energy *= float(np.einsum("i,i->", x, x)) / framed if framed > 0.0 else 0.0
+    energy *= (_span_energy(x) if total is None else total) / framed if framed > 0.0 else 0.0
     return energy
 
 
@@ -389,6 +399,75 @@ def test_measure_threads_end_with_the_call(monkeypatch, default_config):
                          found.occupancy_lo_hz, found.occupancy_hi_hz])
 
     _threads_end_with_the_call(monkeypatch, metrics)
+
+
+@pytest.mark.parametrize("span", [4096, None])
+def test_measure_span_sums_stay_near_the_whole_core_sum(monkeypatch, span):
+    # The scale is summed a span at a time. For floats that moves it by
+    # rounding only; k**2 / 2**30 sums exactly in any order while the total
+    # stays under 2**53 / 2**30, so PCM values under 2**23 samples do not move.
+    if span is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", span)
+    config = ModulationConfig(tukey_alpha=0.0)
+    for n in (5000, 300001, 1 << 20):
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 0.3
+        pcm = rng.integers(-32768, 32768, n) / 32768.0
+        for x in (floats, pcm):
+            _, energy, _ = _measured_energy(monkeypatch, SampleBuffer(x, RATE), config)
+            whole = _welch_block_at_a_time(x, float(np.einsum("i,i->", x, x)))
+            assert np.allclose(energy, whole, rtol=1e-14, atol=0.0), n
+        assert np.array_equal(energy, whole), n  # the PCM values
+
+
+def _two_channel_wav(path, n: int) -> PcmClip:
+    """A stereo clip of ``n`` frames written to ``path``: noise and an 18 kHz
+    tone on channel 0, and on channel 1 a loud 17 kHz tone that would show if
+    it were read."""
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    left = rng.integers(-8000, 8000, n) + np.round(12000 * np.sin(2 * np.pi * 18000 * k / RATE))
+    right = np.round(30000 * np.sin(2 * np.pi * 17000 * k / RATE))
+    clip = PcmClip(np.stack([left, right], axis=1).ravel().astype(np.int16), int(RATE), 2)
+    write_wav(path, clip)
+    return clip
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
+def test_measure_of_every_source_has_the_same_bits(tmp_path, monkeypatch, cpus, alpha):
+    # a PcmClip's interleaved samples read raw, and a WavFile had no samples
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+    block = kernels._BLOCK_SAMPLES
+    config = ModulationConfig(tukey_alpha=alpha)
+    # core lengths at the span edges (for alpha 0), and 18 frames, whose core
+    # at alpha 0.2 (14 samples) falls back to the whole clip
+    for n in (18, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        pcm = _two_channel_wav(tmp_path / "clip.wav", n)
+        expected = astuple(measure(to_float(pcm), config))
+        assert astuple(measure(pcm, config)) == expected, n
+        with open_wav(tmp_path / "clip.wav") as wav:
+            assert astuple(measure(wav, config)) == expected, n
+
+
+def test_measure_of_an_open_wav_memory_is_flat_in_file_length(tmp_path, default_config):
+    # A whole float copy of the clip is 3.7 MiB at 10 s and 22 MiB at 60 s;
+    # spans of the file peak at 3.2-3.3 MiB at either length (and at 300 s).
+    peaks = []
+    for seconds in (10, 60):
+        path = tmp_path / f"{seconds}s.wav"
+        noise = np.random.default_rng(seconds).integers(-8000, 8000, seconds * 48000)
+        write_wav(path, PcmClip(noise.astype(np.int16), 48000))
+        del noise
+        tracemalloc.start()
+        try:
+            with open_wav(path) as wav:
+                measure(wav, default_config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    assert max(peaks) < 4 << 20, peaks
 
 
 # --- detect ---

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON output, exit codes."""
 
 import csv
+import gc
 import inspect
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from ultraband import (
     stego,
     to_float,
     to_pcm,
+    wavio,
     write_wav,
 )
 from ultraband.cli import (
@@ -146,6 +149,33 @@ def test_analyze_band_above_nyquist_is_data_error(tmp_path, rate, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: band [16000.0, 22000.0] Hz does not fit under Nyquist")
+
+
+def test_analyze_closes_its_file_when_the_band_does_not_fit(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "low_rate.wav"
+    write_wav(path, to_pcm(speech_like(seed=64, rate=22050)))
+    opened = []
+    monkeypatch.setattr(cli, "open_wav", lambda p: opened.append(wavio.open_wav(p)) or opened[-1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["analyze", str(path)]) == EXIT_DATA
+        gc.collect()
+    assert [wav._fh.closed for wav in opened] == [True]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_analyze_data_chunk_past_the_end_is_data_error(tmp_path, capsys):
+    path = tmp_path / "short.wav"
+    write_wav(path, to_pcm(speech_like(seed=65)))
+    raw = bytearray(path.read_bytes())
+    raw[40:44] = (len(raw) - 44 + 2).to_bytes(4, "little")  # one frame more than it holds
+    path.write_bytes(bytes(raw))
+    assert run(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "past end of file" in line
 
 
 def test_analyze_checks_the_band_at_the_file_rate(tmp_path, capsys):
