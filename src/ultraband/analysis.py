@@ -48,10 +48,6 @@ FRAME_MS = 50.0
 #: Welch segment of ``measure``; segments overlap by half.
 WELCH_SEGMENT = 8192
 
-#: Welch frames per partial sum in ``measure``: rows add in order within a
-#: group, and the groups in order (the grouping of 2**20-sample blocks).
-_WELCH_GROUP = 128
-
 _EPS = 1e-30
 
 
@@ -197,10 +193,10 @@ def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig"
     per-bin energies summed and scaled so the bins add up to the region's
     energy. A region shorter than one segment is one Hann frame of its own
     length. ``np.hanning`` is zero at both ends, so the first and the last
-    framed sample get zero weight (an impulse there reads none). Rows sum in
-    groups of ``_WELCH_GROUP``, the energy in ``kernels._BLOCK_SAMPLES`` spans,
-    in order: one CPU or two, and a ``PcmClip``, its ``WavFile`` or its
-    ``to_float``, give equal bits (16-bit squares sum exactly to 2**23 samples).
+    framed sample get zero weight (an impulse there reads none). Rows sum one
+    at a time, the energy in ``kernels._BLOCK_SAMPLES`` spans, in order: one
+    CPU or two, and a ``PcmClip``, its ``WavFile`` or its ``to_float``, give
+    equal bits (16-bit squares sum exactly to 2**23 samples).
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -221,15 +217,11 @@ def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig"
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, len(core))
-    energy, group = np.zeros((2, seg // 2 + 1))
-    for first, power in _framed(core, seg, max(1, seg // 2), _weighted_power, seg // 2 + 1,
-                                np.hanning(seg)):
-        for i, row in enumerate(power, first):  # as sum(axis=0) adds a group's rows
-            if i % _WELCH_GROUP == 0 and i:
-                energy += group
-                group[:] = 0.0
-            group += row
-    energy += group
+    energy = np.zeros(seg // 2 + 1)
+    for _, power in _framed(core, seg, max(1, seg // 2), _weighted_power, seg // 2 + 1,
+                            np.hanning(seg)):
+        for row in power:  # in frame order, as ``_spectrum`` adds its rows
+            energy += row
     scale, span = 0.0, kernels._BLOCK_SAMPLES
     for i in range(0, len(core), span):  # in order; exact for PCM under 2**23 samples
         x = core._read(i, min(i + span, len(core)))

@@ -12,9 +12,9 @@ import numpy as np
 
 from .analysis import _occupancy, _spectrum
 from .errors import ConfigInvalid, EmptySignal, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _lane, _normalize, _overlap_add,
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _normalize, _overlap_add,
                       check_band, check_taps, design_lowpass)
-from .wavio import READ_SCALE, PcmClip, SampleBuffer, _finite, read_wav, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, _finite, _peak, read_wav, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
 PHASE_CANDIDATES = 16
@@ -54,15 +54,14 @@ def demodulate(
     ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
     signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
     """
-    x = _lane(signal)
-    if x.size == 0:
+    if len(signal) == 0:
         raise EmptySignal("cannot demodulate an empty signal")
     rate = float(signal.sample_rate_hz)
     check_band(carrier_hz, recovery_cutoff_hz, rate, ConfigInvalid, "recovery_cutoff_hz")
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
 
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
-    tables = [2.0 * table for table in _carrier(carrier_hz, rate, x.size)[: 1 + phase_search]]
+    tables = [2.0 * table for table in _carrier(carrier_hz, rate, len(signal))[: 1 + phase_search]]
     # 2 * x * c can overflow, so the finiteness check stays; each arm is its own array
     arms = [_finite(arm) for arm in _overlap_add(signal, lpf.taps, mix_in=tables)]
     recovered = arms[0]
@@ -83,8 +82,7 @@ def demodulate(
         q_arm *= s[k]
         recovered = _finite(np.subtract(i_arm, q_arm, out=i_arm))
 
-    # the float input's peak: 1 / READ_SCALE is a power of two
-    in_peak = max(float(x.max()), -float(x.min())) / (READ_SCALE if x.dtype == np.int16 else 1.0)
+    in_peak = _peak(signal)
     # Judge the recovered level away from the filter's zero-padding
     # warm-up: the leading/trailing group-delay spans hold onset
     # transients that would trip the gate when there is nothing to

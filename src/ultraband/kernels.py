@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
                      RateMismatch, check_count, check_fraction, check_positive)
-from .wavio import PcmClip, SampleBuffer
+from .wavio import SampleBuffer
 
 log = logging.getLogger(__name__)
 
@@ -428,11 +428,6 @@ def _normalize(x: np.ndarray, target: float, out) -> np.ndarray:
     if math.isinf(scale):  # subnormal peak: 1 / peak overflows, so divide first
         return np.multiply(np.divide(x, peak, out=out), target, out=out)
     return np.multiply(x, scale, out=out)
-
-
-def _lane(signal) -> np.ndarray:
-    """A SampleBuffer's samples, or a PcmClip's channel 0 as a strided int16 view."""
-    return signal.samples[:: signal.channels] if isinstance(signal, PcmClip) else signal.samples
 
 
 def _carrier(freq_hz: float, rate_hz: float, n: int):

@@ -3,7 +3,8 @@
 The host is scanned in short frames for regions whose RMS sits under a
 threshold; the payload is mixed into the start of the longest such region.
 Because the payload lives above 16 kHz and the host is quiet there anyway,
-the audible band of the host barely moves.
+the audible band of the host barely moves. Outside the insertion span the
+host is returned, or written, exactly as it came in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .analysis import true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
 from .kernels import _framed, resample, resampled_length
-from .wavio import SampleBuffer, read_wav, to_float, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, WavFile, _lane, read_wav, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
 #: frame length and shortest kept region.
@@ -41,7 +42,7 @@ class SilenceMap:
 
 
 def find_silence(
-    host: SampleBuffer,
+    host: SampleBuffer | PcmClip | WavFile,
     rms_threshold: float = RMS_THRESHOLD,
     frame_ms: float = SILENCE_FRAME_MS,
     min_region_ms: float = MIN_REGION_MS,
@@ -52,7 +53,8 @@ def find_silence(
     trailing partial block counts too, so an all-silent file yields one
     region spanning every sample); consecutive quiet blocks merge into
     regions, and regions shorter than ``min_region_ms`` are dropped. Each
-    setting must be positive and finite (BadArgument).
+    setting must be positive and finite (BadArgument). The host is any span
+    source (``SampleBuffer``, ``PcmClip``, ``WavFile``), read with ``to_float``'s bits.
     """
     if len(host) == 0:
         raise EmptySignal("cannot scan an empty host")
@@ -78,17 +80,6 @@ def find_silence(
     return SilenceMap(regions=kept)
 
 
-def _span(host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap) -> Tuple[int, int]:
-    """[start, end) the payload fills at the host rate from the start of the
-    longest silent region, found without resampling: BadRate, then NoRoom."""
-    length = resampled_length(payload, host.sample_rate_hz)
-    start, region_end = silence.longest()
-    if region_end - start < length:
-        raise NoRoom(f"longest silent region holds {region_end - start} samples, "
-                     f"payload needs {length}")
-    return start, start + length
-
-
 def embed(
     host: SampleBuffer,
     payload: SampleBuffer,
@@ -102,27 +93,34 @@ def embed(
     span is clamped to [-1, 1]. Raises RateTooLow when the host rate cannot
     represent the payload's band and NoRoom when no region is long enough.
     """
-    return _embed(host, payload, silence, gain)[0]
+    (start, end), mixed = _embed(host, payload, silence, gain)
+    out = host.samples.copy()
+    out[start:end] = mixed.samples
+    return SampleBuffer._adopt(out, host.sample_rate_hz)
 
 
-def _embed(host: SampleBuffer, payload: SampleBuffer, silence: SilenceMap, gain: float):
-    """``embed``'s result, and the [start, end) span that the payload fills."""
+def _embed(host: SampleBuffer | PcmClip, payload: SampleBuffer | PcmClip, silence: SilenceMap,
+           gain: float):
+    """The [start, end) span that the payload fills, and ``embed``'s samples
+    there: the host's span plus ``gain`` times the resampled payload, clipped."""
     if len(host) == 0 or len(payload) == 0:
         raise EmptySignal("host and payload must be nonempty")
     check_fraction(gain, BadArgument, "gain")
+    payload = SampleBuffer._adopt(payload._read(0, len(payload)), payload.sample_rate_hz)
 
+    rate = float(host.sample_rate_hz)
     payload_top = recovered_bandwidth(payload)
-    if host.sample_rate_hz < 2.0 * payload_top:
-        raise RateTooLow(
-            f"host rate {host.sample_rate_hz} Hz cannot carry content up to "
-            f"{payload_top:.0f} Hz"
-        )
-    start, end = _span(host, payload, silence)
-    fitted = resample(payload, host.sample_rate_hz)
-
-    out = host.samples.copy()
-    out[start:end] = np.clip(out[start:end] + gain * fitted.samples, -1.0, 1.0)
-    return SampleBuffer._adopt(out, host.sample_rate_hz), (start, end)  # fresh, clipped, finite
+    if rate < 2.0 * payload_top:
+        raise RateTooLow(f"host rate {rate} Hz cannot carry content up to {payload_top:.0f} Hz")
+    length = resampled_length(payload, rate)  # BadRate, then NoRoom, before resampling
+    start, region_end = silence.longest()
+    if region_end - start < length:
+        raise NoRoom(f"longest silent region holds {region_end - start} samples, "
+                     f"payload needs {length}")
+    end = start + length
+    fitted = resample(payload, rate)
+    mixed = np.clip(host._read(start, end) + gain * fitted.samples, -1.0, 1.0)
+    return (start, end), SampleBuffer._adopt(mixed, rate)  # fresh, clipped, finite
 
 
 def embed_file(
@@ -134,14 +132,16 @@ def embed_file(
     frame_ms: float = SILENCE_FRAME_MS,
     min_region_ms: float = MIN_REGION_MS,
 ) -> dict:
-    """File-level embed: returns a report dict describing what went where."""
-    host = to_float(read_wav(host_path), channel=0)
-    payload = to_float(read_wav(payload_path), channel=0)
+    """File-level embed; returns a report dict describing what went where. The
+    host's channel 0 is written mono, as read but for the re-quantized span."""
+    host, payload = read_wav(host_path), read_wav(payload_path)
     silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
-    mixed, (start, end) = _embed(host, payload, silence, gain)
-    write_wav(out_path, to_pcm(mixed))
+    (start, end), mixed = _embed(host, payload, silence, gain)
+    out = _lane(host).copy()
+    out[start:end] = to_pcm(mixed).samples
+    write_wav(out_path, PcmClip._adopt(out, host.sample_rate_hz, 1))
 
-    rate = host.sample_rate_hz
+    rate = mixed.sample_rate_hz
 
     def span(s: int, e: int) -> dict:
         return {"start_sample": int(s), "end_sample": int(e),

@@ -10,7 +10,8 @@ file open and reads it a block at a time.
 Three types travel through the rest of the package:
 
 * :class:`PcmClip` -- integer samples exactly as stored on disk; ``len`` is
-  its frame count, and each span reader (``_read``) takes its channel 0.
+  its frame count, and each span reader (``_read``) takes its channel 0. Only
+  this module decodes that layout: ``_read``, ``to_float``, ``_lane``, ``_peak``.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
   spans of frames, as a :class:`SampleBuffer`'s samples do.
@@ -405,6 +406,17 @@ def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:
     channel = check_count(channel, BadChannel, "channel", 0, clip.channels - 1)
     lane = clip.samples.reshape(-1, clip.channels)[:, channel]
     return SampleBuffer._adopt(lane / READ_SCALE, clip.sample_rate_hz)
+
+
+def _lane(signal) -> np.ndarray:
+    """A SampleBuffer's samples, or a PcmClip's channel 0 as a strided int16 view."""
+    return signal.samples[:: signal.channels] if isinstance(signal, PcmClip) else signal.samples
+
+
+def _peak(signal) -> float:
+    """Largest |sample| of ``_lane(signal)``, exactly as ``to_float`` scales it."""
+    x = _lane(signal)
+    return max(float(x.max()), -float(x.min())) / (READ_SCALE if isinstance(signal, PcmClip) else 1.0)
 
 
 def to_pcm(buf: SampleBuffer) -> PcmClip:

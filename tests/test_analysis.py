@@ -323,15 +323,14 @@ def _span_energy(x: np.ndarray) -> float:
 
 
 def _welch_block_at_a_time(x: np.ndarray, total=None) -> np.ndarray:
-    """``measure``'s Welch energy of ``x`` (taper-free), each group of
-    ``_WELCH_GROUP`` frames windowed, transformed and squared whole and summed
-    as one sum, the groups summed in order; scaled to sum to ``total``, by
-    default ``_span_energy(x)``."""
+    """``measure``'s Welch energy of ``x`` (taper-free): all frames windowed,
+    transformed and squared whole, their rows added one at a time in frame
+    order; scaled to sum to ``total``, by default ``_span_energy(x)``."""
     seg = min(WELCH_SEGMENT, x.size)
     frames = sliding_window_view(x, seg)[:: max(1, seg // 2)]
-    step = analysis._WELCH_GROUP
-    energy = sum(_weighted_power(frames[b : b + step] * np.hanning(seg)).sum(axis=0)
-                 for b in range(0, len(frames), step))
+    energy = np.zeros(seg // 2 + 1)
+    for row in _weighted_power(frames * np.hanning(seg)):
+        energy += row
     framed = energy.sum()
     energy *= (_span_energy(x) if total is None else total) / framed if framed > 0.0 else 0.0
     return energy
@@ -347,14 +346,14 @@ def _measured_energy(monkeypatch, signal, config):
         return measure(signal, config), seen[0], len(started)
 
 
-#: Frames per summed group and per block in the blockwise ``measure`` cases,
-#: so that several groups occur and blocks straddle their edges.
-_MEASURE_GROUP, _MEASURE_BLOCK = 40, 15
+#: Frames per block in the blockwise ``measure`` cases, so that several
+#: blocks occur.
+_MEASURE_BLOCK = 15
 
 
 def _measure_lengths():
     """Lengths one sample below, at and above 1 frame, a block (15 frames),
-    the worker's rule (32), a group (40) and three groups (40 + 40 + 33)."""
+    the worker's rule (32), and 40 and 113 frames (several blocks)."""
     at = [WELCH_SEGMENT + (f - 1) * (WELCH_SEGMENT // 2) for f in (1, 15, 32, 40, 113)]
     return [16, 4801] + [n + d for n in at for d in (-1, 0, 1)]
 
@@ -362,9 +361,7 @@ def _measure_lengths():
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_measure_equals_the_block_at_a_time_sum(monkeypatch, cpus):
     # the fields follow from the energy, so bit-equal energies give equal metrics
-    assert analysis._WELCH_GROUP * WELCH_SEGMENT == 1 << 20  # the parent's blocks, summed
     monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(analysis, "_WELCH_GROUP", _MEASURE_GROUP)
     monkeypatch.setattr(kernels, "_BLOCK_SAMPLES", 2 * _MEASURE_BLOCK * WELCH_SEGMENT)
     config = ModulationConfig(tukey_alpha=0.0)
     for n in _measure_lengths():

@@ -537,6 +537,56 @@ def test_embed_no_room_is_data_error(tmp_path, modulated_wav, capsys):
     assert code == EXIT_DATA
 
 
+#: (host, payload, exit code, the one stderr line) of each embed error, the
+#: payload ``high.wav`` being speech modulated up to 18.8 kHz.
+_EMBED_ERRORS = [
+    ("missing.wav", "high.wav", EXIT_IO, "i/o error: cannot read {dir}/missing.wav: "
+     "[Errno 2] No such file or directory: '{dir}/missing.wav'"),
+    ("host.wav", "missing.wav", EXIT_IO, "i/o error: cannot read {dir}/missing.wav: "
+     "[Errno 2] No such file or directory: '{dir}/missing.wav'"),
+    ("mp3.wav", "high.wav", EXIT_DATA, "error: {dir}/mp3.wav: MP3 data, not PCM WAV"),
+    ("host.wav", "mp3.wav", EXIT_DATA, "error: {dir}/mp3.wav: MP3 data, not PCM WAV"),
+    ("short.wav", "high.wav", EXIT_DATA, "error: {dir}/short.wav: chunk b'data' runs past end of file"),
+    ("host.wav", "short.wav", EXIT_DATA, "error: {dir}/short.wav: chunk b'data' runs past end of file"),
+    ("1hz.wav", "high.wav", EXIT_DATA, "error: host rate 1.0 Hz cannot carry content up to 18824 Hz"),
+    ("8khz.wav", "high.wav", EXIT_DATA,
+     "error: host rate 8000.0 Hz cannot carry content up to 18824 Hz"),
+    # 2048 samples at 1 Hz are 98.3 M at 48 kHz: refused before resampling
+    ("host.wav", "1hz_2048.wav", EXIT_DATA,
+     "error: longest silent region holds 120000 samples, payload needs 98304000"),
+    ("96khz.wav", "1hz_2048.wav", EXIT_DATA,
+     "error: 1.0 -> 96000.0 Hz needs an up or down factor above MAX_RESAMPLE_FACTOR = 65536"),
+    ("busy.wav", "high.wav", EXIT_DATA, "error: no silent region found"),
+]
+
+
+@pytest.mark.parametrize("host,payload,code,line", _EMBED_ERRORS,
+                         ids=[f"{h}-{p}" for h, p, _, _ in _EMBED_ERRORS])
+def test_embed_error_contract(tmp_path, modulated_wav, monkeypatch, capsys, host, payload, code,
+                              line):
+    write_wav(tmp_path / "host.wav", to_pcm(speech_like(duration_s=4.0, seed=63, pauses=[(1.0, 3.5)])))
+    write_wav(tmp_path / "busy.wav", to_pcm(tone(440.0, amp=0.9)))
+    write_wav(tmp_path / "8khz.wav",
+              to_pcm(speech_like(duration_s=4.0, seed=63, rate=8000.0, pauses=[(1.0, 3.5)])))
+    write_wav(tmp_path / "1hz.wav", PcmClip(np.zeros(4096, dtype=np.int16), 1))
+    write_wav(tmp_path / "96khz.wav", PcmClip(np.zeros(96000, dtype=np.int16), 96000))
+    write_wav(tmp_path / "1hz_2048.wav",
+              PcmClip(np.random.default_rng(1).integers(-9000, 9000, 2048), 1))
+    (tmp_path / "mp3.wav").write_bytes(b"ID3\x04\x00" + bytes(100))
+    raw = bytearray(modulated_wav.read_bytes())
+    raw[40:44] = (len(raw) - 44 + 2).to_bytes(4, "little")  # one frame more than it holds
+    (tmp_path / "short.wav").write_bytes(bytes(raw))
+    resampled = []
+    monkeypatch.setattr(stego, "resample", lambda *args: resampled.append(args))
+    out = tmp_path / "out.wav"
+
+    assert run(["embed", str(tmp_path / host), str(tmp_path / payload), str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line.format(dir=tmp_path)]
+    assert not out.exists() and resampled == []
+
+
 # --- catalog / survey ---
 
 

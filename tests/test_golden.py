@@ -255,7 +255,7 @@ GOLDEN = {'exit_codes': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 65, 65,
                     'low_cfg.wav': '9d99ba4dfd27dde305f2792691d1dbe047c5a5129fe6b280227079973d47ae53',
                     'low_odd.wav': '2404ec84c27e4ebcbbc5deb69a10c385273b41426c486ffea0e840ba47b9ed69',
                     'low_ps.wav': '04fe6411a4e9c12a0968cea179230ae4e0dcb2f284c1f0d87448bf8225ceccdc',
-                    'mixed.wav': '2b47fb7314c0a1278ac628fe73ac199ec00130f6f6776ef726b4ab27229be63d',
+                    'mixed.wav': '465ee27847141b89676705b7b431ca8a7e316f547092718f28f4cc131d85160c',
                     'spec.pgm': 'e316593185bbe8414941b8978333046836ed7e0552bfdc2416f9bbfd44e0bf68'},
           'report_csv': 'input,output,leakage_db,suppression_db,occupancy_lo,occupancy_hi,error\r\n'
                         'speech.wav,b_speech.wav,-90.147,,16236.3,19148.4,\r\n'

@@ -13,6 +13,7 @@ from ultraband import (
     BadArgument,
     EmptySignal,
     NoRoom,
+    PcmClip,
     RateTooLow,
     SampleBuffer,
     SilenceMap,
@@ -202,9 +203,12 @@ def test_find_silence_equals_the_reshape_over_blocks(monkeypatch, cpus):
         lengths |= {edge - frame_len, edge - 1, edge, edge + 1, edge + frame_len + 1}
     for n in sorted(lengths):
         host = SampleBuffer(samples[:n], rate)
+        pcm = to_pcm(host)  # channel 0 of a 16-bit host reads as its to_float
         for frame_ms, min_region_ms in ((20.0, 1e-3), (20.0, 500.0), (7.3, 1e-3)):
             expected = _find_silence_reshape(host, 0.01, frame_ms, min_region_ms)
             assert find_silence(host, 0.01, frame_ms, min_region_ms).regions == expected, n
+            assert (find_silence(pcm, 0.01, frame_ms, min_region_ms).regions
+                    == _find_silence_reshape(to_float(pcm), 0.01, frame_ms, min_region_ms)), n
     # regions in the last block survive the reuse of the earlier blocks' rows
     regions = find_silence(SampleBuffer(samples, rate), 0.01, 20.0, 1e-3).regions
     assert len(regions) > 50 and regions[-1][0] > 2 * block
@@ -346,6 +350,29 @@ def test_embed_file_report(tmp_path, payload):
 
     mixed = to_float(read_wav(out_path))
     assert detect(mixed).flagged
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_embed_file_writes_the_host_back_as_read(tmp_path, payload, channels):
+    # Above half scale a float round trip (read 1/32768, write 32767) moves a
+    # sample one count toward zero; only the insertion span may change.
+    speech = speech_like(duration_s=3.0, seed=28, pauses=[(0.6, 2.7)])
+    lane = to_pcm(SampleBuffer(np.clip(3.0 * speech.samples, -1.0, 1.0), RATE)).samples
+    assert np.count_nonzero(np.abs(lane) > 16384) > 10000
+    loud = np.random.default_rng(28).integers(-32768, 32768, lane.size)  # never silent
+    host = PcmClip(np.stack([lane, loud][:channels], axis=1).ravel(), int(RATE), channels)
+    write_wav(tmp_path / "host.wav", host)
+    write_wav(tmp_path / "payload.wav", to_pcm(payload))
+    report = embed_file(tmp_path / "host.wav", tmp_path / "payload.wav", tmp_path / "out.wav")
+
+    out = read_wav(tmp_path / "out.wav")
+    assert (out.channels, out.sample_rate_hz, len(out)) == (1, host.sample_rate_hz, lane.size)
+    start, end = report["insertion"]["start_sample"], report["insertion"]["end_sample"]
+    assert np.array_equal(out.samples[:start], lane[:start])
+    assert np.array_equal(out.samples[end:], lane[end:])
+    floats = to_float(host)
+    mixed = embed(floats, to_float(read_wav(tmp_path / "payload.wav")), find_silence(floats))
+    assert np.array_equal(out.samples[start:end], to_pcm(mixed).samples[start:end])
 
 
 def test_embed_file_resamples_payload_once(tmp_path, payload, monkeypatch):
