@@ -12,9 +12,9 @@ import numpy as np
 
 from .analysis import _occupancy, _spectrum
 from .errors import ConfigInvalid, EmptySignal, check_positive
-from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _normalize, _overlap_add,
-                      check_band, check_taps, design_lowpass)
-from .wavio import PcmClip, SampleBuffer, _finite, _peak, read_wav, to_pcm, write_wav
+from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, FirFilter, _carrier, _normalize, _overlap_add,
+                      _phase, check_band, check_taps, design_lowpass)
+from .wavio import PcmClip, SampleBuffer, WavFile, _finite, _peak, open_wav, to_pcm, write_wav
 
 #: Candidate carrier phases tried when ``phase_search`` is requested.
 PHASE_CANDIDATES = 16
@@ -26,7 +26,7 @@ _RECOVERY_FLOOR = 0.01
 
 
 def demodulate(
-    signal: SampleBuffer | PcmClip,
+    signal: SampleBuffer | PcmClip | WavFile,
     carrier_hz: float = CARRIER_HZ,
     recovery_cutoff_hz: float = BAND_HZ,
     filter_taps: int = FIR_TAPS,
@@ -37,9 +37,12 @@ def demodulate(
     With ``phase_search`` the detector scores 16 evenly spaced carrier
     phases and keeps the one with the most output energy; useful when the
     input is a recording whose first sample does not line up with the
-    transmitter's carrier. The search costs two filter passes (in-phase and
-    quadrature) whatever the candidate count. Opposite phases tie in energy;
-    the one in [0, pi) is returned, so the output polarity is deterministic.
+    transmitter's carrier. The search costs one filter pass whatever the
+    candidate count: one complex band-pass at the carrier gives the in-phase
+    and quadrature arms from one transform of the input, as in ``modulate``
+    (R. G. Lyons, *Understanding Digital Signal Processing*, 3rd ed., 2011,
+    ch. 9). Opposite phases tie in energy; the one in [0, pi) is returned,
+    so the output polarity is deterministic.
     Output is peak normalized unless the recovered level is negligible
     next to the input (then the residue is returned as-is, so silence stays
     silent and out-of-band input stays tiny). The carrier comes from a table
@@ -47,9 +50,13 @@ def demodulate(
     a carrier that repeats within the signal does not drift over a long
     recording.
 
-    A ``PcmClip``'s channel 0 is read a span at a time, to the bit as
-    ``to_float`` reads it. The filter forms the product with the carrier
-    block by block, one row per carrier table.
+    A ``PcmClip``'s or an open ``WavFile``'s channel 0 is read a span at a
+    time, to the bit as ``to_float`` reads it. Their input peak is needed
+    only when the recovered level is under the floor of a full-scale input;
+    a ``WavFile``'s then comes from a second read, of its int16 spans.
+    Without the search the filter forms the product with the carrier block
+    by block; with it, the filter's two output rows are mixed with the
+    carrier block by block.
 
     ConfigInvalid unless [carrier, carrier + recovery cutoff] fits under the
     signal's Nyquist frequency and ``filter_taps`` is an odd integer >= 3.
@@ -61,16 +68,19 @@ def demodulate(
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
 
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
-    tables = [2.0 * table for table in _carrier(carrier_hz, rate, len(signal))[: 1 + phase_search]]
-    # 2 * x * c can overflow, so the finiteness check stays; each arm is its own array
-    arms = [_finite(arm) for arm in _overlap_add(signal, lpf.taps, mix_in=tables)]
-    recovered = arms[0]
-    if phase_search:
+    cos, sin = _carrier(carrier_hz, rate, len(signal))
+    if not phase_search:
+        # 2 * x * cos can overflow, so the finiteness check stays
+        recovered = _finite(_overlap_add(signal, lpf.taps, mix_in=2.0 * cos))
+    else:
+        # I + jQ, the low-passed 2x * e^(j*theta), equals e^(j*theta) times x
+        # through the band-pass 2h * e^(-j*w*k): one input transform for both.
         # Filtering 2x*cos(theta + phi) equals cos(phi)*I - sin(phi)*Q by
         # linearity, so the candidate energies follow from II, QQ and IQ.
         # Candidates k and k + 8 are negations with equal energy: score
         # k < 8 only and let argmax keep the lowest index on ties.
-        i_arm, q_arm = arms
+        i_arm, q_arm = (_finite(arm) for arm in _overlap_add(
+            signal, _band_pass_taps(lpf, carrier_hz, rate), mix_out=(cos, sin), quadrature=True))
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
         # numpy's own loop: OpenBLAS's threaded dot spins on the other core
@@ -82,7 +92,6 @@ def demodulate(
         q_arm *= s[k]
         recovered = _finite(np.subtract(i_arm, q_arm, out=i_arm))
 
-    in_peak = _peak(signal)
     # Judge the recovered level away from the filter's zero-padding
     # warm-up: the leading/trailing group-delay spans hold onset
     # transients that would trip the gate when there is nothing to
@@ -90,9 +99,19 @@ def demodulate(
     d = lpf.group_delay
     core = recovered[d:-d] if recovered.size > 2 * d else recovered
     out_peak = max(float(core.max()), -float(core.min())) if core.size else 0.0
-    if out_peak > _RECOVERY_FLOOR * in_peak and out_peak > 0.0:
+    # a PCM input's peak is at most 1.0, so a core above the floor needs no scan of it
+    loud = out_peak > _RECOVERY_FLOOR and not isinstance(signal, SampleBuffer)
+    if out_peak > 0.0 and (loud or out_peak > _RECOVERY_FLOOR * _peak(signal)):
         _normalize(recovered, 1.0, recovered)
     return SampleBuffer._adopt(recovered, rate)
+
+
+def _band_pass_taps(lpf: FirFilter, carrier_hz: float, rate: float) -> np.ndarray:
+    """Rows 2h * cos(w*k) and -2h * sin(w*k), k = -d..d: the real and imaginary
+    parts of the recovery low-pass h moved down to the carrier w, doubled."""
+    d = lpf.group_delay
+    phase = _phase(carrier_hz, rate, np.arange(-d, d + 1))
+    return np.stack([2.0 * lpf.taps * np.cos(phase), -2.0 * lpf.taps * np.sin(phase)])
 
 
 def recovered_bandwidth(signal: SampleBuffer | PcmClip) -> float:
@@ -122,12 +141,14 @@ def demodulate_file(
     the recovered bandwidth in Hz (measured on the samples written).
 
     The settings are those of ``demodulate``; the rules that need no sample
-    rate are checked before the file is read."""
+    rate are checked before the file is read. The file is read a span at a
+    time (``open_wav``), so the recording is never whole in memory."""
     check_positive(carrier_hz, ConfigInvalid, "carrier_hz")
     check_positive(recovery_cutoff_hz, ConfigInvalid, "recovery_cutoff_hz")
     check_taps(filter_taps, ConfigInvalid, "filter_taps")
-    pcm = to_pcm(demodulate(read_wav(in_path), carrier_hz, recovery_cutoff_hz, filter_taps,
-                            phase_search))
+    with open_wav(in_path) as recording:
+        pcm = to_pcm(demodulate(recording, carrier_hz, recovery_cutoff_hz, filter_taps,
+                                phase_search))
     write_wav(out_path, pcm)
     # write/read is byte-exact, so the in-memory clip is what the file holds
     return recovered_bandwidth(pcm)

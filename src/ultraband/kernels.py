@@ -6,9 +6,12 @@ polyphase resampler is a strided matrix product, so the package loads no
 scipy module. One block loop, ``_framed``, runs the overlap-add filter and
 every framed spectrum: it reads a source a span at a time, and on two CPUs
 (``_splits``) one worker thread per call takes every other block. The filter
-also mixes the carrier for ``modulate`` and ``demodulate`` block by block,
-and reads a ``PcmClip`` in spans. Tap formulas and window shapes are
-explicit here; the bin weights are ``analysis._weighted_power``.
+also mixes the carrier block by block: into its input for the plain
+``demodulate``, or into the two output rows of a complex filter for
+``modulate`` and ``demodulate``'s phase search, which then transform the
+input once. It reads a ``PcmClip`` or a ``WavFile`` in spans. Tap formulas
+and window shapes are explicit here; the bin weights are
+``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -187,26 +190,30 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
     return SampleBuffer._adopt_finite(_overlap_add(signal, filt.taps), signal.sample_rate_hz)
 
 
-def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None):
+def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None, quadrature=False):
     """``apply_filter``'s convolution of ``source`` (nonempty, read by ``_read``:
-    a ``PcmClip``'s channel 0 as ``to_float`` scales it) with each row of
-    ``taps`` (m odd), into a fresh array, or a list of one per output row.
-    Input row i is the source times mix_in[i] (read as ``_mix`` reads a
-    table); with ``mix_out``, (cos, sin), tap rows b and h give one row
-    b * cos - h * sin. ``_framed``'s frames are ``step`` input samples (the
-    last zero-padded), each transformed once for every row. A frame's last
-    m - 1 outputs (its tail) add onto the next frame's first, and each
-    block's finished span is mixed and written into the output rows in order."""
+    a ``PcmClip``'s or ``WavFile``'s channel 0 as ``to_float`` scales it)
+    with each row of ``taps`` (m odd): one fresh array for 1-D taps, else a
+    list of fresh output rows. The input is the source times the table
+    ``mix_in`` if given (read as ``_mix`` reads a table). With ``mix_out``,
+    (cos, sin), tap rows r0 and r1 are the real and imaginary parts of a
+    complex filter whose output is moved by the carrier: the output rows are
+    the real part r0 * cos - r1 * sin and, with ``quadrature``, the imaginary
+    part r0 * sin + r1 * cos. ``_framed``'s frames are ``step`` input samples
+    (the last zero-padded), each transformed once and multiplied by every
+    row's spectrum. A frame's last m - 1 outputs (its tail) add onto the
+    next frame's first, and each block's finished span is mixed and written
+    into the output rows in order."""
     m, n = taps.shape[-1], len(source)
     n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
     step = n_fft - m + 1  # input samples per frame; each frame's tail is m - 1 < step
     n_frames = -(-n // step)
-    shape = np.broadcast_shapes(() if mix_in is None else (len(mix_in),), taps.shape[:-1])
-    rows = math.prod(shape)
+    rows = math.prod(taps.shape[:-1])
     spectrum = np.fft.rfft(np.atleast_2d(taps), n_fft)[:, None, :]
     # a row holds every frame's span and the last tail; output i is convolution i + skip
     skip = (m - 1) // 2
-    full = [np.empty(n_frames * step + m - 1) for _ in range(1 if mix_out is not None else rows)]
+    full = [np.empty(n_frames * step + m - 1)
+            for _ in range(rows if mix_out is None else 1 + quadrature)]
 
     def by_row(block):  # a block's results, frame by frame, as (rows, frames, n_fft)
         return block.reshape(len(block), rows, n_fft).transpose(1, 0, 2)
@@ -222,10 +229,13 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None):
             for span, part in zip(spans, done):
                 span.reshape(k, w)[...] = part
             return
-        (cos, sin), base, quad = mix_out, spans[0], np.empty(k * w)  # contiguous, for _mix
-        base.reshape(k, w)[...] = done[0]
+        (cos, sin), first, base, quad = mix_out, c - skip, spans[0], np.empty(k * w)
+        base.reshape(k, w)[...] = done[0]  # contiguous, for _mix
         quad.reshape(k, w)[...] = done[1]
-        np.subtract(_mix(base, cos, base, c - skip), _mix(quad, sin, quad, c - skip), out=base)
+        if quadrature:  # before base is mixed in place
+            np.add(_mix(base, sin, spans[1], first), _mix(quad, cos, np.empty(k * w), first),
+                   out=spans[1])
+        np.subtract(_mix(base, cos, base, first), _mix(quad, sin, quad, first), out=base)
 
     tail = np.zeros((rows, m - 1))  # the last frame's so far, not yet added
     padded = _Rows(source, mix_in, n_frames * step)
@@ -236,17 +246,17 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None):
         emit(y[:, :, :step], first * step)
     emit(tail[:, None, :], n_frames * step)
     out = [row[skip : skip + n] for row in full]
-    return out if shape and mix_out is None else out[0]
+    return out if taps.ndim > 1 else out[0]
 
 
 @dataclass(frozen=True)
 class _Rows:
     """The filter's input, and ``measure``'s core: ``source`` from ``offset`` on,
-    read by ``_read``, times each of ``tables``, a row each (``_mix`` from the
-    span's first index), or as it is; zeros after its end, to ``length`` samples."""
+    read by ``_read``, times ``table`` (``_mix`` from the span's first index)
+    or as it is; zeros after its end, to ``length`` samples."""
 
     source: object
-    tables: list | None
+    table: np.ndarray | None
     length: int
     offset: int = 0
 
@@ -255,13 +265,9 @@ class _Rows:
 
     def _read(self, start: int, stop: int) -> np.ndarray:
         x = self.source._read(self.offset + start, min(self.offset + stop, len(self.source)))
-        if self.tables is None:
-            return x if x.size == stop - start else np.concatenate((x, np.zeros(stop - start - x.size)))
-        out = np.empty((len(self.tables), stop - start))
-        out[:, x.size :] = 0.0
-        for row, table in zip(out, self.tables):
-            _mix(x, table, row[: x.size], start)
-        return out
+        if self.table is not None:
+            x = _mix(x, self.table, np.empty(x.size), start)
+        return x if x.size == stop - start else np.concatenate((x, np.zeros(stop - start - x.size)))
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
@@ -442,10 +448,16 @@ def _carrier(freq_hz: float, rate_hz: float, n: int):
     sample k of any signal reads the carrier's value at k.
     """
     q = (Fraction(freq_hz) / Fraction(rate_hz)).denominator
-    m = min(n, -(-_CARRIER_TABLE // q) * q)
-    phase = np.fmod(np.arange(m) * float(freq_hz), rate_hz)
-    phase *= 2.0 * np.pi / rate_hz
+    phase = _phase(freq_hz, rate_hz, np.arange(min(n, -(-_CARRIER_TABLE // q) * q)))
     return np.cos(phase), np.sin(phase)
+
+
+def _phase(freq_hz: float, rate_hz: float, k: np.ndarray) -> np.ndarray:
+    """The carrier's phase 2 * pi * freq * k / rate at the integers ``k``, as
+    ``_carrier`` reduces it: (2 * pi / rate) * fmod(k * freq, rate)."""
+    phase = np.fmod(k * float(freq_hz), rate_hz)
+    phase *= 2.0 * np.pi / rate_hz
+    return phase
 
 
 def _mix(x: np.ndarray, table: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:

@@ -154,8 +154,8 @@ def modulate(signal: SampleBuffer | PcmClip,
     if _factors(signal.sample_rate_hz, rate) != (1, 1):  # resample a float copy, freed after
         signal = resample(SampleBuffer._adopt(signal._read(0, len(signal)), signal.sample_rate_hz),
                           rate)
-    out = _overlap_add(signal, _ssb_taps(config),
-                       mix_out=_carrier(config.carrier_hz, rate, len(signal)))
+    (out,) = _overlap_add(signal, _ssb_taps(config),
+                          mix_out=_carrier(config.carrier_hz, rate, len(signal)))
     if out.size >= 2:
         _taper(out, config.tukey_alpha)
     _normalize(_finite(out), config.normalize_target, out)

@@ -14,7 +14,8 @@ Three types travel through the rest of the package:
   this module decodes that layout: ``_read``, ``to_float``, ``_lane``, ``_peak``.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
-  spans of frames, as a :class:`SampleBuffer`'s samples do.
+  spans of frames, as a :class:`SampleBuffer`'s samples do, or as int16
+  spans (``_lane``) for ``_peak``.
 """
 
 from __future__ import annotations
@@ -282,11 +283,11 @@ class WavFile:
     """A 16-bit PCM WAV file held open, its header checked by the parser
     that ``read_wav`` uses; made by :func:`open_wav`.
 
-    ``len`` is the frame count. ``detect``, ``stft`` and ``measure`` read
-    channel 0 a block at a time, as float64 scaled by 1/32768 as ``to_float``
-    scales it, so each equals its result on ``to_float(read_wav(p))`` while
-    holding one block, not the file. Close it, or use it in a ``with``; a
-    closed file raises IoFailure.
+    ``len`` is the frame count. ``detect``, ``stft``, ``measure`` and
+    ``demodulate`` read channel 0 a block at a time, as float64 scaled by
+    1/32768 as ``to_float`` scales it, so each equals its result on
+    ``to_float(read_wav(p))`` while holding one block, not the file. Close
+    it, or use it in a ``with``; a closed file raises IoFailure.
     """
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
@@ -323,11 +324,15 @@ class WavFile:
             raise TruncatedFile(f"{self._path}: data chunk ends early")
         return out
 
+    def _lane(self, start: int, stop: int) -> np.ndarray:
+        """Channel 0 of frames ``start`` to ``stop`` as stored (int16)."""
+        pcm = self._read_into(start, np.empty((stop - start) * self.channels, dtype="<i2"))
+        return pcm[:: self.channels]
+
     def _read(self, start: int, stop: int) -> np.ndarray:
         """Channel 0 of frames ``start`` to ``stop`` as float64, scaled as
         ``to_float`` scales it."""
-        pcm = self._read_into(start, np.empty((stop - start) * self.channels, dtype="<i2"))
-        return pcm[:: self.channels] / READ_SCALE
+        return self._lane(start, stop) / READ_SCALE
 
 
 def open_wav(path) -> WavFile:
@@ -414,7 +419,14 @@ def _lane(signal) -> np.ndarray:
 
 
 def _peak(signal) -> float:
-    """Largest |sample| of ``_lane(signal)``, exactly as ``to_float`` scales it."""
+    """Largest |sample| of ``_lane(signal)``, exactly as ``to_float`` scales it;
+    a ``WavFile``'s channel 0 is scanned as int16 in spans of ``_PCM_CHUNK`` samples."""
+    if isinstance(signal, WavFile):
+        peak, step = 0, max(1, _PCM_CHUNK // signal.channels)
+        for start in range(0, len(signal), step):
+            x = signal._lane(start, min(start + step, len(signal)))
+            peak = max(peak, int(x.max()), -int(x.min()))
+        return peak / READ_SCALE
     x = _lane(signal)
     return max(float(x.max()), -float(x.min())) / (READ_SCALE if isinstance(signal, PcmClip) else 1.0)
 

@@ -1,11 +1,14 @@
 """The carrier mix inside the overlap-add keeps every bit of the whole-signal mix.
 
 ``modulate`` and ``demodulate`` mix the carrier block by block inside
-``kernels._overlap_add`` and read a ``PcmClip`` a span at a time.
-The references below are the whole-signal forms they replace: the two-row
-filter output mixed with ``_mix`` and subtracted for ``modulate``, and for
-each arm of ``demodulate`` the whole product ``_mix`` then ``apply_filter``.
-Each comparison is ``np.array_equal``, on one CPU and on two.
+``kernels._overlap_add`` and read a ``PcmClip`` or a ``WavFile`` a span at a
+time. The references below are the whole-signal forms they replace: the
+two-row filter output mixed with ``_mix`` for ``modulate`` and for the
+arms of ``demodulate``'s phase search, and the whole product ``_mix`` then
+``apply_filter`` for the plain ``demodulate``. Each comparison is
+``np.array_equal``, on one CPU and on two. The phase search is also held
+to its per-arm product form, each arm a whole product through
+``apply_filter``, within ``_per_arm_bound``.
 """
 
 import numpy as np
@@ -15,11 +18,22 @@ from test_analysis import _threads_end_with_the_call
 from test_kernels import _CARRIERS, _block_edges
 from ultraband import (BadArgument, ModulationConfig, PcmClip, SampleBuffer, apply_filter,
                        demodulate, demodulate_file, design_lowpass, kernels, modulate,
-                       modulate_file, peak_normalize, read_wav, resample, to_float, to_pcm,
-                       write_wav)
-from ultraband.demodulator import PHASE_CANDIDATES, _RECOVERY_FLOOR
+                       modulate_file, open_wav, peak_normalize, read_wav, resample, to_float,
+                       to_pcm, write_wav)
+from ultraband.demodulator import PHASE_CANDIDATES, _RECOVERY_FLOOR, _band_pass_taps
 from ultraband.kernels import FIR_TAPS, _carrier, _mix, _overlap_add, _taper, next_fast_len
 from ultraband.modulator import _ssb_taps
+
+
+def _per_arm_bound(n: int, freq: float, rate: float) -> float:
+    """Largest difference, after normalisation, between the phase search and
+    its per-arm product form over ``n`` samples. The sums run in another
+    order (at most 1.4e-15 measured for a carrier that repeats). A carrier
+    that does not repeat within the signal reads a phase that holds the
+    rounding of k * freq, up to 2 * pi / rate * eps * n * freq at sample n:
+    the per-arm form reads it at every tap's sample, the band-pass at one
+    (1.5e-11 measured at 114817 samples of 15999.7 Hz, bound 5.3e-11)."""
+    return 1e-13 + 2.0 * np.pi / rate * np.finfo(float).eps * n * freq
 
 
 def _modulate_whole(signal: SampleBuffer, config: ModulationConfig) -> np.ndarray:
@@ -34,16 +48,28 @@ def _modulate_whole(signal: SampleBuffer, config: ModulationConfig) -> np.ndarra
     return peak_normalize(SampleBuffer(mixed, work.sample_rate_hz), config.normalize_target).samples
 
 
-def _demodulate_whole(signal: SampleBuffer, carrier_hz, cutoff_hz, taps, phase_search) -> np.ndarray:
-    """``demodulate`` with each arm a whole product through ``apply_filter``."""
-    rate = signal.sample_rate_hz
+def _demodulate_whole(signal: SampleBuffer, carrier_hz, cutoff_hz, taps, phase_search,
+                      per_arm=False) -> np.ndarray:
+    """``demodulate`` with the mix over whole rows: the product then
+    ``apply_filter``, or for the search the two-row band-pass then ``_mix``
+    for I and Q; with ``per_arm``, each arm a whole product through
+    ``apply_filter``."""
+    rate, n = signal.sample_rate_hz, len(signal)
     lpf = design_lowpass(cutoff_hz, rate, taps)
-    arms = [apply_filter(lpf, SampleBuffer(_mix(signal.samples, 2.0 * table, np.empty(len(signal))),
-                                           rate)).samples
-            for table in _carrier(carrier_hz, rate, len(signal))[: 1 + phase_search]]
-    recovered = arms[0]
+    cos, sin = _carrier(carrier_hz, rate, n)
+
+    def product(table):
+        return apply_filter(lpf, SampleBuffer(_mix(signal.samples, 2.0 * table, np.empty(n)),
+                                              rate)).samples
+
+    recovered = product(cos)
+    if phase_search and per_arm:
+        i_arm, q_arm = recovered, product(sin)
+    elif phase_search:
+        r0, r1 = _overlap_add(signal, _band_pass_taps(lpf, carrier_hz, rate))
+        i_arm = _mix(r0, cos, np.empty(n)) - _mix(r1, sin, np.empty(n))
+        q_arm = _mix(r0, sin, np.empty(n)) + _mix(r1, cos, np.empty(n))
     if phase_search:
-        i_arm, q_arm = arms
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
         ii, qq, iq = (np.einsum("i,i->", a, b) for a, b in ((i_arm, i_arm), (q_arm, q_arm),
@@ -98,16 +124,22 @@ def test_modulate_equals_the_whole_signal_mix(monkeypatch, freq, rate, q, n):
 
 @pytest.mark.parametrize("phase_search", [False, True])
 @pytest.mark.parametrize("freq, rate, q", _CARRIERS)
-def test_demodulate_equals_the_whole_signal_mix(monkeypatch, freq, rate, q, phase_search):
+def test_demodulate_equals_the_whole_signal_mix(monkeypatch, tmp_path, freq, rate, q, phase_search):
     cutoff = _band(freq, rate)
+    # the phase search's filter has two tap rows, the plain one one
     for n in [1, 2, 300] + _edges(FIR_TAPS, 1 + phase_search):
         clip, buf = _noise(n, rate, n)
+        write_wav(tmp_path / "in.wav", clip)
         expected = _demodulate_whole(buf, freq, cutoff, FIR_TAPS, phase_search)
-        for cpus in (1, 2):
-            for signal in (buf, clip):
-                out = _on_cpus(monkeypatch, cpus,
-                               lambda: demodulate(signal, freq, cutoff, FIR_TAPS, phase_search))
-                assert np.array_equal(out.samples, expected), (n, cpus, type(signal))
+        if phase_search:
+            per_arm = _demodulate_whole(buf, freq, cutoff, FIR_TAPS, True, per_arm=True)
+            assert np.max(np.abs(expected - per_arm)) <= _per_arm_bound(n, freq, rate), n
+        with open_wav(tmp_path / "in.wav") as wav:
+            for cpus in (1, 2):
+                for signal in (buf, clip, wav):
+                    out = _on_cpus(monkeypatch, cpus,
+                                   lambda: demodulate(signal, freq, cutoff, FIR_TAPS, phase_search))
+                    assert np.array_equal(out.samples, expected), (n, cpus, type(signal))
 
 
 def test_mix_reads_the_table_from_any_first_index():
@@ -153,11 +185,11 @@ def test_modulate_threads_end_with_the_call(monkeypatch):
 
 @pytest.mark.parametrize("call, module, name", [
     (lambda clip: modulate(clip).samples, PcmClip, "_read"),
-    (lambda clip: demodulate(clip, phase_search=True).samples, kernels, "_mix"),
+    (lambda clip: demodulate(clip, phase_search=True).samples, PcmClip, "_read"),
 ], ids=["modulate-clip-read", "phase_search-mixed-read"])
 def test_a_read_that_fails_on_the_worker_ends_with_the_call(monkeypatch, call, module, name):
-    # the worker reads its own spans: the clip's channel 0 under the mix_out
-    # path, and a row per carrier table under the phase search
+    # the worker reads its own spans of the clip's channel 0: both filters
+    # take two tap rows and mix their output rows on the calling thread
     clip, _ = _noise(5 * 48000, 48000.0, 7)
     _threads_end_with_the_call(monkeypatch, lambda: call(clip), module, name)
 

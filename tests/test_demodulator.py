@@ -161,26 +161,41 @@ def test_phase_search_matches_brute_force_pick(make, default_config):
     assert best < 8
 
 
+@pytest.mark.parametrize("carrier, rate, taps", [
+    (CARRIER_HZ, RATE, FIR_TAPS), (15999.7, 44100.0, 255), (1000.0, 8000.0, 3)])
+def test_band_pass_taps_are_the_low_pass_moved_to_the_carrier(carrier, rate, taps):
+    # an independent form of the search's tap rows: 2h * e^(-j*w*k), k = -d..d
+    lpf = design_lowpass(BAND_HZ if rate > 2 * (carrier + BAND_HZ) else 500.0, rate, taps)
+    w = 2.0 * np.pi * carrier / rate * np.arange(-(taps // 2), taps // 2 + 1)
+    rows = demodulator._band_pass_taps(lpf, carrier, rate)
+    expected = np.stack([2.0 * lpf.taps * np.cos(w), -2.0 * lpf.taps * np.sin(w)])
+    assert rows.shape == (2, taps)
+    assert np.max(np.abs(rows - expected)) <= 1e-13
+
+
 def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
-    # one filter call whose input rows (x mixed with each carrier table) are the passes
+    # one filter call: the search's two passes are two tap rows (the complex
+    # band-pass) on one transform of the input, which no carrier table mixes;
+    # the plain detector's one pass filters the input times one table
     calls = []
     overlap_add = demodulator._overlap_add
 
-    def counting(source, taps, mix_in):
-        calls.append((len(source), len(mix_in), taps.ndim))
-        return overlap_add(source, taps, mix_in=mix_in)
+    def counting(source, taps, **mix):
+        calls.append((len(source), taps.shape[:-1], np.ndim(mix.get("mix_in"))))
+        return overlap_add(source, taps, **mix)
 
     monkeypatch.setattr(demodulator, "_overlap_add", counting)
     signal = _cropped_covert(default_config)
     demodulate(signal, phase_search=True)
-    assert calls == [(len(signal), 2, 1)]
+    assert calls == [(len(signal), (2,), 0)]
     calls.clear()
     demodulate(signal)
-    assert calls == [(len(signal), 1, 1)]
+    assert calls == [(len(signal), (), 1)]
 
 
 def test_phase_search_memory_at_10_s():
-    # 15.6 MiB measured (22.8 MiB with per-sample carriers); 2.4 MiB margin
+    # 9.8-10.3 MiB measured on two CPUs (11.65 MiB with an input row per
+    # carrier table, 22.8 MiB with per-sample carriers); 1.7 MiB margin
     high = SampleBuffer(np.random.default_rng(5).uniform(-1.0, 1.0, 10 * int(RATE)), RATE)
     tracemalloc.start()
     try:
@@ -188,7 +203,7 @@ def test_phase_search_memory_at_10_s():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 << 20, peak
+    assert peak <= 12 << 20, peak
 
 
 @pytest.mark.parametrize("phase_search", [False, True])

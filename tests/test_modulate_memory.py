@@ -8,7 +8,9 @@ the whole mixed input, ``peak_normalize``'s copy, ``to_pcm``'s float scratch
 and ``measure``'s whole blocks of Welch frames. On an 18 s 48 kHz clip
 ``modulate_file`` then peaked (tracemalloc) at 5.5 times the output's
 float64 bytes and ``demodulate_file`` at 3.6 (5.0 with the phase search);
-without them they read about 2.2, 1.9 and 2.9.
+without them they read about 2.2, 1.9 and 2.9. ``demodulate_file`` now
+reads its input a span at a time, and the phase search filters one input
+row, not two: 1.55-1.64 and 2.44-2.50 over four runs on two CPUs.
 """
 
 import tracemalloc
@@ -18,9 +20,10 @@ import pytest
 
 from ultraband import PcmClip, demodulate_file, modulate_file, write_wav
 
-#: Peaks over the output's float64 bytes.
+#: Peaks over the output's float64 bytes; the demodulator's are 0.25 above
+#: the largest measured.
 _PEAK_OVER_OUTPUT = 2.5
-_DEMODULATE_PEAK_OVER_OUTPUT = {False: 2.5, True: 3.5}
+_DEMODULATE_PEAK_OVER_OUTPUT = {False: 1.9, True: 2.75}
 
 _RATE, _N = 48000, 18 * 48000
 
