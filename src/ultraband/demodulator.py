@@ -70,8 +70,7 @@ def demodulate(
     lpf = design_lowpass(recovery_cutoff_hz, rate, filter_taps)
     cos, sin = _carrier(carrier_hz, rate, len(signal))
     if not phase_search:
-        # 2 * x * cos can overflow, so the finiteness check stays
-        recovered = _finite(_overlap_add(signal, lpf.taps, mix_in=2.0 * cos))
+        (recovered,) = _overlap_add(signal, lpf.taps, mix_in=2.0 * cos)
     else:
         # I + jQ, the low-passed 2x * e^(j*theta), equals e^(j*theta) times x
         # through the band-pass 2h * e^(-j*w*k): one input transform for both.
@@ -79,8 +78,8 @@ def demodulate(
         # linearity, so the candidate energies follow from II, QQ and IQ.
         # Candidates k and k + 8 are negations with equal energy: score
         # k < 8 only and let argmax keep the lowest index on ties.
-        i_arm, q_arm = (_finite(arm) for arm in _overlap_add(
-            signal, _band_pass_taps(lpf, carrier_hz, rate), mix_out=(cos, sin), quadrature=True))
+        i_arm, q_arm = _overlap_add(signal, _band_pass_taps(lpf, carrier_hz, rate),
+                                    mix_out=((cos, -sin), (sin, cos)))
         phis = 2.0 * np.pi * np.arange(PHASE_CANDIDATES // 2) / PHASE_CANDIDATES
         c, s = np.cos(phis), np.sin(phis)
         # numpy's own loop: OpenBLAS's threaded dot spins on the other core

@@ -7,11 +7,12 @@ scipy module. One block loop, ``_framed``, runs the overlap-add filter and
 every framed spectrum: it reads a source a span at a time, and on two CPUs
 (``_splits``) one worker thread per call takes every other block. The filter
 also mixes the carrier block by block: into its input for the plain
-``demodulate``, or into the two output rows of a complex filter for
-``modulate`` and ``demodulate``'s phase search, which then transform the
-input once. It reads a ``PcmClip`` or a ``WavFile`` in spans. Tap formulas
-and window shapes are explicit here; the bin weights are
-``analysis._weighted_power``.
+``demodulate``, or, for ``modulate`` and ``demodulate``'s phase search, into
+the output of a complex filter with tap rows r0 and r1, one row r0 * a + r1 * b
+per pair of carrier tables (a, b), so the input is transformed once. It reads
+a ``PcmClip`` or a ``WavFile`` in spans, and returns a list of rows, each
+checked finite. Tap formulas and window shapes are explicit here; the bin
+weights are ``analysis._weighted_power``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
                      RateMismatch, check_count, check_fraction, check_positive)
-from .wavio import SampleBuffer
+from .wavio import SampleBuffer, _finite
 
 log = logging.getLogger(__name__)
 
@@ -187,33 +188,33 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         )
     if len(signal) == 0:
         return signal
-    return SampleBuffer._adopt_finite(_overlap_add(signal, filt.taps), signal.sample_rate_hz)
+    (y,) = _overlap_add(signal, filt.taps)
+    return SampleBuffer._adopt(y, signal.sample_rate_hz)
 
 
-def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None, quadrature=False):
+def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=()):
     """``apply_filter``'s convolution of ``source`` (nonempty, read by ``_read``:
     a ``PcmClip``'s or ``WavFile``'s channel 0 as ``to_float`` scales it)
-    with each row of ``taps`` (m odd): one fresh array for 1-D taps, else a
-    list of fresh output rows. The input is the source times the table
-    ``mix_in`` if given (read as ``_mix`` reads a table). With ``mix_out``,
-    (cos, sin), tap rows r0 and r1 are the real and imaginary parts of a
-    complex filter whose output is moved by the carrier: the output rows are
-    the real part r0 * cos - r1 * sin and, with ``quadrature``, the imaginary
-    part r0 * sin + r1 * cos. ``_framed``'s frames are ``step`` input samples
-    (the last zero-padded), each transformed once and multiplied by every
-    row's spectrum. A frame's last m - 1 outputs (its tail) add onto the
-    next frame's first, and each block's finished span is mixed and written
-    into the output rows in order."""
-    m, n = taps.shape[-1], len(source)
+    with each row of ``taps`` (m odd; 1-D taps are one row). The input is the
+    source times the table ``mix_in`` if given (read as ``_mix`` reads a
+    table). With ``mix_out``, pairs of tables (a, b), tap rows r0 and r1 are
+    the real and imaginary parts of a complex filter whose output is moved by
+    the carrier: each pair's output row is r0 * a + r1 * b. ``_framed``'s
+    frames are ``step`` input samples (the last zero-padded), each transformed
+    once and multiplied by every row's spectrum. A frame's last m - 1 outputs
+    (its tail) add onto the next frame's first, and each block's finished
+    span is mixed and written into the output rows in order. Returns a list
+    of fresh rows, one per pair of ``mix_out`` or else per tap row, each
+    checked finite."""
+    taps = np.atleast_2d(taps)
+    (rows, m), n = taps.shape, len(source)
     n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
     step = n_fft - m + 1  # input samples per frame; each frame's tail is m - 1 < step
     n_frames = -(-n // step)
-    rows = math.prod(taps.shape[:-1])
-    spectrum = np.fft.rfft(np.atleast_2d(taps), n_fft)[:, None, :]
+    spectrum = np.fft.rfft(taps, n_fft)[:, None, :]
     # a row holds every frame's span and the last tail; output i is convolution i + skip
     skip = (m - 1) // 2
-    full = [np.empty(n_frames * step + m - 1)
-            for _ in range(rows if mix_out is None else 1 + quadrature)]
+    full = [np.empty(n_frames * step + m - 1) for _ in range(len(mix_out) or rows)]
 
     def by_row(block):  # a block's results, frame by frame, as (rows, frames, n_fft)
         return block.reshape(len(block), rows, n_fft).transpose(1, 0, 2)
@@ -225,17 +226,17 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None, quadrature
     def emit(done, c):  # done: (rows, k, w), convolution samples c, c + 1, ...
         k, w = done.shape[1:]
         spans = [row[c : c + k * w] for row in full]
-        if mix_out is None:
+        if not mix_out:
             for span, part in zip(spans, done):
                 span.reshape(k, w)[...] = part
             return
-        (cos, sin), first, base, quad = mix_out, c - skip, spans[0], np.empty(k * w)
+        first, base, quad = c - skip, spans[0], np.empty(k * w)
         base.reshape(k, w)[...] = done[0]  # contiguous, for _mix
         quad.reshape(k, w)[...] = done[1]
-        if quadrature:  # before base is mixed in place
-            np.add(_mix(base, sin, spans[1], first), _mix(quad, cos, np.empty(k * w), first),
-                   out=spans[1])
-        np.subtract(_mix(base, cos, base, first), _mix(quad, sin, quad, first), out=base)
+        for span, (a, b) in zip(spans[1:], mix_out[1:]):  # before base is mixed in place
+            np.add(_mix(base, a, span, first), _mix(quad, b, np.empty(k * w), first), out=span)
+        a, b = mix_out[0]
+        np.add(_mix(base, a, base, first), _mix(quad, b, quad, first), out=base)
 
     tail = np.zeros((rows, m - 1))  # the last frame's so far, not yet added
     padded = _Rows(source, mix_in, n_frames * step)
@@ -245,8 +246,7 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=None, quadrature
         tail[...] = y[:, -1, step:]
         emit(y[:, :, :step], first * step)
     emit(tail[:, None, :], n_frames * step)
-    out = [row[skip : skip + n] for row in full]
-    return out if taps.ndim > 1 else out[0]
+    return [_finite(row[skip : skip + n]) for row in full]
 
 
 @dataclass(frozen=True)

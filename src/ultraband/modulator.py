@@ -27,7 +27,7 @@ from . import analysis
 from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _normalize, _overlap_add,
                       _taper, check_band, check_taps, resample)
-from .wavio import PcmClip, SampleBuffer, _finite, read_wav, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, read_wav, to_pcm, write_wav
 
 #: Lower edge of the single-sideband passband. Baseband content below it
 #: would land just under the carrier, so the filter drops it.
@@ -154,11 +154,11 @@ def modulate(signal: SampleBuffer | PcmClip,
     if _factors(signal.sample_rate_hz, rate) != (1, 1):  # resample a float copy, freed after
         signal = resample(SampleBuffer._adopt(signal._read(0, len(signal)), signal.sample_rate_hz),
                           rate)
-    (out,) = _overlap_add(signal, _ssb_taps(config),
-                          mix_out=_carrier(config.carrier_hz, rate, len(signal)))
+    cos, sin = _carrier(config.carrier_hz, rate, len(signal))
+    (out,) = _overlap_add(signal, _ssb_taps(config), mix_out=((cos, -sin),))
     if out.size >= 2:
         _taper(out, config.tukey_alpha)
-    _normalize(_finite(out), config.normalize_target, out)
+    _normalize(out, config.normalize_target, out)
     return SampleBuffer._adopt(out, rate)
 
 

@@ -18,7 +18,7 @@ from .analysis import true_runs
 from .demodulator import recovered_bandwidth
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
 from .kernels import _framed, resample, resampled_length
-from .wavio import PcmClip, SampleBuffer, WavFile, _lane, read_wav, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, WavFile, read_wav, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
 #: frame length and shortest kept region.
@@ -137,7 +137,7 @@ def embed_file(
     host, payload = read_wav(host_path), read_wav(payload_path)
     silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
     (start, end), mixed = _embed(host, payload, silence, gain)
-    out = _lane(host).copy()
+    out = host._lane(0, len(host)).copy()
     out[start:end] = to_pcm(mixed).samples
     write_wav(out_path, PcmClip._adopt(out, host.sample_rate_hz, 1))
 

@@ -10,8 +10,8 @@ file open and reads it a block at a time.
 Three types travel through the rest of the package:
 
 * :class:`PcmClip` -- integer samples exactly as stored on disk; ``len`` is
-  its frame count, and each span reader (``_read``) takes its channel 0. Only
-  this module decodes that layout: ``_read``, ``to_float``, ``_lane``, ``_peak``.
+  its frame count, and each span reader (``_read``, ``_lane``) takes its
+  channel 0. Only this module decodes that layout: those two and ``to_float``.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
 * :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
   spans of frames, as a :class:`SampleBuffer`'s samples do, or as int16
@@ -125,9 +125,13 @@ class PcmClip:
     def __len__(self) -> int:
         return self.frames
 
+    def _lane(self, start: int, stop: int) -> np.ndarray:
+        """Channel 0 of frames ``start`` to ``stop`` as stored: an int16 view."""
+        return self.samples[start * self.channels : stop * self.channels : self.channels]
+
     def _read(self, start: int, stop: int) -> np.ndarray:
         """Channel 0 of frames ``start`` to ``stop`` as float64, as ``to_float`` scales it."""
-        return self.samples[start * self.channels : stop * self.channels : self.channels] / READ_SCALE
+        return self._lane(start, stop) / READ_SCALE
 
     @property
     def duration_s(self) -> float:
@@ -180,6 +184,8 @@ class SampleBuffer:
     def _read(self, start: int, stop: int) -> np.ndarray:
         """Samples ``start`` to ``stop``, a view, as ``WavFile._read`` reads them."""
         return self.samples[start:stop]
+
+    _lane = _read  # the samples as stored
 
 
 def _finite(samples: np.ndarray) -> np.ndarray:
@@ -413,22 +419,14 @@ def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:
     return SampleBuffer._adopt(lane / READ_SCALE, clip.sample_rate_hz)
 
 
-def _lane(signal) -> np.ndarray:
-    """A SampleBuffer's samples, or a PcmClip's channel 0 as a strided int16 view."""
-    return signal.samples[:: signal.channels] if isinstance(signal, PcmClip) else signal.samples
-
-
 def _peak(signal) -> float:
-    """Largest |sample| of ``_lane(signal)``, exactly as ``to_float`` scales it;
-    a ``WavFile``'s channel 0 is scanned as int16 in spans of ``_PCM_CHUNK`` samples."""
-    if isinstance(signal, WavFile):
-        peak, step = 0, max(1, _PCM_CHUNK // signal.channels)
-        for start in range(0, len(signal), step):
-            x = signal._lane(start, min(start + step, len(signal)))
-            peak = max(peak, int(x.max()), -int(x.min()))
-        return peak / READ_SCALE
-    x = _lane(signal)
-    return max(float(x.max()), -float(x.min())) / (READ_SCALE if isinstance(signal, PcmClip) else 1.0)
+    """Largest |sample| of channel 0, exactly as ``to_float`` scales it, from
+    ``_lane`` spans of ``_PCM_CHUNK`` samples (a PCM source's stay int16)."""
+    peak, step = 0.0, max(1, _PCM_CHUNK // getattr(signal, "channels", 1))
+    for start in range(0, len(signal), step):
+        x = signal._lane(start, min(start + step, len(signal)))
+        peak = max(peak, float(x.max()), -float(x.min()))
+    return peak if isinstance(signal, SampleBuffer) else peak / READ_SCALE
 
 
 def to_pcm(buf: SampleBuffer) -> PcmClip:

@@ -103,7 +103,7 @@ def test_peak_of_an_open_wav_equals_the_clip_peak(tmp_path, channels, n):
         write_wav(path, clip)
         with open_wav(path) as wav:
             peak = _peak(wav)
-        assert peak == _peak(read_wav(path)) == _peak(clip)
+        assert peak == _peak(read_wav(path)) == _peak(clip) == _peak(to_float(clip))
         assert expected is None or peak == expected
 
 

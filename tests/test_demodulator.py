@@ -173,24 +173,26 @@ def test_band_pass_taps_are_the_low_pass_moved_to_the_carrier(carrier, rate, tap
     assert np.max(np.abs(rows - expected)) <= 1e-13
 
 
-def test_phase_search_costs_two_filter_passes(monkeypatch, default_config):
+def test_phase_search_is_one_filter_call(monkeypatch, default_config):
     # one filter call: the search's two passes are two tap rows (the complex
-    # band-pass) on one transform of the input, which no carrier table mixes;
-    # the plain detector's one pass filters the input times one table
+    # band-pass) on one transform of the input, which no carrier table mixes,
+    # and its two arms are two pairs of output tables; the plain detector's
+    # one pass filters the input times one table and mixes no output
     calls = []
     overlap_add = demodulator._overlap_add
 
     def counting(source, taps, **mix):
-        calls.append((len(source), taps.shape[:-1], np.ndim(mix.get("mix_in"))))
+        calls.append((len(source), taps.shape[:-1], np.ndim(mix.get("mix_in")),
+                      len(mix.get("mix_out", ()))))
         return overlap_add(source, taps, **mix)
 
     monkeypatch.setattr(demodulator, "_overlap_add", counting)
     signal = _cropped_covert(default_config)
     demodulate(signal, phase_search=True)
-    assert calls == [(len(signal), (2,), 0)]
+    assert calls == [(len(signal), (2,), 0, 2)]
     calls.clear()
     demodulate(signal)
-    assert calls == [(len(signal), (), 1)]
+    assert calls == [(len(signal), (), 1, 0)]
 
 
 def test_phase_search_memory_at_10_s():

@@ -191,6 +191,23 @@ def test_filter_matches_direct_convolution(taps, n):
     assert np.array_equal(rows, [out.samples, 2.0 * out.samples])
 
 
+@pytest.mark.parametrize("shape, pairs", [((31,), 0), ((2, 31), 0), ((2, 31), 1), ((2, 31), 2)],
+                         ids=["1-D", "two-rows", "two-rows-one-pair", "two-rows-two-pairs"])
+def test_filter_returns_a_list_of_separate_rows(shape, pairs):
+    # one row per pair of output tables, else per tap row; no two rows share
+    # memory, not even through the arrays they are views of, so a kept row
+    # keeps no other alive
+    rng = np.random.default_rng(pairs)
+    n, taps = 3000, rng.uniform(-1.0, 1.0, shape)
+    cos, sin = _carrier(16000.0, RATE, n)
+    mix_out = ((cos, -sin), (sin, cos))[:pairs]
+    out = _overlap_add(SampleBuffer(rng.uniform(-1.0, 1.0, n), RATE), taps, mix_out=mix_out)
+    assert isinstance(out, list) and len(out) == (pairs or np.atleast_2d(taps).shape[0])
+    assert all(row.shape == (n,) for row in out)
+    owners = [row if row.base is None else row.base for row in out]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(owners) for b in owners[i + 1 :])
+
+
 def _split_cases():
     """(taps, rows, n): for one and two tap rows, lengths of one frame below,
     at and one above the split threshold (two runs of ``_FFT_POINTS`` points)."""
