@@ -104,14 +104,21 @@ def _spectrum(signal: SampleBuffer) -> tuple:
     """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
     of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
     zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform.
-    Segments are ``_framed``'s frames, a block each at 2**17, summed in order."""
+    Segments are ``_framed``'s frames, a block each at 2**17 (``_summed_power``)."""
     n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
-    energy = np.zeros(n_fft // 2 + 1)
-    for _, power in _framed(signal, n_fft, n_fft, partial(_weighted_power, n_fft=n_fft),
-                            n_fft // 2 + 1, pad=True):
+    energy = _summed_power(signal, n_fft, n_fft, pad=True)  # before the freqs: a smaller peak
+    return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
+
+
+def _summed_power(source, seg: int, hop: int, window=None, pad: bool = False) -> np.ndarray:
+    """``_weighted_power`` of ``_framed``'s frames of ``source`` (``seg`` long, ``hop``
+    apart, times ``window``, ``pad`` as there), the rows added one by one in frame order."""
+    energy = np.zeros(seg // 2 + 1)
+    for _, power in _framed(source, seg, hop, partial(_weighted_power, n_fft=seg), seg // 2 + 1,
+                            window, pad):
         for row in power:  # in place: a new sum per row cost 1 MB of RSS
             energy += row
-    return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
+    return energy
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
@@ -171,6 +178,21 @@ def band_energy(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
     return float(energy[_band_mask(freqs, lo_hz, hi_hz, nyquist)].sum())
 
 
+def recovered_bandwidth(signal: SampleBuffer | PcmClip) -> float:
+    """Smallest frequency below which 95% of the signal's energy lies, in the
+    segmented spectrum that ``band_energy`` sums (``_spectrum``).
+
+    Useful as a one-number judgment of how much of the original band
+    survived a modulate/transmit/demodulate trip. A ``PcmClip``'s channel 0
+    is read a block at a time, with the bits of ``to_float``'s samples and
+    no float copy of the clip.
+    """
+    if len(signal) == 0:
+        raise EmptySignal("no bandwidth for an empty signal")
+    (bandwidth,) = _occupancy(*_spectrum(signal), 0.95)
+    return bandwidth
+
+
 def _occupancy(freqs: np.ndarray, energy: np.ndarray, *quantiles: float) -> tuple:
     """Lowest frequency at or below which each quantile of the energy lies;
     all zeros when there is no energy."""
@@ -194,9 +216,10 @@ def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig"
     energy. A region shorter than one segment is one Hann frame of its own
     length. ``np.hanning`` is zero at both ends, so the first and the last
     framed sample get zero weight (an impulse there reads none). Rows sum one
-    at a time, the energy in ``kernels._BLOCK_SAMPLES`` spans, in order: one
-    CPU or two, and a ``PcmClip``, its ``WavFile`` or its ``to_float``, give
-    equal bits (16-bit squares sum exactly to 2**23 samples).
+    at a time (``_summed_power``), the energy in ``kernels._BLOCK_SAMPLES``
+    spans, in order: one CPU or two, and a ``PcmClip``, its ``WavFile`` or
+    its ``to_float``, give equal bits (16-bit squares sum exactly to 2**23
+    samples).
 
     * leakage: energy below carrier - 500 Hz relative to total energy.
     * occupancy: 5% and 95% spectral-energy quantile frequencies.
@@ -217,11 +240,7 @@ def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig"
     nyquist = rate / 2.0
 
     seg = min(WELCH_SEGMENT, len(core))
-    energy = np.zeros(seg // 2 + 1)
-    for _, power in _framed(core, seg, max(1, seg // 2), _weighted_power, seg // 2 + 1,
-                            np.hanning(seg)):
-        for row in power:  # in frame order, as ``_spectrum`` adds its rows
-            energy += row
+    energy = _summed_power(core, seg, max(1, seg // 2), np.hanning(seg))
     scale, span = 0.0, kernels._BLOCK_SAMPLES
     for i in range(0, len(core), span):  # in order; exact for PCM under 2**23 samples
         x = core._read(i, min(i + span, len(core)))
@@ -310,8 +329,6 @@ def detect(
     nyquist = rate / 2.0
     frame_len = max(2, int(round(FRAME_MS * rate / 1000.0)))
     hop = max(1, frame_len // 2)
-    if len(signal) < frame_len:
-        return DetectionVerdict(False, 0.0, 0.0, np.zeros(0, dtype=bool))
 
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / rate)
     # a band's energy is 2 / frame_len times re**2 + im**2 summed over its run
@@ -327,7 +344,7 @@ def detect(
         for e, cols in zip(out.T, bands):
             np.einsum("ij,ij->i", view[:, cols], view[:, cols], out=e)
 
-    sums = np.empty(((len(signal) - frame_len) // hop + 1, 2))
+    sums = np.empty((max(0, (len(signal) - frame_len) // hop + 1), 2))  # none in a short clip
     for first, rows in _framed(signal, frame_len, hop, band_sums, 2):
         sums[first : first + len(rows)] = rows  # rows is reused for the next block
     e_attack, e_speech = sums.T * (2.0 / frame_len)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _occupancy, _spectrum
+from .analysis import recovered_bandwidth
 from .errors import ConfigInvalid, EmptySignal, check_positive
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, FirFilter, _carrier, _normalize, _overlap_add,
                       _phase, check_band, check_taps, design_lowpass)
@@ -111,21 +111,6 @@ def _band_pass_taps(lpf: FirFilter, carrier_hz: float, rate: float) -> np.ndarra
     d = lpf.group_delay
     phase = _phase(carrier_hz, rate, np.arange(-d, d + 1))
     return np.stack([2.0 * lpf.taps * np.cos(phase), -2.0 * lpf.taps * np.sin(phase)])
-
-
-def recovered_bandwidth(signal: SampleBuffer | PcmClip) -> float:
-    """Smallest frequency below which 95% of the signal's energy lies, in the
-    segmented spectrum that ``band_energy`` sums (``analysis._spectrum``).
-
-    Useful as a one-number judgment of how much of the original band
-    survived a modulate/transmit/demodulate trip. A ``PcmClip``'s channel 0
-    is read a block at a time, with the bits of ``to_float``'s samples and
-    no float copy of the clip.
-    """
-    if len(signal) == 0:
-        raise EmptySignal("no bandwidth for an empty signal")
-    (bandwidth,) = _occupancy(*_spectrum(signal), 0.95)
-    return bandwidth
 
 
 def demodulate_file(

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadAlpha, BadArgument, BadCutoff, BadRate, BadTaps, EmptySignal,
                      RateMismatch, check_count, check_fraction, check_positive)
-from .wavio import SampleBuffer, _finite
+from .wavio import PcmClip, SampleBuffer, WavFile, _finite
 
 log = logging.getLogger(__name__)
 
@@ -364,7 +364,7 @@ def hilbert(signal: SampleBuffer) -> SampleBuffer:
     spectrum[0] = 0.0
     if n % 2 == 0:
         spectrum[-1] = 0.0
-    return SampleBuffer._adopt_finite(np.fft.irfft(spectrum, n), signal.sample_rate_hz)
+    return SampleBuffer._adopt(_finite(np.fft.irfft(spectrum, n)), signal.sample_rate_hz)
 
 
 def _tukey_ramps(length: int, alpha: float):
@@ -537,7 +537,7 @@ def resampled_length(signal: SampleBuffer, new_rate_hz: float) -> int:
     return -(-len(signal) * up // down)
 
 
-def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
+def resample(signal: SampleBuffer | PcmClip | WavFile, new_rate_hz: float) -> SampleBuffer:
     """Band-limited rational resampling (polyphase Kaiser-windowed sinc).
 
     The up/down factors are the exact ratio of the two rates in lowest terms,
@@ -546,12 +546,13 @@ def resample(signal: SampleBuffer, new_rate_hz: float) -> SampleBuffer:
     lower of the two Nyquist rates, and the output equals
     ``scipy.signal.resample_poly`` to rounding (about 1e-15) in length and
     alignment: ``resampled_length`` samples, the first at the first input's
-    time. Content below 0.45 * min(old, new) rate survives within 0.5 dB. A
-    same-rate request shares the input's samples. BadRate is raised, at any
-    length, when either factor exceeds ``MAX_RESAMPLE_FACTOR`` or
-    ``new_rate_hz`` is not positive and finite.
+    time. Content below 0.45 * min(old, new) rate survives within 0.5 dB.
+    Any span source is read whole by ``_read``; a same-rate ``SampleBuffer``
+    shares its samples. BadRate is raised, at any length, when either factor
+    exceeds ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not positive and finite.
     """
     up, down = _factors(signal.sample_rate_hz, new_rate_hz)
-    if up == down or len(signal) == 0:  # the samples are frozen and finite already
-        return SampleBuffer._adopt(signal.samples, new_rate_hz)
-    return SampleBuffer._adopt_finite(_polyphase(signal.samples, up, down), new_rate_hz)
+    x = signal._read(0, len(signal))  # a SampleBuffer's is a view, finite already
+    if up == down or x.size == 0:
+        return SampleBuffer._adopt(x, new_rate_hz)
+    return SampleBuffer._adopt(_finite(_polyphase(x, up, down)), new_rate_hz)

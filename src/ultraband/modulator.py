@@ -151,9 +151,8 @@ def modulate(signal: SampleBuffer | PcmClip,
         raise ConfigInvalid(f"cutoff_hz {config.cutoff_hz} must lie above {GUARD_HZ} Hz")
 
     rate = config.working_rate_hz
-    if _factors(signal.sample_rate_hz, rate) != (1, 1):  # resample a float copy, freed after
-        signal = resample(SampleBuffer._adopt(signal._read(0, len(signal)), signal.sample_rate_hz),
-                          rate)
+    if _factors(signal.sample_rate_hz, rate) != (1, 1):  # from a float copy, freed after
+        signal = resample(signal, rate)
     cos, sin = _carrier(config.carrier_hz, rate, len(signal))
     (out,) = _overlap_add(signal, _ssb_taps(config), mix_out=((cos, -sin),))
     if out.size >= 2:

@@ -14,8 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .analysis import true_runs
-from .demodulator import recovered_bandwidth
+from .analysis import recovered_bandwidth, true_runs
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
 from .kernels import _framed, resample, resampled_length
 from .wavio import PcmClip, SampleBuffer, WavFile, read_wav, to_pcm, write_wav

@@ -153,8 +153,7 @@ class SampleBuffer:
         arr = np.array(_real_array(self.samples), dtype=np.float64)
         if arr.ndim != 1:
             raise BadArgument("SampleBuffer holds a one-dimensional signal")
-        if arr.size and not np.isfinite(arr).all():
-            raise BadArgument("samples must be finite")
+        _finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         check_positive(self.sample_rate_hz, BadRate, "sample_rate_hz")
@@ -168,11 +167,6 @@ class SampleBuffer:
         object.__setattr__(buf, "samples", samples)
         object.__setattr__(buf, "sample_rate_hz", float(sample_rate_hz))
         return buf
-
-    @classmethod
-    def _adopt_finite(cls, samples: np.ndarray, sample_rate_hz: float) -> "SampleBuffer":
-        """``_adopt``, but BadArgument unless every sample is finite (``_finite``)."""
-        return cls._adopt(_finite(samples), sample_rate_hz)
 
     def __len__(self) -> int:
         return self.samples.size

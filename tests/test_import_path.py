@@ -90,3 +90,28 @@ def test_no_module_imports_scipy():
     assert PACKAGE / "kernels.py" in modules
     found = {str(m.relative_to(SRC)): _scipy_imports(m) for m in modules}
     assert {m: names for m, names in found.items() if names} == {}
+
+
+def _imported(path: Path) -> list:
+    """(module, name) per name that ``path`` takes from a package module: ``from .m
+    import name``, ``from . import m`` and ``import ultraband.m`` (name ""), ``m.name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ultraband"):
+            module = (node.module or "").removeprefix("ultraband").lstrip(".")
+            found += [(module, alias.name) if module else (alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.removeprefix("ultraband."), "") for alias in node.names
+                      if alias.name.startswith("ultraband.")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.append((node.value.id, node.attr))
+    return found
+
+
+def test_spectra_have_one_home():
+    # analysis keeps its private helpers, and stego reaches the bandwidth through it
+    imported = {m.stem: _imported(m) for m in sorted(PACKAGE.rglob("*.py"))}
+    private = {stem: [name for module, name in found if module == "analysis" and name[:1] == "_"]
+               for stem, found in imported.items() if stem != "analysis"}
+    assert {stem: names for stem, names in private.items() if names} == {}
+    assert [name for module, name in imported["stego"] if module == "demodulator"] == []

@@ -21,6 +21,7 @@ from ultraband import (
     BadTaps,
     EmptySignal,
     FirFilter,
+    PcmClip,
     RateMismatch,
     SampleBuffer,
     UltrabandError,
@@ -30,10 +31,13 @@ from ultraband import (
     embed,
     find_silence,
     hilbert,
+    open_wav,
     peak_normalize,
     resample,
     stft,
+    to_float,
     tukey_window,
+    write_wav,
 )
 from ultraband.kernels import (_FFT_POINTS, MAX_RESAMPLE_FACTOR, _carrier, _mix, _overlap_add,
                                _taper, check_positive, next_fast_len, resampled_length)
@@ -529,6 +533,18 @@ def test_resample_same_rate_identity():
     out = resample(x, RATE * (1.0 + 1e-12))
     assert np.array_equal(out.samples, x.samples) and np.shares_memory(out.samples, x.samples)
     assert out.sample_rate_hz == RATE * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("old, new", [(44100, 48000.0), (16000, 48000.0), (48000, 48000.0)])
+def test_resample_reads_pcm_and_wav_spans_as_to_float(tmp_path, old, new):
+    # channel 0 of a stereo clip, and of its file held open, read whole by _read
+    pcm = PcmClip(np.random.default_rng(old).integers(-32768, 32768, 2 * old // 10), old, 2)
+    write_wav(tmp_path / "in.wav", pcm)
+    expected = resample(to_float(pcm), new)
+    with open_wav(tmp_path / "in.wav") as wav:
+        for got in (resample(pcm, new), resample(wav, new)):
+            assert np.array_equal(got.samples, expected.samples)
+            assert got.sample_rate_hz == expected.sample_rate_hz == new
 
 
 def test_resample_tone_amplitude_preserved():
