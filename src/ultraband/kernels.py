@@ -12,11 +12,14 @@ the output of a complex filter with tap rows r0 and r1, one row r0 * a + r1 * b
 per pair of carrier tables (a, b), so the input is transformed once. It reads
 a ``PcmClip`` or a ``WavFile`` in spans, and returns a list of rows, each
 checked finite. Tap formulas and window shapes are explicit here; the bin
-weights are ``analysis._weighted_power``.
+weights are ``analysis._weighted_power``. ``resample`` designs a rate pair's
+filter once per process: ``_resample_plan`` keeps the read-only tap matrices
+of the 4 latest (up, down, phases) keys.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -47,9 +50,13 @@ _LOW_QUALITY_TAPS = 31
 
 #: Largest up or down factor ``resample`` accepts. The polyphase filter has
 #: about 20 taps per unit of the larger factor: at this bound 1.3 M taps, of
-#: which ``resample`` keeps the symmetric half (5.2 MB), designed 65536 taps
-#: at a time. A 10-sample input then peaks at 11.3 MiB under tracemalloc and
-#: takes about 0.12 s (2-core VM).
+#: which ``_resample_plan`` keeps the symmetric half (5.2 MB) while it builds
+#: the tap matrices, designed 65536 taps at a time. A 10-sample input then
+#: peaks at 11.3 MiB under tracemalloc and takes about 0.11 s (2-core VM).
+#: A kept plan holds only its matrices: 0.5-104 KB at the common rate pairs,
+#: 8.1 MB at 1 -> 48000 Hz and 21.5 MB at 65535 -> 65536 Hz with 65536
+#: outputs or more, whose call peaks at 26.3 MiB (11.3 when the matrices were
+#: built one group at a time). The 4 kept plans retain 86 MB at worst.
 MAX_RESAMPLE_FACTOR = 1 << 16
 
 # FFT points per segment of ``analysis._spectrum``, and half of what
@@ -68,6 +75,9 @@ _RESAMPLE_ROWS = 4096
 
 # Resampler filter taps designed per chunk (sinc and Kaiser window).
 _DESIGN_CHUNK = 65536
+
+# Resampler plans kept: a batch of 16, 22.05 and 44.1 kHz rows at 48 kHz uses 3.
+_RESAMPLE_PLANS = 4
 
 # Shortest carrier table: a mix then runs as a few long multiplies, and the
 # table stays in cache (64 KB for cos and sin).
@@ -474,16 +484,42 @@ def _mix(x: np.ndarray, table: np.ndarray, out: np.ndarray, first: int = 0) -> n
 def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """``scipy.signal.resample_poly(x, up, down)`` for coprime factors, in numpy.
 
+    Output j = q * up + r reads x[q * down + m] for the m of phase r, so a
+    group of phases is one dense tap matrix (``_resample_plan``, shared by
+    every call with the same key) applied to input rows that step ``down``
+    samples per period.
+    """
+    n_out = -(-len(x) * up // down)
+    # Only phases that produce an output are planned: min(up, n_out) of them.
+    phases, periods = min(up, n_out), -(-n_out // up)
+    lo, hi, groups = _resample_plan(up, down, phases)
+    padded = np.zeros(max(len(x), (periods - 1) * down + hi + 1) - lo)
+    padded[-lo : len(x) - lo] = x
+    out = np.empty((periods, phases))
+    for r0, start, matrix in groups:
+        width, g = matrix.shape
+        rows = sliding_window_view(padded[start : start + (periods - 1) * down + width], width)
+        rows = rows[::down]
+        for s in range(0, periods, _RESAMPLE_ROWS):
+            np.matmul(rows[s : s + _RESAMPLE_ROWS], matrix,
+                      out=out[s : s + _RESAMPLE_ROWS, r0 : r0 + g])
+    return out.reshape(-1)[:n_out]
+
+
+@functools.lru_cache(maxsize=_RESAMPLE_PLANS)
+def _resample_plan(up: int, down: int, phases: int):
+    """(lo, hi, groups) for ``_polyphase``: the first and last input offsets
+    that the first ``phases`` phases read (lo <= 0 is the zero pre-pad), and
+    per group of phases (r0, its rows' first padded index, its read-only tap
+    matrix).
+
     The filter is resample_poly's: a Kaiser (beta = 5) windowed sinc of
     2 * half + 1 taps, half = 10 * max(up, down), cut off at the lower
     Nyquist, scaled to unit DC gain and then by ``up``. With its zero pre-pad
     the output lands centred on the filter, so output j is
     sum_i h[half + i * up - j * down] * x[i] (Crochiere & Rabiner, *Multirate
-    Digital Signal Processing*, 1983). Output j = q * up + r reads
-    x[q * down + m] for the m of phase r, so a group of phases is one dense
-    tap matrix applied to input rows that step ``down`` samples per period.
+    Digital Signal Processing*, 1983).
     """
-    n_out = -(-len(x) * up // down)
     half = 10 * max(up, down)
     # taps[k] = h[half + k] for k <= half (h is symmetric); taps[half + 1] = 0
     # stands for every tap past the end. Each tap depends on k alone, so the
@@ -494,29 +530,21 @@ def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
         window = np.i0(5.0 * np.sqrt(1.0 - (k / half) ** 2)) / np.i0(5.0)
         taps[c : c + k.size] = np.sinc(k / max(up, down)) * window
     taps *= up / (2.0 * taps.sum() - taps[0])
-    # Only phases that produce an output are built: min(up, n_out) of them.
-    phases, periods = min(up, n_out), -(-n_out // up)
     # g phases read about L + g * down / up inputs (L taps per phase), so
     # g = up * L / down keeps a tap matrix about 2L wide.
     group = min(phases, -(-up * (2 * half // up + 1) // down))
     lo = -(half // up)  # first input offset of phase 0; the zero pad covers it
     hi = ((phases - 1) * down + half) // up
-    padded = np.zeros(max(len(x), (periods - 1) * down + hi + 1) - lo)
-    padded[-lo : len(x) - lo] = x
-    out = np.empty((periods, phases))
+    groups = []
     for r0 in range(0, phases, group):
         r = np.arange(r0, min(r0 + group, phases))
         first = -((half - r0 * down) // up)
         width = (r[-1] * down + half) // up - first + 1
         lag = np.abs(np.arange(first, first + width)[:, None] * up - r * down)
         matrix = taps[np.minimum(lag, half + 1)]
-        start = first - lo
-        rows = sliding_window_view(padded[start : start + (periods - 1) * down + width], width)
-        rows = rows[::down]
-        for s in range(0, periods, _RESAMPLE_ROWS):
-            np.matmul(rows[s : s + _RESAMPLE_ROWS], matrix,
-                      out=out[s : s + _RESAMPLE_ROWS, r0 : r0 + r.size])
-    return out.reshape(-1)[:n_out]
+        matrix.flags.writeable = False
+        groups.append((r0, first - lo, matrix))
+    return lo, hi, tuple(groups)
 
 
 def _factors(old_rate_hz: float, new_rate_hz: float):
@@ -547,9 +575,12 @@ def resample(signal: SampleBuffer | PcmClip | WavFile, new_rate_hz: float) -> Sa
     ``scipy.signal.resample_poly`` to rounding (about 1e-15) in length and
     alignment: ``resampled_length`` samples, the first at the first input's
     time. Content below 0.45 * min(old, new) rate survives within 0.5 dB.
-    Any span source is read whole by ``_read``; a same-rate ``SampleBuffer``
-    shares its samples. BadRate is raised, at any length, when either factor
-    exceeds ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not positive and finite.
+    The filter's tap matrices are designed once per (up, down, phases) and
+    kept for the 4 latest keys (``_resample_plan``), so a process that
+    resamples the same rate pair again skips the design. Any span source is
+    read whole by ``_read``; a same-rate ``SampleBuffer`` shares its samples.
+    BadRate is raised, at any length, when either factor exceeds
+    ``MAX_RESAMPLE_FACTOR`` or ``new_rate_hz`` is not positive and finite.
     """
     up, down = _factors(signal.sample_rate_hz, new_rate_hz)
     x = signal._read(0, len(signal))  # a SampleBuffer's is a view, finite already

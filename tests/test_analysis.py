@@ -548,6 +548,50 @@ def test_detect_validation():
         detect(SampleBuffer(np.zeros(1000), 16000.0))  # band above Nyquist
 
 
+def test_detect_grid_is_bounded_at_a_huge_rate():
+    # a 107 M-sample frame: the whole grid and its two masks held 850 MB
+    sig = SampleBuffer(np.zeros(48000), 2**31 - 1)
+    tracemalloc.start()
+    try:
+        verdict = detect(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.frame_flags.size == 0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("rate, carrier_hz, band_hz", [
+    (8000, 1000.0, 2000.0),  # the speech band reaches Nyquist
+    (44000, 16000.0, 6000.0),  # the attack band reaches Nyquist
+    (44100, 16000.0, 6000.0),
+    (48000, 16000.0, 6000.0),
+    (2**31 - 1, 16000.0, 6000.0),
+])
+def test_detect_band_bins_match_the_whole_grid(monkeypatch, rate, carrier_hz, band_hz):
+    seen = []
+
+    def spy(freqs, lo, hi, nyquist):
+        seen.append((freqs, lo, hi, nyquist))
+        return _band_mask(freqs, lo, hi, nyquist)
+
+    monkeypatch.setattr(analysis, "_band_mask", spy)
+    detect(SampleBuffer(np.zeros(16), rate), carrier_hz, band_hz)
+    frame_len = int(round(FRAME_MS * rate / 1000.0))
+    bins, val = frame_len // 2 + 1, 1.0 / (frame_len * (1.0 / rate))
+    if frame_len < 1 << 20:  # rfftfreq's grid is arange(bins) * val
+        assert np.array_equal(np.fft.rfftfreq(frame_len, d=1.0 / rate), np.arange(bins) * val)
+    assert len(seen) == 2
+    for freqs, lo, hi, nyquist in seen:
+        n = freqs.size
+        assert np.array_equal(freqs, np.arange(n) * val)
+        for a in range(0, bins, 1 << 22):  # the whole grid's mask, a piece at a time
+            whole = _band_mask(np.arange(a, min(bins, a + (1 << 22))) * val, lo, hi, nyquist)
+            assert np.array_equal(whole[: max(0, n - a)], _band_mask(freqs, lo, hi, nyquist)[a:])
+            assert not whole[max(0, n - a) :].any()
+    assert any(freqs.size == bins for freqs, *_ in seen) == (rate <= 44000)
+
+
 def _detect_whole_batch(signal: SampleBuffer, ratio_threshold: float = 4.0,
                         carrier_hz: float = 16000.0, band_hz: float = 6000.0):
     """Reference: detect's flags, score and sustained_ms from the rfft of all

@@ -650,6 +650,51 @@ def test_resample_at_largest_factor_matches_and_stays_bounded(old, new):
     assert np.max(np.abs(out.samples - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("old, new, n", _resample_cases())
+def test_resample_plan_cache_keeps_the_bits(old, new, n):
+    x = SampleBuffer(np.random.default_rng(n).standard_normal(n), old)
+    cached = resample(x, new).samples  # a hit when an earlier case planned this key
+    kernels._resample_plan.cache_clear()
+    assert np.array_equal(cached, resample(x, new).samples)
+    assert np.array_equal(cached, resample(x, new).samples)  # from the plan just made
+
+
+def test_resample_plan_is_made_once_per_key(monkeypatch):
+    kernels._resample_plan.cache_clear()
+    x = SampleBuffer(np.random.default_rng(3).standard_normal(4410), 44100.0)
+    first = resample(x, 48000.0).samples
+    before = kernels._resample_plan.cache_info()
+    monkeypatch.setattr(kernels.np, "i0", None)  # the design's Kaiser window: any design fails
+    assert np.array_equal(resample(x, 48000.0).samples, first)
+    after = kernels._resample_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_resample_plan_arrays_are_read_only():
+    kernels._resample_plan.cache_clear()
+    x = SampleBuffer(np.ones(3000), 44100.0)
+    for new in (48000.0, 96000.0, 8000.0, 22050.0):
+        resample(x, new)
+    for up, down, phases in ((160, 147, 160), (320, 147, 320), (80, 441, 80), (1, 2, 1)):
+        lo, hi, groups = kernels._resample_plan(up, down, phases)
+        assert groups
+        for r0, start, matrix in groups:
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+    assert kernels._resample_plan.cache_info().misses == 4
+
+
+def test_resample_plan_cache_is_bounded():
+    kernels._resample_plan.cache_clear()
+    x = SampleBuffer(np.ones(1000), 48000.0)
+    for new in (8000.0, 16000.0, 22050.0, 44100.0, 96000.0):  # five keys
+        resample(x, new)
+    info = kernels._resample_plan.cache_info()
+    assert info.misses == 5
+    assert info.currsize == info.maxsize == 4
+
+
 # --- argument errors ---
 
 
