@@ -123,13 +123,9 @@ def _summed_power(source, seg: int, hop: int, window=None, pad: bool = False) ->
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float, nyquist: float) -> np.ndarray:
     mask = (freqs >= lo) & (freqs < hi)
-    if _at_nyquist(hi, nyquist):
+    if hi >= nyquist * (1.0 - 1e-12):
         mask |= freqs >= hi
     return mask
-
-
-def _at_nyquist(hi: float, nyquist: float) -> bool:  # the band then runs to the last bin
-    return hi >= nyquist * (1.0 - 1e-12)
 
 
 def stft(
@@ -334,12 +330,12 @@ def detect(
     frame_len = max(2, int(round(FRAME_MS * rate / 1000.0)))
     hop = max(1, frame_len // 2)
 
-    # rfftfreq's bins (k * val, bit for bit) to two past the top band edge, or
-    # all of them when a band runs to Nyquist
+    # rfftfreq's bins (k * val, bit for bit) to two past the top band edge;
+    # that is every bin once a band runs to Nyquist
     spans = [(lo, min(hi, nyquist)) for lo, hi in ((carrier_hz, carrier_hz + band_hz), SPEECH_BAND)]
-    top, bins = max(hi for _, hi in spans), frame_len // 2 + 1
+    top = max(hi for _, hi in spans)
     val = 1.0 / (frame_len * (1.0 / rate))
-    freqs = np.arange(bins if _at_nyquist(top, nyquist) else min(bins, int(top / val) + 2)) * val
+    freqs = np.arange(min(frame_len // 2 + 1, int(top / val) + 2)) * val
     # a band's energy is 2 / frame_len times re**2 + im**2 summed over its run
     # of bins; DC and Nyquist, scaled by sqrt(1/2), count once (_weighted_power)
     edges = [0, 1, -2, -1] if frame_len % 2 == 0 else [0, 1]

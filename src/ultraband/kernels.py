@@ -14,7 +14,7 @@ a ``PcmClip`` or a ``WavFile`` in spans, and returns a list of rows, each
 checked finite. Tap formulas and window shapes are explicit here; the bin
 weights are ``analysis._weighted_power``. ``resample`` designs a rate pair's
 filter once per process: ``_resample_plan`` keeps the read-only tap matrices
-of the 4 latest (up, down, phases) keys.
+of the latest ``_RESAMPLE_PLANS`` (up, down, phases) keys.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ _LOW_QUALITY_TAPS = 31
 #: peaks at 11.3 MiB under tracemalloc and takes about 0.11 s (2-core VM).
 #: A kept plan holds only its matrices: 0.5-104 KB at the common rate pairs,
 #: 8.1 MB at 1 -> 48000 Hz and 21.5 MB at 65535 -> 65536 Hz with 65536
-#: outputs or more, whose call peaks at 26.3 MiB (11.3 when the matrices were
-#: built one group at a time). The 4 kept plans retain 86 MB at worst.
+#: outputs or more. That call, of 65536 inputs, peaks at 26.8 MiB (11.8 when
+#: the matrices were built one group at a time).
 MAX_RESAMPLE_FACTOR = 1 << 16
 
 # FFT points per segment of ``analysis._spectrum``, and half of what
@@ -76,7 +76,9 @@ _RESAMPLE_ROWS = 4096
 # Resampler filter taps designed per chunk (sinc and Kaiser window).
 _DESIGN_CHUNK = 65536
 
-# Resampler plans kept: a batch of 16, 22.05 and 44.1 kHz rows at 48 kHz uses 3.
+# Resampler plans ``_resample_plan`` keeps: a batch of 16, 22.05 and 44.1 kHz
+# rows at 48 kHz uses 3. At 21.5 MB a plan at worst (``MAX_RESAMPLE_FACTOR``),
+# the cache retains 86 MB at most.
 _RESAMPLE_PLANS = 4
 
 # Shortest carrier table: a mix then runs as a few long multiplies, and the
@@ -576,7 +578,7 @@ def resample(signal: SampleBuffer | PcmClip | WavFile, new_rate_hz: float) -> Sa
     alignment: ``resampled_length`` samples, the first at the first input's
     time. Content below 0.45 * min(old, new) rate survives within 0.5 dB.
     The filter's tap matrices are designed once per (up, down, phases) and
-    kept for the 4 latest keys (``_resample_plan``), so a process that
+    kept for the latest ``_RESAMPLE_PLANS`` keys, so a process that
     resamples the same rate pair again skips the design. Any span source is
     read whole by ``_read``; a same-rate ``SampleBuffer`` shares its samples.
     BadRate is raised, at any length, when either factor exceeds

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from ultraband import kernels
 from ultraband import (
     ModulationConfig,
     SampleBuffer,
@@ -159,3 +160,10 @@ def no_thread_outlives_the_test():
     yield
     left = [thread.name for thread in threading.enumerate() if thread not in before]
     assert not left, f"threads left alive: {left}"
+
+
+@pytest.fixture(autouse=True)
+def cold_resample_plans():
+    """Start every test with no kept ``resample`` plan, so a memory or bit
+    pin measures the design and not a plan an earlier test left."""
+    kernels._resample_plan.cache_clear()

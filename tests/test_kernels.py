@@ -650,17 +650,36 @@ def test_resample_at_largest_factor_matches_and_stays_bounded(old, new):
     assert np.max(np.abs(out.samples - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("old, new", [(65536.0, 65535.0), (65535.0, 65536.0)])
+def test_resample_worst_plan_is_bounded(old, new):
+    # 65536 inputs plan every phase: about 3000 tap matrices, built together
+    # and kept (21.5 MB), for a 26.8 MiB peak
+    x = SampleBuffer(np.random.default_rng(7).standard_normal(65536), old)
+    tracemalloc.start()
+    try:
+        out = resample(x, new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20, peak
+    assert out.samples.shape == (resampled_length(x, new),)
+    up, down = kernels._factors(old, new)
+    lo, hi, groups = kernels._resample_plan(up, down, up)  # the key just planned
+    assert kernels._resample_plan.cache_info().currsize == 1
+    assert sum(matrix.nbytes for _, _, matrix in groups) <= 22_000_000
+
+
 @pytest.mark.parametrize("old, new, n", _resample_cases())
 def test_resample_plan_cache_keeps_the_bits(old, new, n):
     x = SampleBuffer(np.random.default_rng(n).standard_normal(n), old)
-    cached = resample(x, new).samples  # a hit when an earlier case planned this key
-    kernels._resample_plan.cache_clear()
-    assert np.array_equal(cached, resample(x, new).samples)
-    assert np.array_equal(cached, resample(x, new).samples)  # from the plan just made
+    fresh = resample(x, new).samples
+    info = kernels._resample_plan.cache_info()
+    assert np.array_equal(fresh, resample(x, new).samples)  # from the plan just made
+    if info.misses:  # a same-rate or empty call plans nothing
+        assert kernels._resample_plan.cache_info().hits == info.hits + 1
 
 
 def test_resample_plan_is_made_once_per_key(monkeypatch):
-    kernels._resample_plan.cache_clear()
     x = SampleBuffer(np.random.default_rng(3).standard_normal(4410), 44100.0)
     first = resample(x, 48000.0).samples
     before = kernels._resample_plan.cache_info()
@@ -671,7 +690,6 @@ def test_resample_plan_is_made_once_per_key(monkeypatch):
 
 
 def test_resample_plan_arrays_are_read_only():
-    kernels._resample_plan.cache_clear()
     x = SampleBuffer(np.ones(3000), 44100.0)
     for new in (48000.0, 96000.0, 8000.0, 22050.0):
         resample(x, new)
@@ -686,7 +704,6 @@ def test_resample_plan_arrays_are_read_only():
 
 
 def test_resample_plan_cache_is_bounded():
-    kernels._resample_plan.cache_clear()
     x = SampleBuffer(np.ones(1000), 48000.0)
     for new in (8000.0, 16000.0, 22050.0, 44100.0, 96000.0):  # five keys
         resample(x, new)
