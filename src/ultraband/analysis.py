@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from . import kernels
-from .errors import (BadArgument, BadBand, EmptySignal, IoFailure, SignalTooShort, check_count,
-                     check_positive)
+from .errors import (BadArgument, BadBand, EmptySignal, SignalTooShort, check_count, check_positive,
+                     opened)
 from .kernels import (_FFT_POINTS, BAND_HZ, CARRIER_HZ, _framed, _Rows, check_band, next_fast_len,
                       tukey_window)
 from .wavio import PcmClip, SampleBuffer, WavFile
@@ -178,14 +178,14 @@ def band_energy(signal: SampleBuffer, lo_hz: float, hi_hz: float) -> float:
     return float(energy[_band_mask(freqs, lo_hz, hi_hz, nyquist)].sum())
 
 
-def recovered_bandwidth(signal: SampleBuffer | PcmClip) -> float:
+def recovered_bandwidth(signal: SampleBuffer | PcmClip | WavFile) -> float:
     """Smallest frequency below which 95% of the signal's energy lies, in the
     segmented spectrum that ``band_energy`` sums (``_spectrum``).
 
     Useful as a one-number judgment of how much of the original band
-    survived a modulate/transmit/demodulate trip. A ``PcmClip``'s channel 0
-    is read a block at a time, with the bits of ``to_float``'s samples and
-    no float copy of the clip.
+    survived a modulate/transmit/demodulate trip. A ``PcmClip``'s or an open
+    ``WavFile``'s channel 0 is read a block at a time, with the bits of
+    ``to_float``'s samples and no float copy of the clip.
     """
     if len(signal) == 0:
         raise EmptySignal("no bandwidth for an empty signal")
@@ -390,9 +390,6 @@ def render_spectrogram(spec: Spectrogram, out_path) -> None:
     scaled *= 255.0
     pixels = np.flipud(np.round(scaled, out=scaled).T).astype(np.uint8, order="C")
     height, width = pixels.shape
-    try:
-        with open(out_path, "wb") as fh:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(pixels)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out_path}: {exc}") from exc
+    with opened(out_path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(pixels)

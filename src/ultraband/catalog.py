@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
-from .errors import EmptyInput, IoFailure, ParseError
+from .errors import EmptyInput, ParseError, opened
 
 ATTACK_ID_PATTERN = re.compile(r"^T\d{4}$")
 DEFEND_ID_PATTERN = re.compile(r"^D3-T\d{4}$")
@@ -115,14 +115,8 @@ def _bundled(name: str):
 
 
 def _open_rows(path, expected_fields: Sequence[str], what: str):
-    try:
-        if path is None:
-            text = _bundled(what).read_text(encoding="utf-8")
-        else:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path or what}: {exc}") from exc
+    with opened(_bundled(what) if path is None else path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
         raise ParseError(f"{path or what}: empty file, expected a header row")
@@ -175,17 +169,14 @@ def load_catalog(path=None) -> List[CatalogEntry]:
 def _save_rows(records: Iterable, path, fieldnames: Sequence[str], yes_no: tuple) -> None:
     """Write dataclass records as CSV, one column per field, with booleans
     spelled as the file's own ``(true word, false word)``."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            for record in records:
-                writer.writerow(
-                    [(yes_no[0] if v else yes_no[1]) if isinstance(v, bool) else v
-                     for v in astuple(record)]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with opened(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for record in records:
+            writer.writerow(
+                [(yes_no[0] if v else yes_no[1]) if isinstance(v, bool) else v
+                 for v in astuple(record)]
+            )
 
 
 def save_catalog(entries: Iterable[CatalogEntry], path) -> None:

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from . import analysis, catalog, demodulator, modulator, stego
-from .errors import IoFailure, UltrabandError
+from .errors import IoFailure, UltrabandError, opened
 from .wavio import open_wav
 
 EXIT_OK = 0
@@ -288,18 +288,15 @@ _REPORT_FIELDS = [
 
 
 def _read_manifest(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"input", "output"} <= set(reader.fieldnames):
-                raise UltrabandError(f"{path}: manifest needs 'input' and 'output' columns")
-            columns = {"input", "output", *(f.name for f in fields(modulator.ModulationConfig))}
-            unknown = set(reader.fieldnames) - columns
-            if unknown:
-                raise UltrabandError(f"{path}: unknown manifest columns {sorted(unknown)}")
-            return list(reader)
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
+    with opened(path, "r", "manifest ", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"input", "output"} <= set(reader.fieldnames):
+            raise UltrabandError(f"{path}: manifest needs 'input' and 'output' columns")
+        columns = {"input", "output", *(f.name for f in fields(modulator.ModulationConfig))}
+        unknown = set(reader.fieldnames) - columns
+        if unknown:
+            raise UltrabandError(f"{path}: unknown manifest columns {sorted(unknown)}")
+        return list(reader)
 
 
 def _cmd_batch(args) -> int:
@@ -337,13 +334,10 @@ def _cmd_batch(args) -> int:
             record["occupancy_hi"] = f"{metrics.occupancy_hi_hz:.1f}"
         report_rows.append(record)
 
-    try:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
-            writer.writeheader()
-            writer.writerows(report_rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {args.report}: {exc}") from exc
+    with opened(args.report, "w", "report ", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
+        writer.writeheader()
+        writer.writerows(report_rows)
 
     _emit(
         {

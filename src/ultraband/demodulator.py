@@ -97,7 +97,7 @@ def demodulate(
     # recover.
     d = lpf.group_delay
     core = recovered[d:-d] if recovered.size > 2 * d else recovered
-    out_peak = max(float(core.max()), -float(core.min())) if core.size else 0.0
+    out_peak = max(float(core.max()), -float(core.min()))  # core holds >= 1 sample
     # a PCM input's peak is at most 1.0, so a core above the floor needs no scan of it
     loud = out_peak > _RECOVERY_FLOOR and not isinstance(signal, SampleBuffer)
     if out_peak > 0.0 and (loud or out_peak > _RECOVERY_FLOOR * _peak(signal)):

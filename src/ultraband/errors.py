@@ -6,8 +6,10 @@ codes (data problems vs. genuine I/O failures).
 
 The number rules at the end are the one place where a numeric setting or a
 WAV header field is range-checked; every module, ``wavio`` up, uses them.
+``opened`` is the one rule for a file read or written whole: OSError -> IoFailure.
 """
 
+import contextlib
 import math
 
 
@@ -101,6 +103,20 @@ class ParseError(UltrabandError):
 
 class EmptyInput(UltrabandError):
     """Aggregation called with no records."""
+
+
+# --- File boundary ---
+
+@contextlib.contextmanager
+def opened(path, mode: str, what: str = "", **kwargs):
+    """``open(path, mode, **kwargs)`` for a ``with`` block; an OSError from the
+    open, the block or the close raises IoFailure("cannot read|write {what}{path}: ...")."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        verb = "read" if mode.startswith("r") else "write"
+        raise IoFailure(f"cannot {verb} {what}{path}: {exc}") from exc
 
 
 # --- Number rules ---

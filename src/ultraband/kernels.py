@@ -561,9 +561,9 @@ def _factors(old_rate_hz: float, new_rate_hz: float):
     return ratio.numerator, ratio.denominator
 
 
-def resampled_length(signal: SampleBuffer, new_rate_hz: float) -> int:
+def resampled_length(signal: SampleBuffer | PcmClip | WavFile, new_rate_hz: float) -> int:
     """``len(resample(signal, new_rate_hz))`` without resampling; BadRate alike."""
-    up, down = _factors(signal.sample_rate_hz, new_rate_hz)
+    up, down = _factors(float(signal.sample_rate_hz), new_rate_hz)  # a float in BadRate's text
     return -(-len(signal) * up // down)
 
 

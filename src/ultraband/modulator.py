@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analysis
-from .errors import ConfigInvalid, EmptySignal, IoFailure, check_fraction, check_positive
+from .errors import ConfigInvalid, EmptySignal, check_fraction, check_positive, opened
 from .kernels import (BAND_HZ, CARRIER_HZ, FIR_TAPS, _carrier, _factors, _normalize, _overlap_add,
                       _taper, check_band, check_taps, resample)
-from .wavio import PcmClip, SampleBuffer, read_wav, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, WavFile, open_wav, to_pcm, write_wav
 
 #: Lower edge of the single-sideband passband. Baseband content below it
 #: would land just under the carrier, so the filter drops it.
@@ -88,11 +88,8 @@ def load_config(path) -> ModulationConfig:
 def read_config(path) -> dict:
     """The fields a ``load_config`` file sets, each one parsed but not yet validated."""
     overrides: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    with opened(path, "r", "config ", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -123,7 +120,7 @@ def _ssb_taps(config: ModulationConfig) -> np.ndarray:
     return np.stack([p * np.cos(phase), p * np.sin(phase)])
 
 
-def modulate(signal: SampleBuffer | PcmClip,
+def modulate(signal: SampleBuffer | PcmClip | WavFile,
              config: ModulationConfig = ModulationConfig()) -> SampleBuffer:
     """Shift a baseband signal up into the near-ultrasound band.
 
@@ -137,8 +134,9 @@ def modulate(signal: SampleBuffer | PcmClip,
     Deterministic: equal input and config give bit-identical output.
     ConfigInvalid unless the cutoff lies above ``GUARD_HZ``.
 
-    A ``PcmClip``'s channel 0 is read through ``_read``, to the bit as
-    ``to_float`` reads it: a span at a time, or whole to be resampled. The mix
+    A ``PcmClip``'s or an open ``WavFile``'s channel 0 is read through
+    ``_read``, to the bit as ``to_float`` reads it: a span at a time, or whole
+    to be resampled. The mix
     runs in the filter's block loop; taper and normalization work in place.
     The carrier's cos and sin are read from tables of one or more whole
     periods (3 samples for 16 kHz at 48 kHz), with the phase reduced before
@@ -168,7 +166,9 @@ def modulate_file(
 
     The metrics describe the 16-bit clip written to disk (write/read is
     byte-exact): ``measure`` reads the ``PcmClip`` in spans, with no float copy.
+    The input (``open_wav``) is closed before the output is opened.
     """
-    pcm = to_pcm(modulate(read_wav(in_path), config))
+    with open_wav(in_path) as signal:
+        pcm = to_pcm(modulate(signal, config))
     write_wav(out_path, pcm)
     return analysis.measure(pcm, config)

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import recovered_bandwidth, true_runs
 from .errors import BadArgument, EmptySignal, NoRoom, RateTooLow, check_fraction, check_positive
 from .kernels import _framed, resample, resampled_length
-from .wavio import PcmClip, SampleBuffer, WavFile, read_wav, to_pcm, write_wav
+from .wavio import PcmClip, SampleBuffer, WavFile, open_wav, to_pcm, write_wav
 
 #: Defaults: the payload mix gain, and the silence scan's RMS threshold,
 #: frame length and shortest kept region.
@@ -98,14 +98,14 @@ def embed(
     return SampleBuffer._adopt(out, host.sample_rate_hz)
 
 
-def _embed(host: SampleBuffer | PcmClip, payload: SampleBuffer | PcmClip, silence: SilenceMap,
+def _embed(host: SampleBuffer | WavFile, payload: SampleBuffer | WavFile, silence: SilenceMap,
            gain: float):
     """The [start, end) span that the payload fills, and ``embed``'s samples
-    there: the host's span plus ``gain`` times the resampled payload, clipped."""
+    there: the host's span plus ``gain`` times the resampled payload, clipped.
+    Of the host only that span is read, and the payload whole only if it fits."""
     if len(host) == 0 or len(payload) == 0:
         raise EmptySignal("host and payload must be nonempty")
     check_fraction(gain, BadArgument, "gain")
-    payload = SampleBuffer._adopt(payload._read(0, len(payload)), payload.sample_rate_hz)
 
     rate = float(host.sample_rate_hz)
     payload_top = recovered_bandwidth(payload)
@@ -132,11 +132,12 @@ def embed_file(
     min_region_ms: float = MIN_REGION_MS,
 ) -> dict:
     """File-level embed; returns a report dict describing what went where. The
-    host's channel 0 is written mono, as read but for the re-quantized span."""
-    host, payload = read_wav(host_path), read_wav(payload_path)
-    silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
-    (start, end), mixed = _embed(host, payload, silence, gain)
-    out = host._lane(0, len(host)).copy()
+    host's channel 0 is written mono, as read but for the re-quantized span:
+    int16, read once the payload fits. Inputs close before the output opens."""
+    with open_wav(host_path) as host, open_wav(payload_path) as payload:
+        silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
+        (start, end), mixed = _embed(host, payload, silence, gain)
+        out = np.ascontiguousarray(host._lane(0, len(host)))  # a stereo lane is strided
     out[start:end] = to_pcm(mixed).samples
     write_wav(out_path, PcmClip._adopt(out, host.sample_rate_hz, 1))
 

@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedFormat,
     check_count,
     check_positive,
+    opened,
 )
 
 _HEADER = struct.Struct("<4sI4s")
@@ -283,11 +284,13 @@ class WavFile:
     """A 16-bit PCM WAV file held open, its header checked by the parser
     that ``read_wav`` uses; made by :func:`open_wav`.
 
-    ``len`` is the frame count. ``detect``, ``stft``, ``measure`` and
-    ``demodulate`` read channel 0 a block at a time, as float64 scaled by
-    1/32768 as ``to_float`` scales it, so each equals its result on
-    ``to_float(read_wav(p))`` while holding one block, not the file. Close
-    it, or use it in a ``with``; a closed file raises IoFailure.
+    ``len`` is the frame count. Every subcommand reads its WAVs this way:
+    ``detect``, ``stft``, ``measure``, ``recovered_bandwidth``,
+    ``find_silence``, ``modulate`` and ``demodulate`` read channel 0 a block
+    at a time, as float64 scaled by 1/32768 as ``to_float`` scales it, so
+    each equals its result on ``to_float(read_wav(p))`` while holding one
+    block, not the file. Close it, or use it in a ``with``; a closed file
+    raises IoFailure.
     """
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
@@ -397,12 +400,9 @@ def write_wav(path, clip: PcmClip) -> None:
         b"data",
         n_bytes,
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(clip.samples.astype("<i2", copy=False))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with opened(path, "wb") as fh:
+        fh.write(header)
+        fh.write(clip.samples.astype("<i2", copy=False))
 
 
 def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON output, exit codes."""
 
 import csv
+import errno
 import gc
 import inspect
 import json
@@ -805,6 +806,58 @@ def test_unreadable_format_is_data_error(tmp_path, capsys):
 def test_unwritable_output_is_io_error(speech_wav, tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "out.wav"
     assert run(["modulate", str(speech_wav), str(out)]) == EXIT_IO
+
+
+#: (argv that writes over its own input, argv that writes to a fresh path,
+#: the file each one writes). ``manifest.csv`` lists ``in.wav`` once, with
+#: the output named in the third field.
+_OVER_INPUT = [
+    (["modulate", "in.wav", "in.wav"], ["modulate", "in.wav", "out.wav"], "in.wav"),
+    (["demodulate", "high.wav", "high.wav"], ["demodulate", "high.wav", "out.wav"], "high.wav"),
+    (["demodulate", "--phase-search", "high.wav", "high.wav"],
+     ["demodulate", "--phase-search", "high.wav", "out.wav"], "high.wav"),
+    (["embed", "host.wav", "high.wav", "host.wav"], ["embed", "host.wav", "high.wav", "out.wav"],
+     "host.wav"),
+    (["batch", "manifest.csv", "--report", "report.csv"],
+     ["batch", "manifest.csv", "--report", "report.csv"], "in.wav"),
+]
+
+
+@pytest.mark.parametrize("over,fresh,written", _OVER_INPUT, ids=[
+    "modulate", "demodulate", "demodulate-phase-search", "embed", "batch"])
+def test_output_written_over_its_own_input(tmp_path, monkeypatch, capsys, over, fresh, written):
+    # Every input is read whole, or read and closed, before its output opens.
+    results = []
+    for name, argv, out in (("over", over, written), ("fresh", fresh, "out.wav")):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        write_wav("in.wav", to_pcm(speech_like(duration_s=1.0, seed=36)))
+        write_wav("high.wav", to_pcm(modulate(speech_like(duration_s=1.0, seed=37))))
+        write_wav("host.wav", to_pcm(speech_like(duration_s=3.0, seed=38, pauses=[(0.5, 2.5)])))
+        _write_manifest("manifest.csv", [{"input": "in.wav", "output": out}])
+        code = run(argv)
+        captured = capsys.readouterr()
+        lines = [{k: v for k, v in json.loads(line).items() if k != "output"}
+                 for line in captured.out.splitlines()]
+        report = []
+        if argv[0] == "batch":
+            with open("report.csv", newline="") as fh:
+                report = [{k: v for k, v in row.items() if k != "output"}
+                          for row in csv.DictReader(fh)]
+        results.append((code, captured.err, lines, report, Path(out).read_bytes()))
+    assert results[0][0] == EXIT_OK
+    assert results[0] == results[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_write_failure_after_the_open_is_io_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    _write_manifest(manifest, [])
+    assert run(["batch", str(manifest), "--report", "/dev/full"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert captured.err.splitlines() == [f"i/o error: cannot write report /dev/full: {enospc}"]
 
 
 def test_help_exits_zero(capsys):

@@ -391,3 +391,52 @@ def test_embed_file_resamples_payload_once(tmp_path, payload, monkeypatch):
     assert calls == [44100.0]
     ins = report["insertion"]
     assert ins["end_sample"] - ins["start_sample"] == len(resample(payload, 44100.0))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def minute_files(tmp_path):
+    """A 60 s host of loud noise with 3 s of silence, the same noise with no
+    silence, and a 0.5 s 18 kHz payload at 44.1 kHz: (host, busy, payload)."""
+    rate = int(RATE)
+    loud = np.random.default_rng(36).integers(-9000, 9000, 60 * rate).astype(np.int16)
+    host = loud.copy()
+    host[10 * rate : 13 * rate] = 0
+    t = np.arange(22050) / 44100.0
+    tone = np.round(9000.0 * np.sin(2 * np.pi * 18000.0 * t)).astype(np.int16)
+    paths = tmp_path / "host.wav", tmp_path / "busy.wav", tmp_path / "payload.wav"
+    for path, clip in zip(paths, (PcmClip(host, rate), PcmClip(loud, rate), PcmClip(tone, 44100))):
+        write_wav(path, clip)
+    return paths
+
+
+def test_embed_file_that_cannot_fit_reads_spans_only(tmp_path, minute_files):
+    # A 60 s payload as float64 is 23 MB: the refusal must not read it, or the
+    # host, whole.
+    host, busy, _ = minute_files
+    out = tmp_path / "out.wav"
+
+    def refused():
+        with pytest.raises(NoRoom, match="payload needs 2880000"):
+            embed_file(host, busy, out)
+
+    assert _traced_peak(refused) <= 8 << 20
+    assert not out.exists()
+
+
+def test_embed_file_holds_one_copy_of_the_host(tmp_path, minute_files):
+    # The host's int16 lane once, the output spliced into it in place; each
+    # of the 24000 resampled payload samples is allowed 64 bytes (the
+    # payload's floats, its resampled and mixed spans, the host's span).
+    host, _, payload = minute_files
+    host_bytes = 2 * len(read_wav(host))
+    peak = _traced_peak(lambda: embed_file(host, payload, tmp_path / "out.wav"))
+    assert peak <= 1.5 * host_bytes + 64 * 24000, peak / host_bytes

@@ -1,6 +1,8 @@
 """Container round trips, error taxonomy, and the int16/float conversions."""
 
+import errno
 import math
+import os
 import struct
 import sys
 import threading
@@ -24,8 +26,13 @@ from ultraband import (
     UltrabandError,
     UnsupportedFormat,
     detect,
+    load_catalog,
+    load_survey,
     open_wav,
     read_wav,
+    render_spectrogram,
+    save_catalog,
+    save_survey,
     stft,
     to_float,
     to_pcm,
@@ -115,6 +122,25 @@ def test_round_trip_any_clip(tmp_path_factory, samples, rate, channels):
 def test_write_failure_raises_io(tmp_path):
     with pytest.raises(IoFailure):
         write_wav(tmp_path / "nope" / "x.wav", PcmClip(np.zeros(1, dtype=np.int16), RATE))
+
+
+#: Writers of a whole file. /dev/full opens, then fails each write (or the
+#: flush at close) with ENOSPC.
+_WHOLE_FILE_WRITERS = {
+    "write_wav": lambda path: write_wav(path, PcmClip(np.zeros(4096, dtype=np.int16), RATE)),
+    "render_spectrogram": lambda path: render_spectrogram(
+        stft(SampleBuffer(np.zeros(4096), RATE)), path),
+    "save_catalog": lambda path: save_catalog(load_catalog(), path),
+    "save_survey": lambda path: save_survey(load_survey(), path),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("writer", sorted(_WHOLE_FILE_WRITERS))
+def test_write_failure_after_the_open_raises_io(writer):
+    with pytest.raises(IoFailure, match=r"^cannot write /dev/full: ") as info:
+        _WHOLE_FILE_WRITERS[writer]("/dev/full")
+    assert info.value.__cause__.errno == errno.ENOSPC
 
 
 def test_data_chunk_bound_is_the_riff_size_field():
