@@ -137,7 +137,7 @@ def embed_file(
     with open_wav(host_path) as host, open_wav(payload_path) as payload:
         silence = find_silence(host, rms_threshold, frame_ms, min_region_ms)
         (start, end), mixed = _embed(host, payload, silence, gain)
-        out = np.ascontiguousarray(host._lane(0, len(host)))  # a stereo lane is strided
+        out = host._lane(0, len(host))
     out[start:end] = to_pcm(mixed).samples
     write_wav(out_path, PcmClip._adopt(out, host.sample_rate_hz, 1))
 

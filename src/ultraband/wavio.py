@@ -9,13 +9,14 @@ file open and reads it a block at a time.
 
 Three types travel through the rest of the package:
 
-* :class:`PcmClip` -- integer samples exactly as stored on disk; ``len`` is
-  its frame count, and each span reader (``_read``, ``_lane``) takes its
-  channel 0. Only this module decodes that layout: those two and ``to_float``.
+* :class:`PcmClip` -- integer samples exactly as stored on disk.
 * :class:`SampleBuffer` -- float64 samples in [-1, 1] for DSP work.
-* :class:`WavFile` -- an open WAV file whose channel 0 reads as float64
-  spans of frames, as a :class:`SampleBuffer`'s samples do, or as int16
-  spans (``_lane``) for ``_peak``.
+* :class:`WavFile` -- an open WAV file; a span of its frames is read through
+  at most ``_LANE_SCRATCH`` interleaved samples (2 MiB).
+
+Clip and file share one channel-0 reader: ``len`` frames, ``_lane`` spans as
+stored (int16; ``embed_file``), ``_read`` spans as ``to_float`` scales them
+(``_peak`` and the rest). Only this module knows the layout and the header.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ READ_SCALE = 32768.0
 WRITE_SCALE = 32767.0
 
 _PCM_CHUNK = 1 << 15  # samples ``to_pcm`` quantizes at a time: 256 KB of float scratch
+_LANE_SCRATCH = 1 << 20  # interleaved samples ``WavFile._lane`` reads at a time: 2 MiB
+
+
+def _max_rate(channels: int) -> int:
+    """The highest rate whose byte rate fits the header's 32-bit field."""
+    return 0xFFFFFFFF // (2 * channels)
 
 
 def _real_array(samples) -> np.ndarray:
@@ -65,15 +72,30 @@ def _real_array(samples) -> np.ndarray:
     return raw
 
 
+class _Channel0:
+    """Channel 0 of ``frames`` PCM frames; a subclass's ``_lane`` reads it as stored."""
+
+    def __len__(self) -> int:
+        return self.frames
+
+    @property
+    def duration_s(self) -> float:
+        return self.frames / self.sample_rate_hz
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """Channel 0 of frames ``start`` to ``stop`` as float64, scaled by 1/32768."""
+        return self._lane(start, stop) / READ_SCALE
+
+
 @dataclass(frozen=True)
-class PcmClip:
+class PcmClip(_Channel0):
     """Interleaved signed 16-bit samples plus container metadata.
 
     Instances are immutable; every field is validated on construction so a
     clip that exists is always writable as a legal WAV file: ``channels`` is
     a whole number in [1, 32767], so that the 16-bit block-align field holds
-    2 * channels, and ``sample_rate_hz`` one in [1, 0xFFFFFFFF // (2 *
-    channels)], so that the 32-bit byte-rate field holds it.
+    2 * channels, and ``sample_rate_hz`` one in [1, ``_max_rate(channels)``],
+    so that the 32-bit byte-rate field holds it.
     """
 
     samples: np.ndarray
@@ -93,8 +115,7 @@ class PcmClip:
         object.__setattr__(self, "samples", arr)
         channels = check_count(self.channels, BadArgument, "channels", 1, 0xFFFF // 2)
         object.__setattr__(self, "channels", channels)
-        max_rate = 0xFFFFFFFF // (2 * channels)
-        rate = check_count(self.sample_rate_hz, BadRate, "sample_rate_hz", 1, max_rate)
+        rate = check_count(self.sample_rate_hz, BadRate, "sample_rate_hz", 1, _max_rate(channels))
         object.__setattr__(self, "sample_rate_hz", rate)
         if arr.size % channels:
             raise BadArgument("sample count is not a whole number of frames")
@@ -123,20 +144,9 @@ class PcmClip:
     def frames(self) -> int:
         return self.samples.size // self.channels
 
-    def __len__(self) -> int:
-        return self.frames
-
     def _lane(self, start: int, stop: int) -> np.ndarray:
         """Channel 0 of frames ``start`` to ``stop`` as stored: an int16 view."""
         return self.samples[start * self.channels : stop * self.channels : self.channels]
-
-    def _read(self, start: int, stop: int) -> np.ndarray:
-        """Channel 0 of frames ``start`` to ``stop`` as float64, as ``to_float`` scales it."""
-        return self._lane(start, stop) / READ_SCALE
-
-    @property
-    def duration_s(self) -> float:
-        return self.frames / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,6 @@ class SampleBuffer:
     def _read(self, start: int, stop: int) -> np.ndarray:
         """Samples ``start`` to ``stop``, a view, as ``WavFile._read`` reads them."""
         return self.samples[start:stop]
-
-    _lane = _read  # the samples as stored
 
 
 def _finite(samples: np.ndarray) -> np.ndarray:
@@ -272,38 +280,34 @@ def _parse_header(fh, path) -> tuple:
             if chunk_size % block_align:
                 raise TruncatedFile(f"{path}: data chunk is not a whole number of frames")
             # PcmClip's rule, so that every header read here makes a valid clip
-            max_rate = 0xFFFFFFFF // block_align
-            check_count(rate, UnsupportedFormat, f"{path}: sample_rate_hz", 1, max_rate)
+            check_count(rate, UnsupportedFormat, f"{path}: sample_rate_hz", 1, _max_rate(channels))
             return rate, channels, body_start, chunk_size // block_align
         # skip anything else; odd-sized chunks carry a pad byte
         pos = body_start + chunk_size + (chunk_size & 1)
     raise TruncatedFile(f"{path}: no data chunk found")
 
 
-class WavFile:
+class WavFile(_Channel0):
     """A 16-bit PCM WAV file held open, its header checked by the parser
     that ``read_wav`` uses; made by :func:`open_wav`.
 
     ``len`` is the frame count. Every subcommand reads its WAVs this way:
-    ``detect``, ``stft``, ``measure``, ``recovered_bandwidth``,
-    ``find_silence``, ``modulate`` and ``demodulate`` read channel 0 a block
-    at a time, as float64 scaled by 1/32768 as ``to_float`` scales it, so
-    each equals its result on ``to_float(read_wav(p))`` while holding one
-    block, not the file. Close it, or use it in a ``with``; a closed file
-    raises IoFailure.
+    ``detect``, ``stft``, ``measure``, ``recovered_bandwidth``, ``find_silence``,
+    ``modulate``, ``demodulate`` and ``_peak`` read channel 0 a block at a time
+    with ``_read``, as ``to_float`` scales it, holding one block, not the file;
+    ``embed_file`` reads the host's ``_lane``. More than one channel is read
+    through at most ``_LANE_SCRATCH`` interleaved samples (2 MiB) at a time.
+    Close it, or use it in a ``with``; a closed file raises IoFailure.
     """
 
     def __init__(self, fh, path, sample_rate_hz: int, channels: int, offset: int, frames: int):
         self._fh = fh
         self._lock = threading.Lock()  # a span's seek and read, from either thread of ``_framed``
         self._offset = offset
-        self._frames = frames
         self._path = path
+        self.frames = frames
         self.sample_rate_hz = sample_rate_hz
         self.channels = channels
-
-    def __len__(self) -> int:
-        return self._frames
 
     def __enter__(self) -> "WavFile":
         return self
@@ -328,14 +332,17 @@ class WavFile:
         return out
 
     def _lane(self, start: int, stop: int) -> np.ndarray:
-        """Channel 0 of frames ``start`` to ``stop`` as stored (int16)."""
-        pcm = self._read_into(start, np.empty((stop - start) * self.channels, dtype="<i2"))
-        return pcm[:: self.channels]
-
-    def _read(self, start: int, stop: int) -> np.ndarray:
-        """Channel 0 of frames ``start`` to ``stop`` as float64, scaled as
-        ``to_float`` scales it."""
-        return self._lane(start, stop) / READ_SCALE
+        """Channel 0 of frames ``start`` to ``stop`` as stored: a contiguous int16
+        array, read through one scratch of at most ``_LANE_SCRATCH`` samples."""
+        lane = np.empty(stop - start, dtype="<i2")
+        if self.channels == 1:
+            return self._read_into(start, lane)
+        step = max(1, _LANE_SCRATCH // self.channels)
+        scratch = np.empty(min(step, stop - start) * self.channels, dtype="<i2")
+        for i in range(0, stop - start, step):
+            n = min(step, stop - start - i)
+            lane[i : i + n] = self._read_into(start + i, scratch[: n * self.channels])[:: self.channels]
+        return lane
 
 
 def open_wav(path) -> WavFile:
@@ -384,22 +391,14 @@ def write_wav(path, clip: PcmClip) -> None:
     header; it raises BadArgument before the file is opened.
     """
     n_bytes = _data_chunk_bytes(2 * clip.samples.size)
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + n_bytes,
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,
-        clip.channels,
-        clip.sample_rate_hz,
-        clip.sample_rate_hz * clip.channels * 2,
-        clip.channels * 2,
-        16,
-        b"data",
-        n_bytes,
-    )
+    block_align = 2 * clip.channels
+    header = b"".join((
+        _HEADER.pack(b"RIFF", 36 + n_bytes, b"WAVE"),
+        _CHUNK_HEAD.pack(b"fmt ", _FMT_BODY.size),
+        _FMT_BODY.pack(1, clip.channels, clip.sample_rate_hz,
+                       clip.sample_rate_hz * block_align, block_align, 16),
+        _CHUNK_HEAD.pack(b"data", n_bytes),
+    ))
     with opened(path, "wb") as fh:
         fh.write(header)
         fh.write(clip.samples.astype("<i2", copy=False))
@@ -415,12 +414,12 @@ def to_float(clip: PcmClip, channel: int = 0) -> SampleBuffer:
 
 def _peak(signal) -> float:
     """Largest |sample| of channel 0, exactly as ``to_float`` scales it, from
-    ``_lane`` spans of ``_PCM_CHUNK`` samples (a PCM source's stay int16)."""
-    peak, step = 0.0, max(1, _PCM_CHUNK // getattr(signal, "channels", 1))
-    for start in range(0, len(signal), step):
-        x = signal._lane(start, min(start + step, len(signal)))
+    ``_read`` spans of ``_PCM_CHUNK`` frames."""
+    peak = 0.0
+    for start in range(0, len(signal), _PCM_CHUNK):
+        x = signal._read(start, min(start + _PCM_CHUNK, len(signal)))
         peak = max(peak, float(x.max()), -float(x.min()))
-    return peak if isinstance(signal, SampleBuffer) else peak / READ_SCALE
+    return peak
 
 
 def to_pcm(buf: SampleBuffer) -> PcmClip:
@@ -432,7 +431,7 @@ def to_pcm(buf: SampleBuffer) -> PcmClip:
     A WAV stores a whole-number rate that fits its header, so any other
     rate raises BadRate.
     """
-    rate = check_count(buf.sample_rate_hz, BadRate, "sample_rate_hz", 1, 0xFFFFFFFF // 2)
+    rate = check_count(buf.sample_rate_hz, BadRate, "sample_rate_hz", 1, _max_rate(1))
     out = np.empty(len(buf), dtype=np.int16)
     for start in range(0, len(buf), _PCM_CHUNK):
         # scale, abs, +0.5, floor, copysign (x keeps the signs of x * 32767), clip

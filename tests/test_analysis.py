@@ -898,6 +898,39 @@ def test_streamed_detect_memory_is_flat_in_file_length(tmp_path):
     assert max(peaks) < 20 << 20, peaks
 
 
+def test_many_channel_readers_hold_one_lane(tmp_path, default_config):
+    # 1024 channels of 12000 frames are 24.6 MB: reading each span's
+    # interleaved frames whole held about 24 MiB. Through the reader's 2 MiB
+    # scratch, detect and measure each peak under 8 MiB.
+    rate, channels, n = 48000, 1024, 12000
+    frames = np.empty((n, channels), dtype=np.int16)
+    frames[:, 0] = np.random.default_rng(1024).integers(-8000, 8000, n)
+    # the other channels are a loud 17 kHz tone that would flag every frame if read
+    frames[:, 1:] = np.round(30000 * np.sin(2 * np.pi * 17000 * np.arange(n) / rate))[:, None]
+    path = tmp_path / "many.wav"
+    write_wav(path, PcmClip(frames.reshape(-1), rate, channels))
+    del frames
+    whole = to_float(read_wav(path))
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            with open_wav(path) as wav:
+                got = call(wav)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verdict, peak = traced(detect)
+    assert peak < 8 << 20, peak
+    expected = detect(whole)
+    assert not verdict.flagged and np.array_equal(verdict.frame_flags, expected.frame_flags)
+    assert (verdict.score, verdict.sustained_ms) == (expected.score, expected.sustained_ms)
+    metrics, peak = traced(lambda wav: measure(wav, default_config))
+    assert peak < 8 << 20, peak
+    assert metrics == measure(whole, default_config)
+
+
 def _longest_run_loop(flags):
     """Reference: the per-frame loop _longest_run_ms replaced, as a frame count."""
     best = current = 0

@@ -4,7 +4,8 @@ A clip's samples are interleaved int16, and channel 0 reads as float64
 through ``READ_SCALE``. Every other module reads a clip through its span
 reader (``_read``) or a ``wavio`` helper. A whole-clip ``to_float`` outside
 ``wavio`` made ``embed_file`` quantize the whole host again, which moved
-every sample above half scale by one count.
+every sample above half scale by one count. The header's 32-bit limit
+(``0xFFFFFFFF``) is stated in ``wavio`` alone too.
 """
 
 import ast
@@ -24,6 +25,8 @@ def _layout_uses(path: Path) -> list:
             what = "import READ_SCALE"
         elif isinstance(node, ast.Attribute) and node.attr in ("READ_SCALE", "int16", "channels"):
             what = f".{node.attr}"
+        elif isinstance(node, ast.Constant) and node.value == 0xFFFFFFFF:
+            what = "0xFFFFFFFF"
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -40,7 +43,7 @@ def test_only_wavio_decodes_pcm():
     found = [use for m in modules for use in _layout_uses(m)]
     assert [use for use in found if use[0] != "wavio.py"] == []
     # the scan sees each kind of use where it belongs
-    assert {what for _, _, what in found} == {"READ_SCALE", ".int16", ".channels"}
+    assert {what for _, _, what in found} == {"READ_SCALE", ".int16", ".channels", "0xFFFFFFFF"}
 
 
 def test_the_scan_sees_code_but_not_docstrings(tmp_path):
@@ -48,7 +51,8 @@ def test_the_scan_sees_code_but_not_docstrings(tmp_path):
     path.write_text('"""to_float(clip) and np.int16 in prose."""\n'
                     "from .wavio import READ_SCALE\n"
                     "def f(clip):\n"
-                    '    """clip.channels, READ_SCALE"""\n'
+                    '    """clip.channels, READ_SCALE, 0xFFFFFFFF"""\n'
+                    "    limit = 0xFFFFFFFF // 2, 0xFFFFFFFE\n"
                     "    return to_float(clip), clip.channels, np.int16, READ_SCALE\n")
     assert sorted(what for _, _, what in _layout_uses(path)) == [
-        ".channels", ".int16", "READ_SCALE", "import READ_SCALE", "to_float()"]
+        ".channels", ".int16", "0xFFFFFFFF", "READ_SCALE", "import READ_SCALE", "to_float()"]

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import RATE, build_corpus, ncc, speech_like
 from test_analysis import _threads_end_with_the_call
-from ultraband import kernels, stego
+from ultraband import kernels, stego, wavio
 from ultraband import (
     BadArgument,
     EmptySignal,
@@ -433,10 +433,25 @@ def test_embed_file_that_cannot_fit_reads_spans_only(tmp_path, minute_files):
 
 
 def test_embed_file_holds_one_copy_of_the_host(tmp_path, minute_files):
-    # The host's int16 lane once, the output spliced into it in place; each
-    # of the 24000 resampled payload samples is allowed 64 bytes (the
-    # payload's floats, its resampled and mixed spans, the host's span).
+    # The host's int16 lane once, the output spliced into it in place, 10%
+    # over; a host of more than one channel also reads through the reader's
+    # 2 MiB scratch, allowed twice. Each of the 24000 resampled payload
+    # samples is allowed 64 bytes (the payload's floats, its resampled and
+    # mixed spans, the host's span). The 2- and 8-channel hosts carry the
+    # mono host in channel 0, so each writes the mono host's output.
     host, _, payload = minute_files
-    host_bytes = 2 * len(read_wav(host))
-    peak = _traced_peak(lambda: embed_file(host, payload, tmp_path / "out.wav"))
-    assert peak <= 1.5 * host_bytes + 64 * 24000, peak / host_bytes
+    mono = read_wav(host).samples
+    lane_bytes, scratch_bytes = mono.nbytes, 2 * wavio._LANE_SCRATCH
+    written = {}
+    for channels in (1, 2, 8):
+        if channels > 1:
+            frames = np.empty((mono.size, channels), dtype=np.int16)
+            frames[:, 0], frames[:, 1:] = mono, mono[::-1, None]
+            host = tmp_path / f"host{channels}.wav"
+            write_wav(host, PcmClip(frames.reshape(-1), int(RATE), channels))
+            del frames
+        peak = _traced_peak(lambda: embed_file(host, payload, tmp_path / "out.wav"))
+        bound = 1.1 * lane_bytes + (2 * scratch_bytes if channels > 1 else 0) + 64 * 24000
+        assert peak <= bound, (channels, peak / lane_bytes)
+        written[channels] = (tmp_path / "out.wav").read_bytes()
+    assert written[2] == written[8] == written[1]

@@ -38,6 +38,7 @@ from ultraband import (
     to_pcm,
     write_wav,
 )
+from ultraband import wavio
 from ultraband.wavio import _PCM_CHUNK, _data_chunk_bytes
 
 RATE = 48000
@@ -73,6 +74,14 @@ def test_writer_emits_canonical_header(tmp_path):
     blob = path.read_bytes()
     assert blob[:44] == _golden_header(8, RATE, 1)
     assert blob[44:] == struct.pack("<4h", 0, 100, -100, 32767)
+    # at the fields' limits: the largest mono rate, the most channels, and
+    # byte rates 2 and 4 short of 2**32
+    for rate, channels in [(44100, 3), (2**31 - 1, 1), (65538, 32767)]:
+        samples = np.arange(4 * channels, dtype=np.int64).astype(np.int16)
+        write_wav(path, PcmClip(samples, rate, channels))
+        blob = path.read_bytes()
+        assert blob[:44] == _golden_header(samples.nbytes, rate, channels), (rate, channels)
+        assert blob[44:] == samples.astype("<i2").tobytes()
 
 
 def test_silence_file_size(tmp_path):
@@ -383,6 +392,19 @@ def test_read_wav_holds_the_pcm_once(tmp_path):
     assert peak < 1.1 * clip.samples.nbytes
 
 
+def _check_lane_spans(path, spans) -> None:
+    """Each span's ``_lane`` is a contiguous int16 array equal to the clip's,
+    and its ``_read`` equals ``to_float``'s samples."""
+    clip = read_wav(path)
+    expected = to_float(clip).samples
+    with open_wav(path) as wav:
+        for start, stop in spans:
+            lane = wav._lane(start, stop)
+            assert lane.dtype == np.int16 and lane.flags.c_contiguous, (start, stop)
+            assert np.array_equal(lane, clip._lane(start, stop)), (start, stop)
+            assert np.array_equal(wav._read(start, stop), expected[start:stop]), (start, stop)
+
+
 def test_open_wav_blocks_equal_to_float_views(tmp_path):
     rng = np.random.default_rng(12)
     interleaved = rng.integers(-32768, 32768, 3 * 1001, dtype=np.int64).astype(np.int16)
@@ -399,6 +421,20 @@ def test_open_wav_blocks_equal_to_float_views(tmp_path):
             assert np.shares_memory(view, buf.samples) and not np.shares_memory(ours, buf.samples)
         assert wav._read(7, 7).size == 0
     assert SampleBuffer(np.zeros(0), RATE)._read(0, 0).size == 0
+
+    # a span of a multi-channel file is read in chunks of the scratch: spans
+    # that start and stop on both sides of each chunk edge
+    step = wavio._LANE_SCRATCH // 3
+    frames = 2 * step + 1000
+    write_wav(path, PcmClip(rng.integers(-32768, 32768, 3 * frames).astype(np.int16), RATE, 3))
+    edges = [(0, e + d) for e in (step, 2 * step) for d in (-1, 0, 1)]
+    _check_lane_spans(path, edges + [(1, step), (1, step + 2), (step - 1, 2 * step + 1),
+                                     (step + 1, frames), (0, frames), (2, 2)])
+    # the most channels a clip holds: 32 frames per chunk
+    many = tmp_path / "many.wav"
+    write_wav(many, PcmClip(rng.integers(-32768, 32768, 32767 * 70).astype(np.int16), RATE, 32767))
+    _check_lane_spans(many, [(0, 70), (0, 31), (0, 32), (0, 33), (31, 65), (33, 64), (63, 70),
+                             (69, 70)])
 
 
 def test_open_wav_spans_read_from_two_threads(tmp_path):
