@@ -50,6 +50,9 @@ WELCH_SEGMENT = 8192
 
 _EPS = 1e-30
 
+# Half-width, in Hz, of the tone line and of its image that ``measure``'s suppression reads.
+_TONE_HALF_WIDTH_HZ = 50.0
+
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -102,21 +105,24 @@ def _weighted_power(samples: np.ndarray, n_fft: Optional[int] = None, out=None) 
 
 def _spectrum(signal: SampleBuffer) -> tuple:
     """(freqs, energy): the summed ``_weighted_power`` of consecutive segments
-    of n_fft = min(2**17, ``next_fast_len(n)``) samples, the shorter last one
-    zero-padded too. The bins sum to sum(x**2); n <= n_fft is one transform.
-    Segments are ``_framed``'s frames, a block each at 2**17 (``_summed_power``)."""
+    of n_fft = min(2**17, ``next_fast_len(n)``) samples, the last one
+    zero-filled to n_fft (``_Rows``). The bins sum to sum(x**2); n <= n_fft is
+    one transform. Segments are ``_framed``'s frames, a block each at 2**17
+    (``_summed_power``), so a short last one is read and transformed beside
+    the one before it on two CPUs."""
     n_fft = min(_FFT_POINTS, next_fast_len(len(signal)))
-    energy = _summed_power(signal, n_fft, n_fft, pad=True)  # before the freqs: a smaller peak
+    whole = _Rows(signal, None, -(-len(signal) // n_fft) * n_fft)
+    energy = _summed_power(whole, n_fft, n_fft)  # before the freqs: a smaller peak
     return np.fft.rfftfreq(n_fft, d=1.0 / signal.sample_rate_hz), energy
 
 
-def _summed_power(source, seg: int, hop: int, window=None, pad: bool = False) -> np.ndarray:
+def _summed_power(source, seg: int, hop: int, window=None) -> np.ndarray:
     """``_weighted_power`` of ``_framed``'s frames of ``source`` (``seg`` long, ``hop``
-    apart, times ``window``, ``pad`` as there), the rows added one by one in frame order."""
+    apart, times ``window``), the rows added one by one in frame order."""
     energy = np.zeros(seg // 2 + 1)
     for _, power in _framed(source, seg, hop, partial(_weighted_power, n_fft=seg), seg // 2 + 1,
-                            window, pad):
-        for row in power:  # in place: a new sum per row cost 1 MB of RSS
+                            window):
+        for row in power:  # in place: a new sum per row keeps a second array
             energy += row
     return energy
 
@@ -265,14 +271,8 @@ def measure(signal: SampleBuffer | PcmClip | WavFile, config: "ModulationConfig"
     return BandMetrics(float(inband_db), float(leakage_db), suppression_db, occ_lo, occ_hi)
 
 
-def _tone_pair_suppression(
-    freqs: np.ndarray,
-    energy: np.ndarray,
-    total: float,
-    carrier: float,
-    band_top: float,
-    half_width: float = 50.0,
-) -> Optional[float]:
+def _tone_pair_suppression(freqs: np.ndarray, energy: np.ndarray, total: float, carrier: float,
+                           band_top: float) -> Optional[float]:
     """Image-to-line level in dB for a dominant upper-band tone, else None.
 
     "Dominant" means at least half the signal energy sits within +/-50 Hz
@@ -281,19 +281,19 @@ def _tone_pair_suppression(
     """
     if total <= 0.0:
         return None
-    search = (freqs > carrier + half_width) & (freqs <= band_top)
+    search = (freqs > carrier + _TONE_HALF_WIDTH_HZ) & (freqs <= band_top)
     if not search.any():
         return None
     peak_idx = int(np.flatnonzero(search)[np.argmax(energy[search])])
     f_line = float(freqs[peak_idx])
-    near_line = np.abs(freqs - f_line) <= half_width
+    near_line = np.abs(freqs - f_line) <= _TONE_HALF_WIDTH_HZ
     if energy[near_line].sum() < 0.5 * total:
         return None
     offset = f_line - carrier
     f_image = carrier - offset
     if f_image <= 0.0:
         return None
-    near_image = np.abs(freqs - f_image) <= half_width
+    near_image = np.abs(freqs - f_image) <= _TONE_HALF_WIDTH_HZ
     if not near_image.any():
         return None
     line_e = float(energy[near_line].max())

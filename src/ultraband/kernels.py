@@ -1,20 +1,22 @@
 """Reusable DSP primitives: FIR design, Hilbert transform, windows, resampling.
 
-Everything here is a pure function over :class:`~ultraband.wavio.SampleBuffer`
-values, written in numpy alone: FFTs come from ``numpy.fft`` and the
-polyphase resampler is a strided matrix product, so the package loads no
-scipy module. One block loop, ``_framed``, runs the overlap-add filter and
-every framed spectrum: it reads a source a span at a time, and on two CPUs
-(``_splits``) one worker thread per call takes every other block. The filter
-also mixes the carrier block by block: into its input for the plain
-``demodulate``, or, for ``modulate`` and ``demodulate``'s phase search, into
-the output of a complex filter with tap rows r0 and r1, one row r0 * a + r1 * b
-per pair of carrier tables (a, b), so the input is transformed once. It reads
-a ``PcmClip`` or a ``WavFile`` in spans, and returns a list of rows, each
-checked finite. Tap formulas and window shapes are explicit here; the bin
-weights are ``analysis._weighted_power``. ``resample`` designs a rate pair's
-filter once per process: ``_resample_plan`` keeps the read-only tap matrices
-of the latest ``_RESAMPLE_PLANS`` (up, down, phases) keys.
+Everything here is a pure function, written in numpy alone: FFTs come from
+``numpy.fft`` and the polyphase resampler is a strided matrix product, so the
+package loads no scipy module. Signals are span sources: a
+:class:`~ultraband.wavio.SampleBuffer`, a ``PcmClip``, an open ``WavFile`` or
+a ``_Rows``, whose ``_read(start, stop)`` returns ``stop - start`` float64
+samples of one row. One block loop, ``_framed``, runs the overlap-add filter
+and every framed spectrum: it reads the whole frames of a source a block at a
+time, and on two CPUs (``_splits``) one worker thread per call takes every
+other block. The filter also mixes the carrier block by block: into its input
+for the plain ``demodulate``, or, for ``modulate`` and ``demodulate``'s phase
+search, into the output of a complex filter with tap rows r0 and r1, one row
+r0 * a + r1 * b per pair of carrier tables (a, b), so the input is transformed
+once. It reads a ``PcmClip`` or a ``WavFile`` in spans, and returns a list of
+rows, each checked finite. Tap formulas and window shapes are explicit here;
+the bin weights are ``analysis._weighted_power``. ``resample`` designs a rate
+pair's filter once per process: ``_resample_plan`` keeps the read-only tap
+matrices of the latest ``_RESAMPLE_PLANS`` (up, down, phases) keys.
 """
 
 from __future__ import annotations
@@ -198,26 +200,24 @@ def apply_filter(filt: FirFilter, signal: SampleBuffer) -> SampleBuffer:
         raise RateMismatch(
             f"signal at {signal.sample_rate_hz} Hz, filter designed for {filt.design_rate_hz} Hz"
         )
-    if len(signal) == 0:
-        return signal
     (y,) = _overlap_add(signal, filt.taps)
     return SampleBuffer._adopt(y, signal.sample_rate_hz)
 
 
 def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=()):
-    """``apply_filter``'s convolution of ``source`` (nonempty, read by ``_read``:
-    a ``PcmClip``'s or ``WavFile``'s channel 0 as ``to_float`` scales it)
-    with each row of ``taps`` (m odd; 1-D taps are one row). The input is the
-    source times the table ``mix_in`` if given (read as ``_mix`` reads a
-    table). With ``mix_out``, pairs of tables (a, b), tap rows r0 and r1 are
-    the real and imaginary parts of a complex filter whose output is moved by
-    the carrier: each pair's output row is r0 * a + r1 * b. ``_framed``'s
-    frames are ``step`` input samples (the last zero-padded), each transformed
-    once and multiplied by every row's spectrum. A frame's last m - 1 outputs
-    (its tail) add onto the next frame's first, and each block's finished
-    span is mixed and written into the output rows in order. Returns a list
-    of fresh rows, one per pair of ``mix_out`` or else per tap row, each
-    checked finite."""
+    """``apply_filter``'s convolution of ``source`` (read by ``_read``: a
+    ``PcmClip``'s or ``WavFile``'s channel 0 as ``to_float`` scales it; an empty
+    source gives empty rows) with each row of ``taps`` (m odd; 1-D taps are one
+    row). The input is the source times the table ``mix_in`` if given (read as
+    ``_mix`` reads a table). With ``mix_out``, pairs of tables (a, b), tap rows
+    r0 and r1 are the real and imaginary parts of a complex filter whose output
+    is moved by the carrier: each pair's output row is r0 * a + r1 * b.
+    ``_framed``'s frames are ``step`` input samples (``_Rows`` zero-fills the
+    last), each transformed once and multiplied by every row's spectrum. A
+    frame's last m - 1 outputs (its tail) add onto the next frame's first, and
+    each block's finished span is mixed and written into the output rows in
+    order. Returns a list of fresh rows, one per pair of ``mix_out`` or else
+    per tap row, each checked finite."""
     taps = np.atleast_2d(taps)
     (rows, m), n = taps.shape, len(source)
     n_fft = next_fast_len(min(8 * m, max(2 * m, n + m - 1)))
@@ -265,7 +265,8 @@ def _overlap_add(source, taps: np.ndarray, mix_in=None, mix_out=()):
 class _Rows:
     """The filter's input, and ``measure``'s core: ``source`` from ``offset`` on,
     read by ``_read``, times ``table`` (``_mix`` from the span's first index)
-    or as it is; zeros after its end, to ``length`` samples."""
+    or as it is; zeros after its end, to ``length`` samples. A span source
+    itself: ``_read(start, stop)`` returns ``stop - start`` float64 samples."""
 
     source: object
     table: np.ndarray | None
@@ -290,14 +291,13 @@ def _splits(points: int) -> bool:  # a worker takes every other block: two CPUs,
     return _cpu_count() >= 2 and points >= 2 * _FFT_POINTS
 
 
-def _framed(source, frame_len, hop, reduce, width, window=None, pad=False):
-    """Yield (first frame, its rows) per block of the frames of ``source``
-    (``frame_len`` long, ``hop`` apart along the last axis of what ``_read``
-    returns, times ``window`` if given), in block order, once
-    ``reduce(frames, out=)`` has put the block's ``width`` results per frame
-    in ``out``. A trailing remainder shorter than a frame is dropped, or with
-    ``pad`` (and ``hop == frame_len``) is a short last frame. A block,
-    ``source._read`` of its span, is one run of ``_BLOCK_SAMPLES // max(2 *
+def _framed(source, frame_len, hop, reduce, width, window=None):
+    """Yield (first frame, its rows) per block of the whole frames of the
+    one-row span source ``source`` (``frame_len`` long, ``hop`` apart, times
+    ``window`` if given), in block order, once ``reduce(frames, out=)`` has put
+    the block's ``width`` results per frame in ``out``. A trailing remainder
+    shorter than a frame is dropped. A block is one ``source._read`` of its
+    span and one ``reduce`` call over a run of ``_BLOCK_SAMPLES // max(2 *
     width, frame_len)`` frames, or ``// max(2 * width, 2 * frame_len)`` under
     a window (whose copies are as large). When ``_splits`` holds for all the
     frames' samples or results, whichever are more, and there are two blocks
@@ -306,21 +306,16 @@ def _framed(source, frame_len, hop, reduce, width, window=None, pad=False):
     buffer, reused once the consumer has moved past them; the worker is
     joined before the generator ends, raises or is closed. The rows depend
     on neither the CPUs nor the source."""
-    n = len(source)
-    frames = -(-n // hop) if pad else max(0, (n - frame_len) // hop + 1)
+    frames = max(0, (len(source) - frame_len) // hop + 1)
     step = max(1, _BLOCK_SAMPLES // max(2 * width, (1 + (window is not None)) * frame_len))
     firsts = range(0, frames, step)
 
     def fill(first, rows):
         k = min(step, frames - first)
-        chunk = source._read(first * hop, min(n, (first + k - 1) * hop + frame_len))
-        whole = (chunk.shape[-1] - frame_len) // hop + 1  # k, or k - 1 before a padded tail
-        if whole:
-            view = np.ndarray(chunk.shape[:-1] + (whole, frame_len), chunk.dtype, chunk, 0,
-                              chunk.strides[:-1] + (hop * chunk.itemsize, chunk.itemsize))
-            reduce(view if window is None else view * window, out=rows[:whole])
-        if k > whole:  # the padded tail, the block's last frame
-            reduce(chunk[..., None, whole * hop :], out=rows[whole:k])
+        chunk = source._read(first * hop, (first + k - 1) * hop + frame_len)
+        view = np.ndarray((k, frame_len), chunk.dtype, chunk, 0,
+                          (hop * chunk.itemsize, chunk.itemsize))
+        reduce(view if window is None else view * window, out=rows[:k])
         return rows[:k]
 
     worker = None

@@ -65,12 +65,14 @@ def find_silence(
     n = len(host)
     frame_len = max(1, int(round(min(frame_ms * rate / 1000.0, n))))
 
-    # Per-block mean square, each row summed as np.mean sums a lone block;
-    # the trailing partial block is _framed's short last frame.
+    # Per-block mean square, each summed as np.mean sums a lone block: the
+    # whole blocks are _framed's frames, a trailing partial block the last row.
     mean_sq = np.empty((-(-n // frame_len), 1))
     for first, rows in _framed(host, frame_len, frame_len, lambda frames, out: np.mean(
-            frames**2, axis=1, keepdims=True, out=out), 1, pad=True):
+            frames**2, axis=1, keepdims=True, out=out), 1):
         mean_sq[first : first + len(rows)] = rows  # rows is reused for the next block
+    if n % frame_len:
+        mean_sq[-1] = np.mean(host._read(n - n % frame_len, n) ** 2)
     starts, ends = true_runs(np.sqrt(mean_sq[:, 0]) < rms_threshold)
     regions = zip((starts * frame_len).tolist(), np.minimum(ends * frame_len, n).tolist())
 
@@ -89,8 +91,9 @@ def embed(
 
     The payload is resampled to the host rate once it is known to fit.
     Samples outside the insertion span are returned bit-identical; the mixed
-    span is clamped to [-1, 1]. Raises RateTooLow when the host rate cannot
-    represent the payload's band and NoRoom when no region is long enough.
+    span is clamped to [-1, 1]. Raises BadRate when the rate pair cannot be
+    resampled, then NoRoom when no region is long enough, then RateTooLow
+    when the host rate cannot represent the payload's band.
     """
     (start, end), mixed = _embed(host, payload, silence, gain)
     out = host.samples.copy()
@@ -102,20 +105,20 @@ def _embed(host: SampleBuffer | WavFile, payload: SampleBuffer | WavFile, silenc
            gain: float):
     """The [start, end) span that the payload fills, and ``embed``'s samples
     there: the host's span plus ``gain`` times the resampled payload, clipped.
-    Of the host only that span is read, and the payload whole only if it fits."""
+    Of the host only that span is read, and the payload only once it fits."""
     if len(host) == 0 or len(payload) == 0:
         raise EmptySignal("host and payload must be nonempty")
     check_fraction(gain, BadArgument, "gain")
 
     rate = float(host.sample_rate_hz)
-    payload_top = recovered_bandwidth(payload)
-    if rate < 2.0 * payload_top:
-        raise RateTooLow(f"host rate {rate} Hz cannot carry content up to {payload_top:.0f} Hz")
-    length = resampled_length(payload, rate)  # BadRate, then NoRoom, before resampling
+    length = resampled_length(payload, rate)  # BadRate, NoRoom, then RateTooLow: cheapest first
     start, region_end = silence.longest()
     if region_end - start < length:
         raise NoRoom(f"longest silent region holds {region_end - start} samples, "
                      f"payload needs {length}")
+    payload_top = recovered_bandwidth(payload)
+    if rate < 2.0 * payload_top:
+        raise RateTooLow(f"host rate {rate} Hz cannot carry content up to {payload_top:.0f} Hz")
     end = start + length
     fitted = resample(payload, rate)
     mixed = np.clip(host._read(start, end) + gain * fitted.samples, -1.0, 1.0)

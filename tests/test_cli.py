@@ -539,7 +539,8 @@ def test_embed_no_room_is_data_error(tmp_path, modulated_wav, capsys):
 
 
 #: (host, payload, exit code, the one stderr line) of each embed error, the
-#: payload ``high.wav`` being speech modulated up to 18.8 kHz.
+#: payload ``high.wav`` being speech modulated up to 18.8 kHz (``long_high.wav``:
+#: 4 s of such speech).
 _EMBED_ERRORS = [
     ("missing.wav", "high.wav", EXIT_IO, "i/o error: cannot read {dir}/missing.wav: "
      "[Errno 2] No such file or directory: '{dir}/missing.wav'"),
@@ -552,6 +553,9 @@ _EMBED_ERRORS = [
     ("1hz.wav", "high.wav", EXIT_DATA, "error: host rate 1.0 Hz cannot carry content up to 18824 Hz"),
     ("8khz.wav", "high.wav", EXIT_DATA,
      "error: host rate 8000.0 Hz cannot carry content up to 18824 Hz"),
+    # too wide for the host's rate and too long for its silence: the room is checked first
+    ("8khz.wav", "long_high.wav", EXIT_DATA,
+     "error: longest silent region holds 20000 samples, payload needs 32000"),
     # 2048 samples at 1 Hz are 98.3 M at 48 kHz: refused before resampling
     ("host.wav", "1hz_2048.wav", EXIT_DATA,
      "error: longest silent region holds 120000 samples, payload needs 98304000"),
@@ -563,8 +567,8 @@ _EMBED_ERRORS = [
 
 @pytest.mark.parametrize("host,payload,code,line", _EMBED_ERRORS,
                          ids=[f"{h}-{p}" for h, p, _, _ in _EMBED_ERRORS])
-def test_embed_error_contract(tmp_path, modulated_wav, monkeypatch, capsys, host, payload, code,
-                              line):
+def test_embed_error_contract(tmp_path, modulated_wav, default_config, monkeypatch, capsys, host,
+                              payload, code, line):
     write_wav(tmp_path / "host.wav", to_pcm(speech_like(duration_s=4.0, seed=63, pauses=[(1.0, 3.5)])))
     write_wav(tmp_path / "busy.wav", to_pcm(tone(440.0, amp=0.9)))
     write_wav(tmp_path / "8khz.wav",
@@ -573,6 +577,8 @@ def test_embed_error_contract(tmp_path, modulated_wav, monkeypatch, capsys, host
     write_wav(tmp_path / "96khz.wav", PcmClip(np.zeros(96000, dtype=np.int16), 96000))
     write_wav(tmp_path / "1hz_2048.wav",
               PcmClip(np.random.default_rng(1).integers(-9000, 9000, 2048), 1))
+    write_wav(tmp_path / "long_high.wav",
+              to_pcm(modulate(speech_like(duration_s=4.0, seed=62), default_config)))
     (tmp_path / "mp3.wav").write_bytes(b"ID3\x04\x00" + bytes(100))
     raw = bytearray(modulated_wav.read_bytes())
     raw[40:44] = (len(raw) - 44 + 2).to_bytes(4, "little")  # one frame more than it holds

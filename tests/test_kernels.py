@@ -40,7 +40,7 @@ from ultraband import (
     write_wav,
 )
 from ultraband.kernels import (_FFT_POINTS, MAX_RESAMPLE_FACTOR, _carrier, _mix, _overlap_add,
-                               _taper, check_positive, next_fast_len, resampled_length)
+                               _Rows, _taper, check_positive, next_fast_len, resampled_length)
 
 
 def _freq_response(filt: FirFilter, freq_hz: float) -> float:
@@ -292,10 +292,18 @@ def test_filter_rate_mismatch():
         apply_filter(filt, SampleBuffer(np.zeros(100), 44100.0))
 
 
-def test_filter_empty_passthrough():
+def test_filter_empty_passthrough(tmp_path):
     filt = design_lowpass(6000.0, RATE, 255)
     out = apply_filter(filt, SampleBuffer(np.zeros(0), RATE))
     assert len(out) == 0
+    # an empty clip or file gives an empty SampleBuffer, not the source back
+    empty = PcmClip(np.zeros(0, dtype=np.int16), RATE)
+    write_wav(tmp_path / "empty.wav", empty)
+    with open_wav(tmp_path / "empty.wav") as wav:
+        for source in (empty, wav):
+            out = apply_filter(filt, source)
+            assert type(out) is SampleBuffer and len(out) == 0
+            assert out.sample_rate_hz == RATE
 
 
 # --- hilbert ---
@@ -478,6 +486,28 @@ def test_carrier_phase_is_exact_at_any_length():
     cos, sin = _carrier(16000.0, 48000.0, n)
     assert abs(cos[k % cos.size] - math.cos(2.0 * math.pi * (k % 3) / 3)) <= 1e-15
     assert abs(sin[k % sin.size] - math.sin(2.0 * math.pi * (k % 3) / 3)) <= 1e-15
+
+
+def test_rows_read_spans_of_the_source_mixed_and_zero_filled():
+    # the span source _framed relies on: _read(start, stop) is 1-D float64,
+    # stop - start samples, whatever the span
+    x = np.random.default_rng(41).uniform(-1.0, 1.0, 1000)
+    cos, _ = _carrier(16000.0, RATE, 1000)
+    spans = [(0, 0), (0, 1), (3, 10), (0, 800), (790, 800), (100, 997), (0, 1000), (995, 1300),
+             (1000, 1300), (1200, 1300)]
+    for rows, expected in [
+        (_Rows(SampleBuffer(x, RATE), None, 800, 200), x[200:]),
+        (_Rows(SampleBuffer(x, RATE), cos, 1000), _mix(x, cos, np.empty(1000))),
+        (_Rows(SampleBuffer(x, RATE), None, 1300), x),
+        (_Rows(SampleBuffer(x, RATE), cos, 1300, 3), _mix(x[3:], cos, np.empty(997))),
+    ]:
+        padded = np.concatenate((expected, np.zeros(len(rows) - expected.size)))
+        for start, stop in spans:
+            if stop > len(rows):
+                continue
+            got = rows._read(start, stop)
+            assert got.dtype == np.float64 and got.shape == (stop - start,), (start, stop)
+            assert np.array_equal(got, padded[start:stop]), (start, stop)
 
 
 # --- peak_normalize ---

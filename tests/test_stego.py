@@ -310,6 +310,21 @@ def test_embed_checks_room_before_it_resamples():
         tracemalloc.stop()
 
 
+def test_embed_refuses_for_room_before_it_measures_the_payload(tmp_path, payload, monkeypatch):
+    # NoRoom needs only the two lengths and the silence map, not the payload's band
+    measured = []
+    monkeypatch.setattr(stego, "recovered_bandwidth", lambda *args: measured.append(args))
+    host = speech_like(duration_s=2.0, seed=24, pauses=[(0.7, 1.3)])
+    for silence in (find_silence(host), SilenceMap(regions=())):
+        with pytest.raises(NoRoom):
+            embed(host, payload, silence)
+    write_wav(tmp_path / "host.wav", to_pcm(host))
+    write_wav(tmp_path / "payload.wav", to_pcm(payload))
+    with pytest.raises(NoRoom):
+        embed_file(tmp_path / "host.wav", tmp_path / "payload.wav", tmp_path / "out.wav")
+    assert measured == [] and not (tmp_path / "out.wav").exists()
+
+
 def test_embed_validation(payload):
     host = SampleBuffer(np.zeros(int(3 * RATE)), RATE)
     silence = find_silence(host)

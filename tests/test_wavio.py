@@ -422,6 +422,19 @@ def test_open_wav_blocks_equal_to_float_views(tmp_path):
         assert wav._read(7, 7).size == 0
     assert SampleBuffer(np.zeros(0), RATE)._read(0, 0).size == 0
 
+    # the span contract _framed relies on: a mono or stereo clip, its open
+    # file and its SampleBuffer each read a 1-D float64 span of stop - start samples
+    for channels in (1, 2):
+        clip = PcmClip(rng.integers(-32768, 32768, channels * 1001).astype(np.int16), RATE,
+                       channels)
+        write_wav(path, clip)
+        with open_wav(path) as wav:
+            for source in (clip, wav, to_float(clip)):
+                for start, stop in [(0, 0), (0, 1), (3, 10), (500, 1001), (0, 1001), (1000, 1001)]:
+                    ours = source._read(start, stop)
+                    assert ours.dtype == np.float64 and ours.shape == (stop - start,), (start, stop)
+                    assert np.array_equal(ours, clip._lane(start, stop) / 32768.0), (start, stop)
+
     # a span of a multi-channel file is read in chunks of the scratch: spans
     # that start and stop on both sides of each chunk edge
     step = wavio._LANE_SCRATCH // 3
